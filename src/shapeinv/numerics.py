@@ -196,24 +196,14 @@ class TridiagonalSym:
         e2max = float(np.max(self.offdiag * self.offdiag)) if self.offdiag.size else 0.0
         return max(e2max, 1.0) * np.finfo(float).tiny / _EPS
 
-    def count_below(self, sigma: float) -> int:
-        return int(self._count_below_vec(np.array([sigma]))[0])
+    def _sturm_rows(self):
+        # Row data of the Sturm recurrence as Python floats. The leading 0.0
+        # coupling makes the first row (d_0 - sigma) - 0/q = d_0 - sigma.
+        return self.diag.tolist(), [0.0] + (self.offdiag * self.offdiag).tolist()
 
-    def _count_below_vec(self, sigmas: np.ndarray) -> np.ndarray:
-        # Sturm sequence: number of eigenvalues strictly below each shift.
-        # A vanishing pivot is clamped to -pivmin before it is counted, so a
-        # shift landing exactly on a leading-minor eigenvalue still counts it.
-        d = self.diag
-        e2 = self.offdiag * self.offdiag
-        pivmin = self._pivmin()
-        q = d[0] - sigmas
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count = (q < 0.0).astype(np.int64)
-        for i in range(1, self.n):
-            q = (d[i] - sigmas) - e2[i - 1] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            count += q < 0.0
-        return count
+    def count_below(self, sigma: float) -> int:
+        d, e2 = self._sturm_rows()
+        return _sturm_count(d, e2, self._pivmin(), float(sigma))
 
     def gershgorin(self):
         radius = np.zeros(self.n)
@@ -232,18 +222,25 @@ class TridiagonalSym:
         if tol is None:
             tol = 1e-12 * scale
         pad = 2.0 * _EPS * scale
-        los = np.full(k, lo - pad)
-        his = np.full(k, hi + pad)
-        targets = np.arange(1, k + 1)
-        for _ in range(220):
-            if np.all(his - los <= tol):
-                break
-            mids = 0.5 * (los + his)
-            counts = self._count_below_vec(mids)
-            go_left = counts >= targets
-            his = np.where(go_left, mids, his)
-            los = np.where(go_left, los, mids)
-        return 0.5 * (los + his)
+        d, e2 = self._sturm_rows()
+        pivmin = self._pivmin()
+        los = [lo - pad] * k
+        his = [hi + pad] * k
+        # Bisect level by level, lowest first. Every count narrows the
+        # bracket of each later level the shift falls inside of.
+        for i in range(k):
+            for _ in range(220):
+                if his[i] - los[i] <= tol:
+                    break
+                mid = 0.5 * (los[i] + his[i])
+                count = _sturm_count(d, e2, pivmin, mid)
+                for j in range(i, k):
+                    if los[j] < mid < his[j]:
+                        if count > j:
+                            his[j] = mid
+                        else:
+                            los[j] = mid
+        return 0.5 * (np.array(los) + np.array(his))
 
     def eigenvector(self, lam: float, prev: Sequence[np.ndarray] = (),
                     seed: int = 0, iters: int = 2) -> np.ndarray:
@@ -262,6 +259,22 @@ class TridiagonalSym:
                 nrm = np.linalg.norm(v)
             v = v / nrm
         return v
+
+
+def _sturm_count(d, e2, pivmin, sigma):
+    """Number of eigenvalues strictly below sigma, from the pivots of
+    LDL^T(T - sigma I). A pivot inside (-pivmin, pivmin) is clamped to -pivmin
+    and counted, so a shift landing exactly on a leading-minor eigenvalue
+    still counts it."""
+    count = 0
+    q = 1.0
+    for di, ei in zip(d, e2):
+        q = (di - sigma) - ei / q
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+    return count
 
 
 def _factor_shifted(diag, off, shift):
