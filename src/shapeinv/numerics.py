@@ -218,21 +218,22 @@ class TridiagonalSym:
             raise ValueError(
                 "bisection cannot converge: matrix has non-finite entries")
         lo, hi = self.gershgorin()
-        scale = max(abs(lo), abs(hi), 1.0)
-        if tol is None:
-            tol = 1e-12 * scale
-        pad = 2.0 * _EPS * scale
+        pad = 2.0 * _EPS * max(abs(lo), abs(hi), 1.0)
         d, e2 = self._sturm_rows()
         pivmin = self._pivmin()
         los = [lo - pad] * k
         his = [hi + pad] * k
         # Bisect level by level, lowest first. Every count narrows the
-        # bracket of each later level the shift falls inside of.
+        # bracket of each later level the shift falls inside of. A level stops
+        # at a width relative to its magnitude (an explicit tol is absolute),
+        # or once the midpoint no longer splits the bracket.
         for i in range(k):
             for _ in range(220):
-                if his[i] - los[i] <= tol:
+                a, b = los[i], his[i]
+                mid = 0.5 * (a + b)
+                stop = 2.0 * _EPS * max(abs(a), abs(b)) + pivmin if tol is None else tol
+                if b - a <= stop or not a < mid < b:
                     break
-                mid = 0.5 * (los[i] + his[i])
                 count = _sturm_count(d, e2, pivmin, mid)
                 for j in range(i, k):
                     if los[j] < mid < his[j]:

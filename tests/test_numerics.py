@@ -1,17 +1,22 @@
 """Finite-difference oracle: grids, stencils, quadrature, the tridiagonal
 eigensolver, and the Dirichlet spectrum driver."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import DATA
 from shapeinv.errors import BoundaryConditionError, PoleError
+from shapeinv.families import family_from_json
 from shapeinv.numerics import (Grid, GridFunction, NumericSpectrum,
                                TridiagonalSym, adjointness_defect,
                                apply_hamiltonian, derivative, eigen_lowest,
                                fix_sign, hamiltonian_matrix, inner_product,
                                integrate, spectrum_numeric)
+from shapeinv.partners import pair_from_family
+from shapeinv.spectra import spectrum_analytic
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +180,94 @@ def test_count_below_and_bounds():
     assert lo <= 1.0 and hi >= 3.0
 
 
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def test_count_below_matches_dense_counts():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        d = rng.standard_normal(n) * 3.0
+        e = rng.standard_normal(n - 1) * 2.0
+        mat = TridiagonalSym(diag=d, offdiag=e)
+        evals = np.linalg.eigvalsh(_dense(d, e))
+        for sigma in rng.uniform(-10.0, 10.0, 8):
+            if np.min(np.abs(evals - sigma)) < 1e-9:
+                continue
+            assert mat.count_below(sigma) == int(np.sum(evals < sigma))
+
+
+def test_count_below_on_leading_minor_eigenvalues():
+    # Build pivots of T - 0*I as powers of two with one exact zero at row j,
+    # so 0 is an eigenvalue of the leading (j+1)x(j+1) minor and the Sturm
+    # recurrence hits a vanishing pivot that must be clamped, not divided by.
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 10))
+        piv = rng.choice([-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0], n)
+        j = int(rng.integers(0, n - 1))
+        piv[j] = 0.0
+        e = rng.choice([-1.0, 1.0], n - 1)
+        d = piv.copy()
+        d[1:] += 1.0 / np.where(piv[:-1] == 0.0, np.inf, piv[:-1])
+        minor = np.linalg.eigvalsh(_dense(d[:j + 1], e[:j]))
+        assert np.min(np.abs(minor)) < 1e-12
+        evals = np.linalg.eigvalsh(_dense(d, e))
+        if np.min(np.abs(evals)) < 1e-6:
+            continue
+        mat = TridiagonalSym(diag=d, offdiag=e)
+        assert mat.count_below(0.0) == int(np.sum(evals < 0.0))
+        checked += 1
+    assert checked >= 30
+
+
+def test_count_below_without_coupling_and_for_one_row():
+    mat = TridiagonalSym(diag=np.array([3.0, -1.0, 2.0, -1.0]),
+                         offdiag=np.zeros(3))
+    assert [mat.count_below(s) for s in (-2.0, 0.0, 2.5, 4.0)] == [0, 2, 3, 4]
+    one = TridiagonalSym(diag=np.array([3.0]), offdiag=np.zeros(0))
+    assert one.count_below(2.5) == 0 and one.count_below(3.5) == 1
+    assert one.eigenvalues_lowest(1)[0] == pytest.approx(3.0, abs=1e-14)
+
+
+def test_wilkinson_near_degenerate_pair():
+    # W21+: the top two eigenvalues agree to about 14 digits.
+    d = np.abs(np.arange(21) - 10.0)
+    e = np.ones(20)
+    got = TridiagonalSym(diag=d, offdiag=e).eigenvalues_lowest(21)
+    want = np.linalg.eigvalsh(_dense(d, e))
+    assert np.all(np.diff(got) > 0.0)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    assert got[-1] - got[-2] == pytest.approx(want[-1] - want[-2], abs=2e-14)
+
+
+def _config_problem(name):
+    """Family, m, potential, grid and level count of a tests/data
+    configuration, as the CLI's spectrum --mode both builds them."""
+    cfg = json.loads((DATA / f"{name}.json").read_text())
+    fam = family_from_json(cfg["family"])
+    pair = pair_from_family(fam, cfg["d"])
+    g = cfg["grid"]
+    grid = Grid(g["xmin"], g["xmax"], g["n"])
+    return fam, cfg["m"], (lambda x: pair.V(x, cfg["m"])), grid, cfg["kmax"] + 1
+
+
+@pytest.mark.parametrize("name", ["oscillator", "trig", "hyperbolic"])
+def test_config_matrices_match_lapack_bisection(name):
+    linalg = pytest.importorskip("scipy.linalg")
+    _, _, V, grid, k = _config_problem(name)
+    coarse = Grid(grid.x0, grid.x1, grid.n // 2 + 1)
+    for g in (grid, coarse):
+        mat = hamiltonian_matrix(V, g)
+        got = mat.eigenvalues_lowest(k)
+        want = linalg.eigh_tridiagonal(
+            mat.diag, mat.offdiag, eigvals_only=True, select="i",
+            select_range=(0, k - 1), lapack_driver="stebz", tol=1e-300)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
 def test_eigensolver_argument_checks():
     mat = TridiagonalSym(diag=np.array([2.0, 2.0]),
                          offdiag=np.array([-1.0]))
@@ -235,12 +328,17 @@ def test_oscillator_spectrum():
 
 
 def test_richardson_tracks_true_error():
-    g = Grid(0.0, math.pi, 401)
-    sp = spectrum_numeric(lambda x: np.zeros_like(x), g, 3)
-    true_err = np.abs(sp.energies - np.array([1.0, 4.0, 9.0]))
-    assert sp.error_estimate is not None
-    for est, err in zip(sp.error_estimate, true_err):
-        assert 0.5 * err < est < 2.0 * err
+    fam, m, V_trig, g_trig, k = _config_problem("trig")
+    exact_trig = spectrum_analytic(fam, m, k - 1).energies
+    assert list(exact_trig) == [5.0, 12.0, 21.0]
+    cases = [(lambda x: np.zeros_like(x), Grid(0.0, math.pi, 401), [1.0, 4.0, 9.0]),
+             (V_trig, g_trig, exact_trig)]
+    for V, g, exact in cases:
+        sp = spectrum_numeric(V, g, 3)
+        true_err = np.abs(sp.energies - np.asarray(exact))
+        assert sp.error_estimate is not None
+        for est, err in zip(sp.error_estimate, true_err):
+            assert 0.5 * err < est < 2.0 * err
 
 
 def test_richardson_unavailable_for_even_sample_arrays():
