@@ -163,9 +163,10 @@ def dh_zero(x, A, B):
 def f_minus(x, A, B, c):
     """(B sin + cos)/(B cos - sin) at argument c(x - A)."""
     th = c * (np.asarray(x, dtype=float) - A)
-    den = B * np.cos(th) - np.sin(th)
+    sn, cs = np.sin(th), np.cos(th)
+    den = B * cs - sn
     _check_den(x, den, "f_minus")
-    return (B * np.sin(th) + np.cos(th)) / den
+    return (B * sn + cs) / den
 
 
 def h_minus(x, A, B, c):
@@ -185,9 +186,10 @@ def df_minus(x, A, B, c):
 
 def dh_minus(x, A, B, c):
     th = c * (np.asarray(x, dtype=float) - A)
-    den = B * np.cos(th) - np.sin(th)
+    sn, cs = np.sin(th), np.cos(th)
+    den = B * cs - sn
     _check_den(x, den, "dh_minus")
-    return -c * (B * np.sin(th) + np.cos(th)) / (den * den)
+    return -c * (B * sn + cs) / (den * den)
 
 
 @dataclass(frozen=True)

@@ -201,9 +201,10 @@ class RiccatiSolution:
                 den = arr - self.A
                 self._check_regular(arr, den)
                 return _ret(1.0 / den, scalar)
-            den = np.cos(self._theta(arr))
+            th = self._theta(arr)
+            den = np.cos(th)
             self._check_regular(arr, den)
-            return _ret(-c * np.tan(self._theta(arr)), scalar)
+            return _ret(-c * np.tan(th), scalar)
         Bv = self.B.value
         if kind == "pos":
             num, den = _pos_fraction(self._theta(arr), Bv)
@@ -214,8 +215,9 @@ class RiccatiSolution:
             self._check_regular(arr, den)
             return _ret(Bv / den, scalar)
         th = self._theta(arr)
-        num = Bv * np.sin(th) + np.cos(th)
-        den = Bv * np.cos(th) - np.sin(th)
+        sn, cs = np.sin(th), np.cos(th)
+        num = Bv * sn + cs
+        den = Bv * cs - sn
         self._check_regular(arr, den)
         return _ret(-c * num / den, scalar)
 
@@ -337,17 +339,20 @@ class ZSolution:
     y: RiccatiSolution
 
     def _parts(self, arr):
-        # returns (numerator, denominator) for the finite-B rational forms
+        # returns (numerator, denominator, u) for the finite-B rational forms;
+        # u = B sin + cos is the trigonometric numerator (None for 'zero')
         y = self.y
         c = y.c
         if y.kind == "zero":
             t = arr - y.A
             Bv = y.B.value
-            return self.b * (0.5 * t * (2.0 + Bv * t)) + self.D, 1.0 + Bv * t
+            return (self.b * (0.5 * t * (2.0 + Bv * t)) + self.D, 1.0 + Bv * t,
+                    None)
         th = y._theta(arr)
-        u = y.B.value * np.sin(th) + np.cos(th)
-        v = y.B.value * np.cos(th) - np.sin(th)
-        return (self.b / c) * u - self.D, v
+        sn, cs = np.sin(th), np.cos(th)
+        u = y.B.value * sn + cs
+        v = y.B.value * cs - sn
+        return (self.b / c) * u - self.D, v, u
 
     def _pos_fh(self, arr):
         y = self.y
@@ -377,7 +382,7 @@ class ZSolution:
         if y.kind == "pos":
             f, h = self._pos_fh(arr)
             return _ret((self.b / c) * f + self.D * h, scalar)
-        num, den = self._parts(arr)
+        num, den, _ = self._parts(arr)
         y._check_regular(arr, den)
         return _ret(num / den, scalar)
 
@@ -406,12 +411,10 @@ class ZSolution:
             f, h = self._pos_fh(arr)
             z = (b / c) * f + self.D * h
             return _ret(b - c * f * z, scalar)
-        num, den = self._parts(arr)
+        num, den, u = self._parts(arr)
         y._check_regular(arr, den)
         if y.kind == "zero":
             return _ret(b - y.B.value * num / (den * den), scalar)
-        th = y._theta(arr)
-        u = y.B.value * np.sin(th) + np.cos(th)
         return _ret(b + c * u * num / (den * den), scalar)
 
 
