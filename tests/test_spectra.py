@@ -2,10 +2,12 @@
 normalizability screening, and spectrum assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from shapeinv import spectra
 from shapeinv.errors import (GridTooCoarseError, NormalizationError,
                              OrbitError)
 from shapeinv.families import preset_params
@@ -135,6 +137,75 @@ def test_check_normalizable_slow_power_tail():
     fam = preset_params("TypeF", q=-1.0)
     assert check_normalizable(fam, 2.0, "decreasing")
     assert not check_normalizable(fam, 1.0, "increasing")
+
+
+def _typea_increasing_seed():
+    fam = preset_params("TypeA")
+    anchor = spectra._default_anchor(fam)
+    return (spectra._seed_log_derivative(fam, 2.0, -1),
+            spectra._unbounded_domain(fam, anchor), anchor)
+
+
+# (log derivative, domain, anchor) and the report the probe gave before it
+# evaluated both shells of a stage in one call: (normalizable,
+# divergent_end, stages, log_norm), compared bit for bit
+PROBE_PINS = {
+    "two finite sides": (
+        lambda: (lambda x: -x, (-1.0, 2.0), 0.25),
+        (True, None, 19, 0.2752038776859279)),
+    "one infinite side": (
+        lambda: (lambda x: 1.0 / x - x, (0.0, math.inf), 1.0),
+        (True, None, 8, 0.09303526693919911)),
+    "both sides infinite": (
+        lambda: (lambda x: -x, (-math.inf, math.inf), 0.3),
+        (True, None, 2, 0.3311824714623292)),
+    "40-stage divergence": (
+        _typea_increasing_seed,
+        (False, "left", 40, None)),
+    # both shells of stage 2 are non-finite: the left one is reported
+    "non-finite left shell": (
+        lambda: (lambda x: np.where(np.abs(x) > 5.0, np.nan, -x),
+                 (-math.inf, math.inf), 0.3),
+        (False, "left", 2, None)),
+    "non-finite right shell": (
+        lambda: (lambda x: np.where(x > 5.0, np.inf, -x),
+                 (-math.inf, math.inf), 0.3),
+        (False, "right", 2, None)),
+}
+
+
+@pytest.mark.parametrize("case", PROBE_PINS)
+def test_probe_reports_pinned_one_evaluation_per_stage(case):
+    make, expected = PROBE_PINS[case]
+    g, domain, anchor = make()
+    sizes = []
+
+    def counting(xs):
+        sizes.append(xs.size)
+        return g(xs)
+
+    rep = spectra._probe_square_integrable(counting, domain, anchor=anchor)
+    assert (rep.normalizable, rep.divergent_end, rep.stages,
+            rep.log_norm) == expected
+    # default samples=2048: two shells of 1024 panels each per stage
+    assert sizes == [2 * 1025] * rep.stages
+
+
+def test_probe_overflow_is_silent_divergence():
+    # Morse (B = -1): exp(-th) in the closed form overflows on the wide probe
+    # shells; the probe reads that as divergence without a RuntimeWarning
+    fam = preset_params("TypeB_real", c=1.1202389828913326,
+                        A=-0.18415032727483238, b=-0.35339366958075147,
+                        D=-1.6616092770240576)
+    m = 3.186823711815706
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = spectrum_analytic(fam, m, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = spectrum_analytic(fam, m, 5)
+    assert strict.levels == quiet.levels
+    assert [k for k, _ in strict.levels] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
