@@ -73,6 +73,15 @@ class RunConfig:
     output_format: str = "csv"
     pole_margin: float = 1e-3
 
+    def __post_init__(self):
+        # defaults, config files and flags all end up here; family constants
+        # are checked by the descriptor parser
+        for name in ("m", "d", "tol", "pole_margin"):
+            _require_finite(name, getattr(self, name))
+        if self.grid != "auto":
+            for key in ("xmin", "xmax"):
+                _require_finite(f"grid {key}", self.grid[key])
+
     def to_json(self) -> dict:
         return {
             "family": dict(self.family),
@@ -105,7 +114,7 @@ class RunConfig:
         if "grid" in obj:
             kwargs["grid"] = _check_grid(obj["grid"])
         if "kmax" in obj:
-            kwargs["kmax"] = int(obj["kmax"])
+            kwargs["kmax"] = _as_int("kmax", obj["kmax"])
         if "d" in obj:
             kwargs["d"] = float(obj["d"])
         if "tol" in obj:
@@ -124,6 +133,17 @@ class RunConfig:
 
     def build_family(self) -> families.Family:
         return families.family_from_json(self.family)
+
+
+def _require_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _as_int(name: str, value) -> int:
+    if isinstance(value, float):
+        _require_finite(name, value)
+    return int(value)
 
 
 def _check_family_descriptor(obj) -> dict:
@@ -149,7 +169,7 @@ def _check_grid(value):
     if not isinstance(value, dict) or set(value) != {"xmin", "xmax", "n"}:
         raise ValueError('grid must be "auto" or {xmin, xmax, n}')
     return {"xmin": float(value["xmin"]), "xmax": float(value["xmax"]),
-            "n": int(value["n"])}
+            "n": _as_int("grid n", value["n"])}
 
 
 def _parse_family_flag(text: str) -> dict:
@@ -169,7 +189,7 @@ def _parse_family_flag(text: str) -> dict:
         fam = families.preset_params(name, **constants)
     except TypeError as exc:
         raise ValueError(f"unknown family constant: {exc}") from exc
-    return families.family_to_json(fam)
+    return _check_family_descriptor(families.family_to_json(fam))
 
 
 def _parse_grid_flag(text: str):
@@ -586,7 +606,7 @@ def main(argv=None) -> int:
         _diag("orbit", str(exc))
         return EXIT_NORMALIZABILITY
     except GridTooCoarseError as exc:
-        _diag("grid-too-coarse", str(exc))
+        _diag("grid-too-coarse", str(exc), h=exc.h, w_max=exc.w_max)
         return EXIT_USAGE
     except VerificationError as exc:
         _diag("verification", str(exc))

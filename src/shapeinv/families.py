@@ -538,8 +538,10 @@ def family_from_json(obj: dict) -> Family:
     vals = {}
     for key in _NUMERIC_KEYS:
         raw = obj.get(key, 1.0 if key in ("c", "q") else 0.0)
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ValueError(f"family descriptor field {key!r} must be a number")
+        if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+                or not math.isfinite(raw)):
+            raise ValueError(
+                f"family descriptor field {key!r} must be a finite number, got {raw!r}")
         vals[key] = float(raw)
     b_raw = obj.get("B", 0.0)
     if isinstance(b_raw, str):

@@ -266,6 +266,55 @@ def test_malformed_family_flag():
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--m", "nan"], "m"),
+    (["--m", "inf"], "m"),
+    (["--d", "inf"], "d"),
+    (["--tol", "nan"], "tol"),
+    (["--pole-margin", "inf"], "pole_margin"),
+    (["--family", "TypeA:c=inf"], "'c'"),
+    (["--family", "TypeD:b=nan"], "'b'"),
+    (["--grid=nan,8,2001"], "grid xmin"),
+    (["--grid=-8,inf,2001"], "grid xmax"),
+])
+def test_non_finite_flags_are_config_errors(flags, field):
+    code, out, err = run_cli("spectrum", *flags)
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert f"{field} must be a finite number" in diag["message"]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"m": math.nan}, "m"),
+    ({"tol": math.inf}, "tol"),
+    ({"pole_margin": math.nan}, "pole_margin"),
+    ({"kmax": math.inf}, "kmax"),
+    ({"grid": {"xmin": -math.inf, "xmax": 8.0, "n": 2001}}, "grid xmin"),
+    ({"grid": {"xmin": -8.0, "xmax": 8.0, "n": math.inf}}, "grid n"),
+    ({"family": {"kind": "affine", "sign": "neg", "c": math.inf}}, "'c'"),
+])
+def test_non_finite_config_values_are_config_errors(tmp_path, doc, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))  # writes NaN / Infinity tokens
+    code, out, err = run_cli("spectrum", "--config", str(cfg))
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert f"{field} must be a finite number" in diag["message"]
+
+
+def test_grid_too_coarse_diagnostic_carries_h_and_w_max():
+    code, out, err = run_cli("wavefunction", "--family", "TypeD:b=1",
+                             "--m", "1", "--k", "1", "--grid=-8,8,64",
+                             "--format", "json")
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "grid-too-coarse"
+    assert diag["h"] == pytest.approx(16.0 / 63.0)
+    assert diag["h"] * diag["w_max"] > 0.5
+
+
 def test_no_subcommand_usage():
     code, _, _ = run_cli()
     assert code == 1

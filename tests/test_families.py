@@ -303,6 +303,11 @@ def test_family_json_rejects_bad_input():
     doc["B"] = True  # bool is not a number here
     with pytest.raises(ValueError):
         family_from_json(doc)
+    for key, bad in (("c", math.inf), ("b", math.nan), ("D", -math.inf)):
+        doc = family_to_json(preset_params("TypeA"))
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
+            family_from_json(doc)
     with pytest.raises(ValueError):
         family_from_json([1, 2, 3])
 
