@@ -146,38 +146,36 @@ def _typea_increasing_seed():
             spectra._unbounded_domain(fam, anchor), anchor)
 
 
-# (log derivative, domain, anchor) and the report the probe gave before it
-# evaluated both shells of a stage in one call: (normalizable,
-# divergent_end, stages, log_norm), compared bit for bit
+# (log derivative, domain, anchor) and its report (normalizable,
+# divergent_end, stages, log_norm), compared bit for bit: evaluating both
+# shells of a stage in one call must not move any of them
 PROBE_PINS = {
     "two finite sides": (
-        lambda: (lambda x: -x, (-1.0, 2.0), 0.25),
+        (lambda x: -x, (-1.0, 2.0), 0.25),
         (True, None, 19, 0.2752038776859279)),
     "one infinite side": (
-        lambda: (lambda x: 1.0 / x - x, (0.0, math.inf), 1.0),
+        (lambda x: 1.0 / x - x, (0.0, math.inf), 1.0),
         (True, None, 8, 0.09303526693919911)),
     "both sides infinite": (
-        lambda: (lambda x: -x, (-math.inf, math.inf), 0.3),
+        (lambda x: -x, (-math.inf, math.inf), 0.3),
         (True, None, 2, 0.3311824714623292)),
     "40-stage divergence": (
-        _typea_increasing_seed,
+        _typea_increasing_seed(),
         (False, "left", 40, None)),
     # both shells of stage 2 are non-finite: the left one is reported
     "non-finite left shell": (
-        lambda: (lambda x: np.where(np.abs(x) > 5.0, np.nan, -x),
-                 (-math.inf, math.inf), 0.3),
+        (lambda x: np.where(np.abs(x) > 5.0, np.nan, -x),
+         (-math.inf, math.inf), 0.3),
         (False, "left", 2, None)),
     "non-finite right shell": (
-        lambda: (lambda x: np.where(x > 5.0, np.inf, -x),
-                 (-math.inf, math.inf), 0.3),
+        (lambda x: np.where(x > 5.0, np.inf, -x), (-math.inf, math.inf), 0.3),
         (False, "right", 2, None)),
 }
 
 
 @pytest.mark.parametrize("case", PROBE_PINS)
 def test_probe_reports_pinned_one_evaluation_per_stage(case):
-    make, expected = PROBE_PINS[case]
-    g, domain, anchor = make()
+    (g, domain, anchor), expected = PROBE_PINS[case]
     sizes = []
 
     def counting(xs):
