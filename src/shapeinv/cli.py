@@ -108,7 +108,7 @@ class RunConfig:
         if "family" in obj:
             kwargs["family"] = _check_family_descriptor(obj["family"])
         if "m" in obj:
-            kwargs["m"] = float(obj["m"])
+            kwargs["m"] = _as_float("m", obj["m"])
         if "direction" in obj:
             kwargs["direction"] = _check_direction(obj["direction"])
         if "grid" in obj:
@@ -116,9 +116,9 @@ class RunConfig:
         if "kmax" in obj:
             kwargs["kmax"] = _as_int("kmax", obj["kmax"])
         if "d" in obj:
-            kwargs["d"] = float(obj["d"])
+            kwargs["d"] = _as_float("d", obj["d"])
         if "tol" in obj:
-            kwargs["tol"] = float(obj["tol"])
+            kwargs["tol"] = _as_float("tol", obj["tol"])
         if "output" in obj:
             out = obj["output"]
             if not isinstance(out, dict) or set(out) - {"path", "format"}:
@@ -128,7 +128,7 @@ class RunConfig:
             if "format" in out:
                 kwargs["output_format"] = _check_format(out["format"])
         if "pole_margin" in obj:
-            kwargs["pole_margin"] = float(obj["pole_margin"])
+            kwargs["pole_margin"] = _as_float("pole_margin", obj["pole_margin"])
         return cls(**kwargs)
 
     def build_family(self) -> families.Family:
@@ -138,6 +138,14 @@ class RunConfig:
 def _require_finite(name: str, value) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _as_float(name: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer literal beyond the double range
+        raise ValueError(f"{name} must be a finite number, got an integer "
+                         "beyond the double range") from None
 
 
 def _as_int(name: str, value) -> int:
@@ -168,7 +176,8 @@ def _check_grid(value):
         return "auto"
     if not isinstance(value, dict) or set(value) != {"xmin", "xmax", "n"}:
         raise ValueError('grid must be "auto" or {xmin, xmax, n}')
-    return {"xmin": float(value["xmin"]), "xmax": float(value["xmax"]),
+    return {"xmin": _as_float("grid xmin", value["xmin"]),
+            "xmax": _as_float("grid xmax", value["xmax"]),
             "n": _as_int("grid n", value["n"])}
 
 

@@ -10,6 +10,7 @@ power (k = q/m + m k1 with k0 forced to zero).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
@@ -290,6 +291,13 @@ class Family:
     def __post_init__(self):
         if self.kind is FamilyKind.INVERSE_POWER and self.params.q == 0.0:
             raise FamilyError("inverse-power ansatz requires q != 0")
+        # spectra's seed-screening memo: not a field, so it stays out of ==,
+        # hash, repr and replace(), and it belongs to this instance alone
+        object.__setattr__(self, "_seed_memo", {})
+
+    def __getstate__(self):
+        # copies and unpickled instances start with an empty memo
+        return {**self.__dict__, "_seed_memo": {}}
 
     # -- structural helpers -------------------------------------------------
 
@@ -538,8 +546,9 @@ def family_from_json(obj: dict) -> Family:
     vals = {}
     for key in _NUMERIC_KEYS:
         raw = obj.get(key, 1.0 if key in ("c", "q") else 0.0)
+        # False for nan, inf and integers beyond the double range alike
         if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-                or not math.isfinite(raw)):
+                or not abs(raw) <= sys.float_info.max):
             raise ValueError(
                 f"family descriptor field {key!r} must be a finite number, got {raw!r}")
         vals[key] = float(raw)
@@ -550,6 +559,9 @@ def family_from_json(obj: dict) -> Family:
         B = INFINITY
     elif isinstance(b_raw, bool) or not isinstance(b_raw, (int, float)):
         raise ValueError("B must be a number or the string 'inf'")
+    elif isinstance(b_raw, int) and not abs(b_raw) <= sys.float_info.max:
+        raise ValueError("family descriptor field 'B' must be a finite number "
+                         "or 'inf', got an integer beyond the double range")
     else:
         B = ExtendedReal(float(b_raw))
     if sign_kind == "zero":

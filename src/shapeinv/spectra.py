@@ -250,17 +250,29 @@ def _unbounded_domain(family: Family, anchor: float):
     return left, right
 
 
+def _reference_cell(family: Family):
+    """(anchor, pole-free cell) of the family's reference point, or None when
+    every candidate near A sits on a pole; found once per instance."""
+    memo = family._seed_memo
+    if "reference" not in memo:
+        p = family.params
+        cee = p.sign.c if p.sign.kind != "zero" else 1.0
+        memo["reference"] = None
+        for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
+            cand = p.A + off / cee
+            try:
+                memo["reference"] = (cand, _unbounded_domain(family, cand))
+            except PoleError:
+                continue
+            break
+    return memo["reference"]
+
+
 def _default_anchor(family: Family) -> float:
-    p = family.params
-    cee = p.sign.c if p.sign.kind != "zero" else 1.0
-    for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
-        cand = p.A + off / cee
-        try:
-            _unbounded_domain(family, cand)
-        except PoleError:
-            continue
-        return cand
-    raise PoleError("no pole-free anchor found near the family's reference point")
+    cell = _reference_cell(family)
+    if cell is None:
+        raise PoleError("no pole-free anchor found near the family's reference point")
+    return cell[0]
 
 
 def _seed_log_derivative(family: Family, p: float, sign: int) -> Callable:
@@ -270,9 +282,24 @@ def _seed_log_derivative(family: Family, p: float, sign: int) -> Callable:
 
 
 def _require_seed_normalizable(family: Family, p: float, sign: int, anchor: float):
+    """Raise unless the seed exp(sign int W(., p)) is square integrable on the
+    pole-free cell around anchor.
+
+    The probe runs from the family's reference anchor whenever that cell
+    holds it, so the verdict does not depend on where in the cell the caller
+    anchored. Each (p, sign, probe anchor) is probed once per Family instance;
+    equal instances do not share reports.
+    """
     domain = _unbounded_domain(family, anchor)
-    report = _probe_square_integrable(_seed_log_derivative(family, p, sign),
-                                      domain, anchor=anchor)
+    ref = _reference_cell(family)
+    if ref is not None and domain[0] < ref[0] < domain[1]:
+        anchor, domain = ref
+    key = (p, sign, anchor)
+    report = family._seed_memo.get(key)
+    if report is None:
+        report = _probe_square_integrable(_seed_log_derivative(family, p, sign),
+                                          domain, anchor=anchor)
+        family._seed_memo[key] = report
     if not report.normalizable:
         raise NormalizationError(
             f"chain seed at parameter {p:g} is not square integrable "
@@ -310,10 +337,11 @@ def resolve_direction(family: Family, m, direction=None,
                       anchor: Optional[float] = None,
                       probe: bool = True) -> ChainDirection:
     """Pick the chain direction: explicit wins, then seed probes, then the
-    monotonicity of L along the orbit."""
+    monotonicity of L along the orbit. An m outside the family's admissible
+    set raises FamilyError before any of that."""
+    m = family._require_m(m)
     if direction is not None:
         return _coerce_direction(direction)
-    m = float(m)
     if anchor is None:
         anchor = _default_anchor(family)
     if probe:

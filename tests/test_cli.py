@@ -293,6 +293,10 @@ def test_non_finite_flags_are_config_errors(flags, field):
     ({"grid": {"xmin": -math.inf, "xmax": 8.0, "n": 2001}}, "grid xmin"),
     ({"grid": {"xmin": -8.0, "xmax": 8.0, "n": math.inf}}, "grid n"),
     ({"family": {"kind": "affine", "sign": "neg", "c": math.inf}}, "'c'"),
+    # integer literals beyond the double range
+    ({"m": int("1" * 401)}, "m"),
+    ({"family": {"kind": "affine", "sign": "pos", "c": int("1" * 401)}}, "'c'"),
+    ({"family": {"kind": "affine", "sign": "pos", "B": int("1" * 401)}}, "'B'"),
 ])
 def test_non_finite_config_values_are_config_errors(tmp_path, doc, field):
     cfg = tmp_path / "bad.json"
@@ -302,6 +306,19 @@ def test_non_finite_config_values_are_config_errors(tmp_path, doc, field):
     diag = stderr_diag(err)
     assert diag["error"] == "config"
     assert f"{field} must be a finite number" in diag["message"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--direction", "increasing"]],
+                         ids=["auto", "increasing"])
+def test_inadmissible_m_is_a_config_error(extra):
+    # the inverse-power family is undefined at m = 0: bad input, not a
+    # non-normalizable state
+    code, out, err = run_cli("spectrum", "--family", "TypeF:q=-1", "--m", "0",
+                             *extra)
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert "m = 0" in diag["message"]
 
 
 def test_grid_too_coarse_diagnostic_carries_h_and_w_max():

@@ -1,7 +1,9 @@
 """Ladder chains: direction resolution, closed-form levels, grid states,
 normalizability screening, and spectrum assembly."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -400,3 +402,84 @@ def test_wavefunction_accessors():
     assert wf.h == pytest.approx(OSC_GRID.h)
     assert wf.x.size == wf.values.size == OSC_GRID.n
     assert wf.k == 0
+
+
+# ---------------------------------------------------------------------------
+# seed-screening memo: one probe per (seed parameter, sign) and Family instance
+
+def _counting_probe(monkeypatch):
+    calls = []
+    real = spectra._probe_square_integrable
+
+    def probe(log_derivative, domain, anchor=None, **kwargs):
+        calls.append(anchor)
+        return real(log_derivative, domain, anchor=anchor, **kwargs)
+
+    monkeypatch.setattr(spectra, "_probe_square_integrable", probe)
+    return calls, real
+
+
+def _seed_reports(fam):
+    return {key: rep for key, rep in fam._seed_memo.items()
+            if key != "reference"}
+
+
+MEMO_CASES = {
+    "TypeA": (lambda: preset_params("TypeA"), 2.0, TRIG_GRID),
+    "TypeC": (lambda: preset_params("TypeC", b=-1.0), 2.0,
+              Grid(1e-2, 10.0, 4001)),
+}
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_seed_probed_once_per_family(monkeypatch, case):
+    make, m, grid = MEMO_CASES[case]
+    calls, unmemoized = _counting_probe(monkeypatch)
+    fam = make()
+    spec = spectrum_analytic(fam, m, 4)
+    assert len(spec.levels) == 5
+    for k, energy in spec.levels:
+        assert excited_state(fam, m, k, spec.direction, grid).energy == energy
+    assert max_level(fam, m, spec.direction, limit=5) is None
+    reports = _seed_reports(fam)
+    # resolve_direction's losing probe plus one seed per level
+    assert len(calls) == len(reports) == 6
+    assert len({(p, sign) for p, sign, _ in reports}) == 6
+    anchor = spectra._default_anchor(fam)
+    for (p, sign, at), rep in reports.items():
+        assert at == anchor
+        fresh = unmemoized(
+            spectra._seed_log_derivative(fam, p, sign),
+            spectra._unbounded_domain(fam, at), anchor=at)
+        assert rep == fresh
+    # an equal but distinct instance shares no verdicts
+    twin = make()
+    assert twin == fam
+    spectrum_analytic(twin, m, 4)
+    assert len(calls) == 12
+
+
+def test_seed_probe_off_the_reference_cell_uses_callers_anchor(monkeypatch):
+    # one period over, the trig barrier's cell (pi, 2 pi) does not hold the
+    # reference anchor, so the grid's midpoint anchors the probe
+    calls, _ = _counting_probe(monkeypatch)
+    fam = preset_params("TypeA")
+    grid = Grid(math.pi + 1e-3, 2.0 * math.pi - 1e-3, 2001)
+    mid = float(grid.x[grid.n // 2])
+    wf = excited_state(fam, 2.0, 1, "decreasing", grid)
+    assert wf.node_count() == 1
+    assert calls == [mid]
+    assert list(_seed_reports(fam)) == [(4.0, +1, mid)]
+
+
+def test_filled_memo_leaves_identity_alone():
+    fam = preset_params("TypeA")
+    before = (repr(fam), hash(fam))
+    spectrum_analytic(fam, 2.0, 3)
+    assert _seed_reports(fam)
+    assert (repr(fam), hash(fam)) == before
+    assert fam == preset_params("TypeA")
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam and hash(back) == hash(fam) and repr(back) == repr(fam)
+    # copies start with an empty memo, so no two instances share verdicts
+    assert back._seed_memo == {} and copy.copy(fam)._seed_memo == {}
