@@ -444,9 +444,13 @@ def suite_ladder(n: int = 2001, kmax: int = 4) -> list:
     out.append(_result("partner-pairing-analytic", worst_exact, 1e-12,
                        "partner levels vs shifted-parameter sums, 3 families"))
 
+    # level j + 1 of V against level j of Vtilde; lower levels do not depend
+    # on how many are requested, and no error bar is read
     pp = partners.pair_from_family(fam)
-    specV = numerics.spectrum_numeric(lambda x: pp.V(x, 1.0), grid, kmax)
-    specVt = numerics.spectrum_numeric(lambda x: pp.Vtilde(x, 1.0), grid, kmax)
+    specV = numerics.spectrum_numeric(lambda x: pp.V(x, 1.0), grid, kmax,
+                                      richardson=False)
+    specVt = numerics.spectrum_numeric(lambda x: pp.Vtilde(x, 1.0), grid,
+                                       kmax - 1, richardson=False)
     diffs = [abs(specV.energies[j + 1] - specVt.energies[j])
              for j in range(kmax - 1)]
     out.append(_result("partner-pairing-numeric", max(diffs), 5e-3,

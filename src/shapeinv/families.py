@@ -73,6 +73,9 @@ class FamilyKind(Enum):
     INVERSE_POWER = "inverse"
 
 
+_MAX_OFFSET = 1e12
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Constants shared by every member of a family.
@@ -92,6 +95,12 @@ class FamilyParams:
 
     def __post_init__(self):
         object.__setattr__(self, "B", as_extended(self.B))
+        # anchors and pole scans sit within a few units and periods 1/c of A;
+        # beyond this bound c(x - A) keeps too few digits there to place them
+        if not abs(self.A) <= _MAX_OFFSET / max(self.sign.c, 1.0):
+            raise FamilyError(
+                f"offset A = {self.A!r} is out of range: need |A| <= {_MAX_OFFSET:g} "
+                f"and c|A| <= {_MAX_OFFSET:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +290,12 @@ def _generic_basis(sign: SignClass, A: float, B: float) -> BasisFunctions:
     )
 
 
+# The memo behind Family.k: at most this many sample arrays per instance,
+# each of at most this many points (larger arrays are evaluated directly).
+_K_MEMO_ENTRIES = 8
+_K_MEMO_MAX_POINTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class Family:
     """A superpotential family: k(x, m) plus the spectral symbol L(m)."""
@@ -291,13 +306,15 @@ class Family:
     def __post_init__(self):
         if self.kind is FamilyKind.INVERSE_POWER and self.params.q == 0.0:
             raise FamilyError("inverse-power ansatz requires q != 0")
-        # spectra's seed-screening memo: not a field, so it stays out of ==,
-        # hash, repr and replace(), and it belongs to this instance alone
+        # spectra's seed-screening memo and the (k0, k1) sample memo of k: not
+        # fields, so they stay out of ==, hash, repr and replace(), and they
+        # belong to this instance alone
         object.__setattr__(self, "_seed_memo", {})
+        object.__setattr__(self, "_k_memo", {})
 
     def __getstate__(self):
-        # copies and unpickled instances start with an empty memo
-        return {**self.__dict__, "_seed_memo": {}}
+        # copies and unpickled instances start with empty memos
+        return {**self.__dict__, "_seed_memo": {}, "_k_memo": {}}
 
     # -- structural helpers -------------------------------------------------
 
@@ -372,11 +389,32 @@ class Family:
             raise FamilyError("inverse-power family is undefined at m = 0")
         return m
 
+    def _k_parts(self, arr):
+        # k0 is not part of the inverse-power ansatz and is never evaluated there
+        k0 = self.k0(arr) if self.kind is FamilyKind.AFFINE else None
+        return k0, self.k1(arr)
+
+    def _k_samples(self, x):
+        """(k0(x), k1(x)); for arrays, remembered by shape and bytes of x."""
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
+            return self._k_parts(arr)
+        memo = self._k_memo
+        key = (arr.shape, arr.tobytes())
+        parts = memo.get(key)
+        if parts is None:
+            parts = self._k_parts(arr)
+            if len(memo) >= _K_MEMO_ENTRIES:
+                del memo[next(iter(memo))]   # first in, first out
+            memo[key] = parts
+        return parts
+
     def k(self, x, m):
         m = self._require_m(m)
+        k0, k1 = self._k_samples(x)
         if self.kind is FamilyKind.AFFINE:
-            return self.k0(x) + m * self.k1(x)
-        return self.params.q / m + m * self.k1(x)
+            return k0 + m * k1
+        return self.params.q / m + m * k1
 
     def k_prime(self, x, m):
         m = self._require_m(m)

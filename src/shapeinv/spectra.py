@@ -94,7 +94,9 @@ class WaveFunction:
         return self.data.grid.h
 
     def node_count(self, rel_threshold: float = 1e-10) -> int:
-        return count_nodes(self.values, rel_threshold)
+        """Sign changes on the grid interior, the samples excited_state checks;
+        the end samples only carry the walls' round-off."""
+        return count_nodes(self.values[1:-1], rel_threshold)
 
     def norm(self) -> float:
         return self.data.norm()

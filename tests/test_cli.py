@@ -212,6 +212,18 @@ def test_wavefunction_csv_sidecar(tmp_path):
     assert meta["generated_by"].startswith("shapeinv ")
 
 
+def test_wavefunction_nodes_count_the_interior():
+    # both end samples of this state hold wall round-off, opposite in sign
+    # to their neighbours
+    code, out, _ = run_cli("wavefunction", "--family", "TypeA", "--m", "2",
+                           "--grid=0.001,3.140592653589793,2001", "--k", "4",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k"] == 4
+    assert doc["nodes"] == 4
+
+
 def test_wavefunction_beyond_bound_exit_6():
     code, _, err = run_cli("wavefunction", "--family", "HyperbolicTanh",
                            "--m", "3", "--k", "5", "--format", "json")
@@ -319,6 +331,22 @@ def test_inadmissible_m_is_a_config_error(extra):
     diag = stderr_diag(err)
     assert diag["error"] == "config"
     assert "m = 0" in diag["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "TypeA:A=1e308"],
+    ["--family", "HyperbolicTanh:A=-1e308"],
+    ["--family", "TypeD:A=1e13,b=1"],
+    ["--family", '{"kind": "affine", "sign": "neg", "c": 1000.0, "A": 2e9}'],
+])
+def test_out_of_range_offset_is_a_config_error(flags):
+    # A +- 2.5 pi/c rounds to A, so the pole scan around A would collapse
+    code, out, err = run_cli("spectrum", *flags, "--mode", "analytic")
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert diag["message"].startswith("offset A = ")
+    assert "out of range" in diag["message"]
 
 
 def test_grid_too_coarse_diagnostic_carries_h_and_w_max():

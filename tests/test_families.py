@@ -312,6 +312,23 @@ def test_family_json_rejects_bad_input():
         family_from_json([1, 2, 3])
 
 
+def test_offset_A_is_bounded():
+    # |A| <= 1e12 and c|A| <= 1e12, so anchors and pole scans at O(1) and
+    # O(1/c) from A stay resolvable
+    for sign, A in ((negative_a(1.0), 1e308), (positive_a(0.5), -1e13),
+                    (zero_a(), 2e12), (negative_a(100.0), 1.1e10),
+                    (positive_a(1.0), math.nan), (zero_a(), math.inf)):
+        with pytest.raises(FamilyError, match="offset A"):
+            FamilyParams(sign=sign, A=A)
+    for sign, A in ((negative_a(1.0), 1e12), (positive_a(1e-3), -1e12),
+                    (zero_a(), 1e12), (negative_a(100.0), 1e10)):
+        assert FamilyParams(sign=sign, A=A).A == A
+    doc = family_to_json(preset_params("TypeA"))
+    doc["A"] = 1e308
+    with pytest.raises(FamilyError, match="offset A"):
+        family_from_json(doc)
+
+
 def test_infinite_B_survives_round_trip():
     fam = preset_params("HyperbolicTanh")
     doc = family_to_json(fam)

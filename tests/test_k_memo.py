@@ -1,0 +1,213 @@
+"""The (k0, k1) sample memo behind Family.k: outputs stay bit-identical to a
+fresh evaluation, whatever the call history, and the memo stays private to
+its instance and bounded."""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shapeinv import families
+from shapeinv.errors import ShapeInvError
+from shapeinv.families import (Family, FamilyKind, FamilyParams, negative_a,
+                               positive_a, preset_params, zero_a)
+from shapeinv.numerics import Grid
+from shapeinv.riccati import INFINITY, ExtendedReal
+from shapeinv.spectra import excited_state, spectrum_analytic
+
+SEEDED = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=40)
+
+
+def _configs():
+    """The 12 (ansatz kind x sign class x finite/infinite B) families."""
+    out = []
+    for kind in (FamilyKind.AFFINE, FamilyKind.INVERSE_POWER):
+        for sign in (positive_a(1.3), zero_a(), negative_a(0.9)):
+            for B in (ExtendedReal(0.5), INFINITY):
+                extra = (dict(b=0.7, D=-0.4) if kind is FamilyKind.AFFINE
+                         else dict(q=-1.5))
+                params = FamilyParams(sign=sign, A=0.2, B=B, t=0.1, d=0.3,
+                                      **extra)
+                out.append(Family(params=params, kind=kind))
+    return out
+
+
+CONFIGS = _configs()
+
+
+def _cell(fam):
+    """Pole-free interval around A + 0.37, 1% of its width in from the ends."""
+    anchor = fam.params.A + 0.37
+    lo, hi = fam.natural_domain(1.0, anchor, (anchor - 4.0, anchor + 4.0))
+    pad = 0.01 * (hi - lo)
+    return lo + pad, hi - pad
+
+
+def _fresh(fam):
+    return Family(params=fam.params, kind=fam.kind)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+FORMS = ("plain", "strided", "reversed", "2d", "int", "0d", "scalar", "list")
+
+
+def _samples(fam, fractions, form):
+    lo, hi = _cell(fam)
+    xs = lo + (hi - lo) * np.asarray(fractions, dtype=float)
+    if form == "strided":
+        return np.repeat(xs, 2)[::2]
+    if form == "reversed":
+        return xs[::-1]
+    if form == "2d":
+        return np.concatenate((xs, xs))[:2 * (xs.size // 2)].reshape(2, -1)
+    if form == "int":
+        ints = np.arange(math.ceil(lo), math.floor(hi) + 1)
+        assert ints.size, "every config cell holds an integer"
+        return ints[np.arange(xs.size) % ints.size]
+    if form == "0d":
+        return np.array(xs[0])
+    if form == "scalar":
+        return float(xs[0])
+    if form == "list":
+        return xs.tolist()
+    return xs
+
+
+fractions = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40)
+params_m = st.one_of(st.floats(-6.0, -0.25), st.floats(0.25, 6.0),
+                     st.integers(1, 6))
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1),
+       calls=st.lists(st.tuples(st.integers(0, 2), params_m),
+                      min_size=1, max_size=12),
+       arrays=st.lists(st.tuples(fractions, st.sampled_from(FORMS)),
+                       min_size=3, max_size=3))
+def test_warm_memo_matches_fresh_family(cfg, calls, arrays):
+    fam = _fresh(CONFIGS[cfg])
+    inputs = [_samples(fam, f, form) for f, form in arrays]
+    for which, m in calls:
+        x = inputs[which]
+        _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
+    assert len(fam._k_memo) <= families._K_MEMO_ENTRIES
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1), before=fractions,
+       after=fractions, m=params_m, view=st.booleans())
+def test_in_place_mutation_gives_fresh_values(cfg, before, after, m, view):
+    fam = _fresh(CONFIGS[cfg])
+    n = min(len(before), len(after))
+    base = _samples(fam, before[:n], "plain").copy()
+    x = base[:] if view else base
+    fam.k(x, m)
+    base[:] = _samples(fam, after[:n], "plain")
+    _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1),
+       sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20), m=params_m)
+def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
+    fam = _fresh(CONFIGS[cfg])
+    lo, hi = _cell(fam)
+    keys = []
+    for i, size in enumerate(sizes):
+        # distinct arrays: the first sample moves with i
+        x = np.linspace(lo + (hi - lo) * i / 64.0, hi, size + 1)
+        fam.k(x, m)
+        keys.append((x.shape, x.tobytes()))
+    assert list(fam._k_memo) == keys[-families._K_MEMO_ENTRIES:]
+    held = dict(fam._k_memo)
+    # scalars, 0-d arrays and arrays above the point bound are evaluated
+    # directly and leave the memo alone
+    big = np.linspace(lo, hi, families._K_MEMO_MAX_POINTS + 1)
+    for x in (float(lo), np.array(hi), big):
+        _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
+    assert list(fam._k_memo) == list(held)
+
+
+def test_copies_start_with_an_empty_memo():
+    fam = _fresh(CONFIGS[0])
+    before = (repr(fam), hash(fam))
+    fam.k(_samples(fam, np.linspace(0.0, 1.0, 50), "plain"), 2.0)
+    assert len(fam._k_memo) == 1
+    assert (repr(fam), hash(fam)) == before
+    back = pickle.loads(pickle.dumps(fam))
+    for other in (dataclasses.replace(fam), copy.copy(fam), copy.deepcopy(fam),
+                  back):
+        assert other == fam and hash(other) == hash(fam)
+        assert other._k_memo == {}
+    assert len(fam._k_memo) == 1
+
+
+def _spectrum_and_states(fam, m, grid):
+    spec = spectrum_analytic(fam, m, 3)
+    out = [spec.direction, spec.levels, spec.partner_levels,
+           spec.truncation_reason]
+    for k, _ in spec.levels[:3]:
+        try:
+            wf = excited_state(fam, m, k, spec.direction, grid)
+            out.append((wf.k, wf.energy, wf.values.tobytes()))
+        except ShapeInvError as exc:   # the same refusal either way
+            out.append(repr(exc))
+    return out
+
+
+SPECTRUM_CASES = ("TypeA", "TypeB_real", "TypeF")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=9)
+@given(name=st.sampled_from(SPECTRUM_CASES), m=st.floats(1.5, 5.0),
+       u=st.floats(0.0, 1.0))
+def test_spectra_equal_with_and_without_a_warm_memo(name, m, u):
+    if name == "TypeA":
+        consts = dict(c=0.8 + 0.7 * u, A=u - 0.5, b=0.5 - u, D=0.3 * u)
+    elif name == "TypeB_real":   # Morse: D < 0 confines the left side
+        consts = dict(c=0.8 + 0.7 * u, A=0.5 - u, b=u - 0.5, D=-0.5 - 1.5 * u)
+    else:                        # Coulomb: attractive for q < 0
+        consts = dict(A=u - 0.5, q=-3.0 - 3.0 * u)
+    cold = preset_params(name, **consts)
+    c = consts.get("c", 1.0)
+    anchor = consts["A"] + 0.6180339887498949 / c
+    half = 1.5 * (m + 3.0) ** 2 / abs(consts["q"]) if name == "TypeF" else 8.0 / c
+    lo, hi = cold.natural_domain(m, anchor, (anchor - half, anchor + half))
+    lo = lo + 0.05 if lo > anchor - half else lo
+    hi = hi - 0.05 if hi < anchor + half else hi
+    grid = Grid(lo, hi, 2001)
+    want = _spectrum_and_states(cold, m, grid)
+    warm = preset_params(name, **consts)
+    _spectrum_and_states(warm, m, grid)
+    warm._seed_memo.clear()     # probe again, now from the warm sample memo
+    assert warm._k_memo
+    assert _spectrum_and_states(warm, m, grid) == want
+
+
+def test_probe_shells_and_ladder_grids_hit_the_memo(monkeypatch):
+    # one closed-form evaluation per distinct array, whatever the parameter
+    fam = preset_params("TypeA")
+    counted = []
+    real = Family.k1
+
+    def k1(self, x):
+        counted.append(np.asarray(x).tobytes())
+        return real(self, x)
+
+    monkeypatch.setattr(Family, "k1", k1)
+    grid = Grid(1e-3, math.pi - 1e-3, 2001)
+    for k in range(3):
+        excited_state(fam, 2.0, k, "decreasing", grid)
+    assert counted.count(grid.x.tobytes()) == 1
+    assert len(counted) == len(set(counted))

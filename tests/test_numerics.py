@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DATA
 from shapeinv.errors import BoundaryConditionError, PoleError
-from shapeinv.families import family_from_json
+from shapeinv.families import family_from_json, preset_params
 from shapeinv.numerics import (Grid, GridFunction, NumericSpectrum,
                                TridiagonalSym, adjointness_defect,
                                apply_hamiltonian, derivative, eigen_lowest,
@@ -250,6 +250,18 @@ def test_config_matrices_match_lapack_bisection(name):
             mat.diag, mat.offdiag, eigvals_only=True, select="i",
             select_range=(0, k - 1), lapack_driver="stebz", tol=1e-300)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [1001, 2001])
+def test_lower_levels_do_not_depend_on_the_level_count(n):
+    # the ladder suite's partner towers: V's four levels against Vtilde's
+    # three, with Vtilde asked for three only
+    pair = pair_from_family(preset_params("TypeD", b=1.0))
+    grid = Grid(-8.0, 8.0, n)
+    for V in (pair.V, pair.Vtilde):
+        mat = hamiltonian_matrix(lambda x: V(x, 1.0), grid)
+        three, four = mat.eigenvalues_lowest(3), mat.eigenvalues_lowest(4)
+        assert three.tobytes() == four[:3].tobytes()
 
 
 def test_eigensolver_argument_checks():

@@ -395,6 +395,15 @@ def test_count_nodes_ignores_dust():
     assert count_nodes(vals) == 0
 
 
+def test_node_count_matches_the_interior_check():
+    # the level-4 trig state carries ~1e-6 of its peak as round-off on the
+    # end samples; node_count counts the interior samples excited_state checked
+    grid = Grid(0.001, 3.140592653589793, 2001)
+    wf = excited_state(preset_params("TypeA"), 2.0, 4, "decreasing", grid)
+    assert count_nodes(wf.values) == 6
+    assert wf.node_count() == 4 == count_nodes(wf.values[1:-1])
+
+
 def test_wavefunction_accessors():
     wf = ground_state(typed(), 1.0, "increasing", OSC_GRID)
     assert isinstance(wf, WaveFunction)
