@@ -19,11 +19,9 @@ from .families import (Family, FamilyKind, FamilyParams, SignClass,
                        PRESET_NAMES, family_from_json, family_to_json,
                        negative_a, positive_a, preset_catalogue,
                        preset_params, zero_a)
-from .partners import (PotentialPair, PotentialRecord, Superpotential,
-                       classify_L_sequence, closed_form_potentials,
-                       factorization_residuals, pair_from_family,
-                       potential_V, potential_Vtilde,
-                       shape_invariance_residual)
+from .partners import (PotentialPair, PotentialRecord, classify_L_sequence,
+                       closed_form_potentials, factorization_residuals,
+                       pair_from_family, shape_invariance_residual)
 from .numerics import (Grid, GridFunction, NumericSpectrum, TridiagonalSym,
                        adjointness_defect, apply_hamiltonian, derivative,
                        eigen_lowest, fix_sign, hamiltonian_matrix,

@@ -323,7 +323,7 @@ def suite_adjoint(n: int = 2001) -> list:
     out = []
 
     fam = families.preset_params("TypeD", b=1.0)
-    W = partners.Superpotential.from_family(fam)
+    W = fam.k
     phi = numerics.GridFunction(grid, np.exp(-(xs - 1.0) ** 2))
     psi = numerics.GridFunction(grid, np.exp(-(xs + 0.5) ** 2 / 1.5))
     try:
@@ -335,7 +335,7 @@ def suite_adjoint(n: int = 2001) -> list:
                                1e-6, f"unexpected boundary refusal: {exc}", meta))
 
     trivial = families.preset_params("TypeD", b=0.0)
-    W0 = partners.Superpotential.from_family(trivial)
+    W0 = trivial.k
     mode = numerics.GridFunction(grid, np.sin(math.pi * (xs + 8.0) / 16.0))
     try:
         defect0 = numerics.adjointness_defect(W0, 1.0, mode, mode)

@@ -193,7 +193,10 @@ def _parse_family_flag(text: str) -> dict:
             key, _, val = piece.partition("=")
             if not _ or not key:
                 raise ValueError(f"bad family constant {piece!r}; use key=value")
-            constants[key.strip()] = float(val)
+            key = key.strip()
+            constants[key] = float(val)
+            # here, before the range checks of preset_params hide the cause
+            _require_finite(repr(key), constants[key])
     try:
         fam = families.preset_params(name, **constants)
     except TypeError as exc:

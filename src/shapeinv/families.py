@@ -1,7 +1,8 @@
-"""Parametric superpotential families with closed-form building blocks.
+"""Parametric superpotential families.
 
 A family is a rule k(x, m) built from the general Riccati solution of
-y' = a - y^2 plus the companion linear solve, together with a quadratic
+y' = a - y^2 plus the companion linear solve (both read from the
+closed-form table in riccati), together with a quadratic
 symbol L(m) whose differences R(m) = L(m) - L(m+1) drive ladder spectra.
 Two ansatz kinds are supported: affine in m (k = k0 + m k1) and inverse
 power (k = q/m + m k1 with k0 forced to zero).
@@ -13,7 +14,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
 
 import numpy as np
 
@@ -23,13 +23,17 @@ from .riccati import INFINITY, ExtendedReal, as_extended, general_solution, solv
 
 __all__ = [
     "SignClass", "positive_a", "zero_a", "negative_a",
-    "FamilyKind", "FamilyParams", "Family", "BasisFunctions",
-    "f_plus", "h_plus", "df_plus", "dh_plus",
-    "f_zero", "h_zero", "df_zero", "dh_zero",
-    "f_minus", "h_minus", "df_minus", "dh_minus",
+    "FamilyKind", "FamilyParams", "Family",
     "preset_params", "preset_catalogue", "PRESET_NAMES",
     "family_to_json", "family_from_json",
 ]
+
+
+# the rate constant's range: a = +-c^2 then lies in [1e-12, 1e12], like the
+# offset bound below; closed forms, pole scans and seed probes all work in
+# units of 1/c, and far outside this range they lose the digits to place poles
+_MIN_RATE = 1e-6
+_MAX_RATE = 1e6
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,9 @@ class SignClass:
             raise FamilyError(f"unknown sign class {self.kind!r}")
         if self.kind == "zero":
             object.__setattr__(self, "c", 0.0)
-        elif not self.c > 0:
-            raise FamilyError("rate constant c must be > 0 for nonzero a")
+        elif not _MIN_RATE <= self.c <= _MAX_RATE:
+            raise FamilyError(f"rate constant c = {self.c!r} is out of range: "
+                              "need 1e-6 <= c <= 1e6 for nonzero a")
 
     @property
     def a(self) -> float:
@@ -103,193 +108,6 @@ class FamilyParams:
                 f"and c|A| <= {_MAX_OFFSET:g}")
 
 
-# ---------------------------------------------------------------------------
-# building blocks (finite B). h_plus and h_minus carry a minus sign relative
-# to the bare reciprocal so that one constant D serves the companion linear
-# solve and the closed-form potential records at every B, including B -> 0.
-
-def _check_den(x, den, label):
-    if np.any(np.asarray(den) == 0.0):
-        raise PoleError(f"{label} evaluated at a singular point")
-
-
-def f_plus(x, A, B, c):
-    """(B sinh - cosh)/(B cosh - sinh) at argument c(x - A)."""
-    th = c * (np.asarray(x, dtype=float) - A)
-    num, den = riccati._pos_fraction(th, B)
-    _check_den(x, den, "f_plus")
-    return num / den
-
-
-def h_plus(x, A, B, c):
-    """-1/(B cosh - sinh) at argument c(x - A)."""
-    th = c * (np.asarray(x, dtype=float) - A)
-    num, den = riccati._pos_recip(th, B)
-    _check_den(x, den, "h_plus")
-    return num / den
-
-
-def df_plus(x, A, B, c):
-    kappa = B * B - 1.0
-    if kappa == 0.0:
-        return np.zeros_like(c * (np.asarray(x, dtype=float) - A))
-    h = h_plus(x, A, B, c)
-    return c * kappa * h * h
-
-
-def dh_plus(x, A, B, c):
-    # equals c (B sinh - cosh)/(B cosh - sinh)^2
-    return -c * f_plus(x, A, B, c) * h_plus(x, A, B, c)
-
-
-def f_zero(x, A, B):
-    """1/(1 + B(x - A))."""
-    den = 1.0 + B * (np.asarray(x, dtype=float) - A)
-    _check_den(x, den, "f_zero")
-    return 1.0 / den
-
-
-def h_zero(x, A, B):
-    """((B/2)(x - A)^2 + (x - A)) / (1 + B(x - A))."""
-    t = np.asarray(x, dtype=float) - A
-    den = 1.0 + B * t
-    _check_den(x, den, "h_zero")
-    return 0.5 * t * ((2.0 + B * t) / den)
-
-
-def df_zero(x, A, B):
-    den = 1.0 + B * (np.asarray(x, dtype=float) - A)
-    _check_den(x, den, "df_zero")
-    return -B / (den * den)
-
-
-def dh_zero(x, A, B):
-    t = np.asarray(x, dtype=float) - A
-    den = 1.0 + B * t
-    _check_den(x, den, "dh_zero")
-    return 1.0 - B * (0.5 * t * ((2.0 + B * t) / den)) / den
-
-
-def f_minus(x, A, B, c):
-    """(B sin + cos)/(B cos - sin) at argument c(x - A)."""
-    th = c * (np.asarray(x, dtype=float) - A)
-    sn, cs = np.sin(th), np.cos(th)
-    den = B * cs - sn
-    _check_den(x, den, "f_minus")
-    return (B * sn + cs) / den
-
-
-def h_minus(x, A, B, c):
-    """-1/(B cos - sin) at argument c(x - A)."""
-    th = c * (np.asarray(x, dtype=float) - A)
-    den = B * np.cos(th) - np.sin(th)
-    _check_den(x, den, "h_minus")
-    return -1.0 / den
-
-
-def df_minus(x, A, B, c):
-    th = c * (np.asarray(x, dtype=float) - A)
-    den = B * np.cos(th) - np.sin(th)
-    _check_den(x, den, "df_minus")
-    return c * (B * B + 1.0) / (den * den)
-
-
-def dh_minus(x, A, B, c):
-    th = c * (np.asarray(x, dtype=float) - A)
-    sn, cs = np.sin(th), np.cos(th)
-    den = B * cs - sn
-    _check_den(x, den, "dh_minus")
-    return -c * (B * sn + cs) / (den * den)
-
-
-@dataclass(frozen=True)
-class BasisFunctions:
-    """The (f, h) pair a family's potentials are quadratic in, plus derivatives.
-
-    tag is 'generic' for finite B and 'limit' for the dedicated B = infinity
-    forms (where the identity coefficients B^2 -+ 1 collapse to 1).
-    """
-
-    tag: str
-    f: Callable
-    h: Callable
-    df: Callable
-    dh: Callable
-
-
-def _limit_basis(sign: SignClass, A: float) -> BasisFunctions:
-    c = sign.c
-    if sign.kind == "pos":
-        def th(x):
-            return c * (np.asarray(x, dtype=float) - A)
-
-        return BasisFunctions(
-            "limit",
-            f=lambda x: np.tanh(th(x)),
-            h=lambda x: riccati._sech(th(x)),
-            df=lambda x: c * riccati._sech(th(x)) ** 2,
-            dh=lambda x: -c * np.tanh(th(x)) * riccati._sech(th(x)),
-        )
-    if sign.kind == "zero":
-        def inv_t(x):
-            t = np.asarray(x, dtype=float) - A
-            _check_den(x, t, "limit basis")
-            return 1.0 / t
-
-        def dinv_t(x):
-            t = np.asarray(x, dtype=float) - A
-            _check_den(x, t, "limit basis")
-            return -1.0 / (t * t)
-
-        return BasisFunctions(
-            "limit",
-            f=inv_t,
-            h=lambda x: 0.5 * (np.asarray(x, dtype=float) - A),
-            df=dinv_t,
-            dh=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
-        )
-
-    def sec(x):
-        cs = np.cos(c * (np.asarray(x, dtype=float) - A))
-        _check_den(x, cs, "limit basis")
-        return 1.0 / cs
-
-    return BasisFunctions(
-        "limit",
-        f=lambda x: np.tan(c * (np.asarray(x, dtype=float) - A)),
-        h=sec,
-        df=lambda x: c * sec(x) ** 2,
-        dh=lambda x: c * np.tan(c * (np.asarray(x, dtype=float) - A)) * sec(x),
-    )
-
-
-def _generic_basis(sign: SignClass, A: float, B: float) -> BasisFunctions:
-    c = sign.c
-    if sign.kind == "pos":
-        return BasisFunctions(
-            "generic",
-            f=lambda x: f_plus(x, A, B, c),
-            h=lambda x: h_plus(x, A, B, c),
-            df=lambda x: df_plus(x, A, B, c),
-            dh=lambda x: dh_plus(x, A, B, c),
-        )
-    if sign.kind == "zero":
-        return BasisFunctions(
-            "generic",
-            f=lambda x: f_zero(x, A, B),
-            h=lambda x: h_zero(x, A, B),
-            df=lambda x: df_zero(x, A, B),
-            dh=lambda x: dh_zero(x, A, B),
-        )
-    return BasisFunctions(
-        "generic",
-        f=lambda x: f_minus(x, A, B, c),
-        h=lambda x: h_minus(x, A, B, c),
-        df=lambda x: df_minus(x, A, B, c),
-        dh=lambda x: dh_minus(x, A, B, c),
-    )
-
-
 # The memo behind Family.k: at most this many sample arrays per instance,
 # each of at most this many points (larger arrays are evaluated directly).
 _K_MEMO_ENTRIES = 8
@@ -322,19 +140,14 @@ class Family:
     def a(self) -> float:
         return self.params.sign.a
 
-    def basis(self) -> BasisFunctions:
+    def _y(self) -> riccati.RiccatiSolution:
         p = self.params
-        if p.B.is_infinite:
-            return _limit_basis(p.sign, p.A)
-        return _generic_basis(p.sign, p.A, p.B.value)
+        return general_solution(p.sign.a, p.A, p.B)
 
-    def _k1_scale(self) -> float:
-        p = self.params
-        if p.sign.kind == "pos":
-            return p.sign.c
-        if p.sign.kind == "neg":
-            return -p.sign.c
-        return 1.0 if p.B.is_infinite else p.B.value
+    def basis(self):
+        """The (f, h) pair the potentials are quadratic in, with f', h', z, z':
+        this family's row of the closed-form table in riccati."""
+        return self._y().form
 
     def _k1_is_constant(self) -> bool:
         p = self.params
@@ -367,14 +180,15 @@ class Family:
     # -- evaluation ----------------------------------------------------------
 
     def k1(self, x):
-        return self._k1_scale() * self.basis().f(x)
+        """The m-linear part: the Riccati solution y of y' = a - y^2."""
+        return self._y().evaluate(x)
 
     def k1_prime(self, x):
-        return self._k1_scale() * self.basis().df(x)
+        return self._y().derivative(x)
 
     def _z(self) -> riccati.ZSolution:
         p = self.params
-        return solve_z(p.b, general_solution(p.sign.a, p.A, p.B), p.D)
+        return solve_z(p.b, self._y(), p.D)
 
     def k0(self, x):
         """The m-independent part of the affine ansatz (a companion linear solve)."""
@@ -437,8 +251,7 @@ class Family:
 
     def singularities(self, m, window) -> list:
         """Poles of k(., m) in [lo, hi]; locations do not depend on m."""
-        p = self.params
-        return general_solution(p.sign.a, p.A, p.B).singularities(window)
+        return self._y().singularities(window)
 
     def natural_domain(self, m, anchor, window):
         """Largest pole-free open interval around anchor, clipped to window."""

@@ -408,8 +408,6 @@ def apply_hamiltonian(psi_values, V_values, h: float) -> np.ndarray:
 
 
 def _superpotential_samples(W, xs: np.ndarray, m) -> np.ndarray:
-    if hasattr(W, "evaluate"):
-        return np.asarray(W.evaluate(xs, m), dtype=float)
     if callable(W):
         return np.asarray(W(xs, m), dtype=float)
     return np.asarray(W, dtype=float)

@@ -13,77 +13,42 @@ available for every family, expressed in the family's (f, h) basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import FamilyError
 from .families import Family, FamilyKind
 
 __all__ = [
-    "Superpotential", "PotentialPair", "potential_V", "potential_Vtilde",
-    "pair_from_family", "shape_invariance_residual", "closed_form_potentials",
+    "PotentialPair", "pair_from_family", "shape_invariance_residual", "closed_form_potentials",
     "PotentialRecord", "classify_L_sequence", "LSequenceClass",
     "factorization_residuals",
 ]
 
 
-class Superpotential:
-    """W(x, m) together with its exact x derivative."""
-
-    def __init__(self, evaluate: Callable, derivative_x: Callable):
-        self._evaluate = evaluate
-        self._derivative = derivative_x
-
-    @classmethod
-    def from_family(cls, family: Family) -> "Superpotential":
-        return cls(family.k, family.k_prime)
-
-    def evaluate(self, x, m):
-        return self._evaluate(x, m)
-
-    __call__ = evaluate
-
-    def derivative_x(self, x, m):
-        return self._derivative(x, m)
-
-
-def potential_V(W: Superpotential, d: float = 0.0) -> Callable:
-    """x, m -> W^2 - W' + d."""
-    def V(x, m):
-        w = W.evaluate(x, m)
-        return w * w - W.derivative_x(x, m) + d
-    return V
-
-
-def potential_Vtilde(W: Superpotential, d: float = 0.0) -> Callable:
-    """x, m -> W^2 + W' + d."""
-    def Vt(x, m):
-        w = W.evaluate(x, m)
-        return w * w + W.derivative_x(x, m) + d
-    return Vt
-
-
 @dataclass(frozen=True)
 class PotentialPair:
-    """A superpotential with its two partner potentials and the energy offset d."""
+    """A superpotential with its two partner potentials and the energy offset d.
 
-    W: Superpotential
+    W is the family itself, or any object with k(x, m) and its exact x
+    derivative k_prime(x, m).
+    """
+
+    W: Family
     d: float = 0.0
 
     def V(self, x, m):
-        w = self.W.evaluate(x, m)
-        return w * w - self.W.derivative_x(x, m) + self.d
+        w = self.W.k(x, m)
+        return w * w - self.W.k_prime(x, m) + self.d
 
     def Vtilde(self, x, m):
-        w = self.W.evaluate(x, m)
-        return w * w + self.W.derivative_x(x, m) + self.d
+        w = self.W.k(x, m)
+        return w * w + self.W.k_prime(x, m) + self.d
 
 
 def pair_from_family(family: Family, d=None) -> PotentialPair:
     if d is None:
         d = family.params.d
-    return PotentialPair(W=Superpotential.from_family(family), d=float(d))
+    return PotentialPair(W=family, d=float(d))
 
 
 def shape_invariance_residual(pp: PotentialPair, family: Family, m, x):

@@ -73,38 +73,271 @@ def _ret(vals, scalar):
     return float(vals) if scalar else vals
 
 
-# Stable hyperbolic-class helpers. The raw sinh/cosh ratios turn into inf/inf
-# for |th| beyond ~710, so the fractions below are rewritten to stay finite at
-# any argument while remaining algebraically identical.
+# ---------------------------------------------------------------------------
+# the closed-form table: one row per sign class and finite B or B = infinity.
+# Each row holds the pair (f, h) that every family is built from, their
+# derivatives, and the companion solution z with y z + z' = b, where
+# y = scale * f (RiccatiSolution.scale). z equals alpha f + beta h with
+# (alpha, beta) = (b/c, D), or (D, b) when a = 0, but is evaluated from its
+# own closed form. h carries a minus sign relative to the bare reciprocal so
+# that one D serves z and the potential records at every B, including B -> 0.
+# Derivatives are explicit closed forms, never taken from the equations they
+# are checked against.
+
+_MAX_LOCATIONS = 8
+
+
+def _check_regular(x, den):
+    """Raise PoleError where den vanishes, naming at most 8 distinct points."""
+    hit = np.asarray(den) == 0.0
+    if np.any(hit):
+        bad = np.unique(np.asarray(x, dtype=float)[hit])[:_MAX_LOCATIONS].tolist()
+        raise PoleError(f"closed form evaluated at a singular point (x = {bad[:3]})",
+                        locations=bad)
+
+
+class _Form:
+    """A row's constants: c, A, and B (None for B = infinity)."""
+
+    def __init__(self, c: float, A: float, B):
+        self.c, self.A, self.B = c, A, B
+
+    def _theta(self, x):
+        return self.c * (np.asarray(x, dtype=float) - self.A)
+
+
+class _PosFinite(_Form):
+    """a = c^2: f = (B sinh - cosh)/(B cosh - sinh), h = -1/(B cosh - sinh).
+
+    The raw sinh/cosh ratios turn into inf/inf for |theta| beyond ~710, so
+    both fractions are rewritten in tanh and exp(-|theta|), which never do.
+    """
+
+    def _f_parts(self, th):
+        B = self.B
+        if B == 1.0:
+            return -np.ones_like(th), np.ones_like(th)
+        if B == -1.0:
+            return np.ones_like(th), np.ones_like(th)
+        t = np.tanh(th)
+        return B * t - 1.0, B - t
+
+    def _h_parts(self, th):
+        B = self.B
+        if B == 1.0:
+            return -np.exp(th), np.ones_like(th)
+        if B == -1.0:
+            return np.exp(-th), np.ones_like(th)
+        e = np.exp(-np.abs(th))
+        v = np.where(th >= 0.0,
+                     0.5 * (B - 1.0) + 0.5 * (B + 1.0) * e * e,
+                     0.5 * (B + 1.0) + 0.5 * (B - 1.0) * e * e)
+        return -e, v
+
+    def f(self, x):
+        u, v = self._f_parts(self._theta(x))
+        _check_regular(x, v)
+        return u / v
+
+    def h(self, x):
+        u, v = self._h_parts(self._theta(x))
+        _check_regular(x, v)
+        return u / v
+
+    def df(self, x):
+        kappa = self.B * self.B - 1.0
+        if kappa == 0.0:
+            return np.zeros_like(self._theta(x))
+        h = self.h(x)
+        return self.c * kappa * h * h
+
+    def dh(self, x):
+        return -self.c * self.f(x) * self.h(x)
+
+    def z(self, x, b, D):
+        return (b / self.c) * self.f(x) + D * self.h(x)
+
+    def dz(self, x, b, D):
+        f = self.f(x)
+        return b - self.c * f * ((b / self.c) * f + D * self.h(x))
+
 
 def _sech(th):
-    e = np.exp(-np.abs(np.asarray(th, dtype=float)))
+    e = np.exp(-np.abs(th))
     return 2.0 * e / (1.0 + e * e)
 
 
-def _pos_fraction(th, B):
-    """(num, den) with num/den = (B sinh - cosh)/(B cosh - sinh)."""
-    th = np.asarray(th, dtype=float)
-    if B == 1.0:
-        return -np.ones_like(th), np.ones_like(th)
-    if B == -1.0:
-        return np.ones_like(th), np.ones_like(th)
-    t = np.tanh(th)
-    return B * t - 1.0, B - t
+class _PosLimit(_Form):
+    """a = c^2, B = infinity: f = tanh, h = sech; no poles."""
+
+    def f(self, x):
+        return np.tanh(self._theta(x))
+
+    def h(self, x):
+        return _sech(self._theta(x))
+
+    def df(self, x):
+        return self.c * _sech(self._theta(x)) ** 2
+
+    def dh(self, x):
+        th = self._theta(x)
+        return -self.c * np.tanh(th) * _sech(th)
+
+    def z(self, x, b, D):
+        th = self._theta(x)
+        return (b / self.c) * np.tanh(th) + D * _sech(th)
+
+    def dz(self, x, b, D):
+        th = self._theta(x)
+        sech = _sech(th)
+        return b * sech * sech - self.c * D * sech * np.tanh(th)
 
 
-def _pos_recip(th, B):
-    """(num, den) with num/den = -1/(B cosh - sinh)."""
-    th = np.asarray(th, dtype=float)
-    if B == 1.0:
-        return -np.exp(th), np.ones_like(th)
-    if B == -1.0:
-        return np.exp(-th), np.ones_like(th)
-    e = np.exp(-np.abs(th))
-    g = np.where(th >= 0.0,
-                 0.5 * (B - 1.0) + 0.5 * (B + 1.0) * e * e,
-                 0.5 * (B + 1.0) + 0.5 * (B - 1.0) * e * e)
-    return -e, g
+class _ZeroFinite(_Form):
+    """a = 0: f = 1/v, h = t (2 + B t)/(2 v), with t = x - A and v = 1 + B t."""
+
+    def _tv(self, x):
+        t = np.asarray(x, dtype=float) - self.A
+        v = 1.0 + self.B * t
+        _check_regular(x, v)
+        return t, v
+
+    def _h(self, t, v):
+        return 0.5 * t * ((2.0 + self.B * t) / v)
+
+    def _zu(self, t, b, D):
+        # the numerator of z = _zu / v
+        return b * (0.5 * t * (2.0 + self.B * t)) + D
+
+    def f(self, x):
+        return 1.0 / self._tv(x)[1]
+
+    def h(self, x):
+        return self._h(*self._tv(x))
+
+    def df(self, x):
+        v = self._tv(x)[1]
+        return -self.B / (v * v)
+
+    def dh(self, x):
+        t, v = self._tv(x)
+        return 1.0 - self.B * self._h(t, v) / v
+
+    def z(self, x, b, D):
+        t, v = self._tv(x)
+        return self._zu(t, b, D) / v
+
+    def dz(self, x, b, D):
+        t, v = self._tv(x)
+        return b - self.B * self._zu(t, b, D) / (v * v)
+
+
+class _ZeroLimit(_Form):
+    """a = 0, B = infinity: f = 1/t, h = t/2, with t = x - A."""
+
+    def _t(self, x):
+        t = np.asarray(x, dtype=float) - self.A
+        _check_regular(x, t)
+        return t
+
+    def f(self, x):
+        return 1.0 / self._t(x)
+
+    def h(self, x):
+        return 0.5 * (np.asarray(x, dtype=float) - self.A)
+
+    def df(self, x):
+        t = self._t(x)
+        return -1.0 / (t * t)
+
+    def dh(self, x):
+        return np.full_like(np.asarray(x, dtype=float), 0.5)
+
+    def z(self, x, b, D):
+        t = self._t(x)
+        return 0.5 * b * t + D / t
+
+    def dz(self, x, b, D):
+        t = self._t(x)
+        return 0.5 * b - D / (t * t)
+
+
+class _NegFinite(_Form):
+    """a = -c^2: f = u/v, h = -1/v, with u = B sin + cos and v = B cos - sin."""
+
+    def _uv(self, x):
+        th = self._theta(x)
+        sn, cs = np.sin(th), np.cos(th)
+        v = self.B * cs - sn
+        _check_regular(x, v)
+        return self.B * sn + cs, v
+
+    def f(self, x):
+        u, v = self._uv(x)
+        return u / v
+
+    def h(self, x):
+        return -1.0 / self._uv(x)[1]
+
+    def df(self, x):
+        v = self._uv(x)[1]
+        return self.c * (self.B * self.B + 1.0) / (v * v)
+
+    def dh(self, x):
+        u, v = self._uv(x)
+        return -self.c * u / (v * v)
+
+    def _zu(self, u, b, D):
+        # the numerator of z = _zu / v
+        return (b / self.c) * u - D
+
+    def z(self, x, b, D):
+        u, v = self._uv(x)
+        return self._zu(u, b, D) / v
+
+    def dz(self, x, b, D):
+        u, v = self._uv(x)
+        return b + self.c * u * self._zu(u, b, D) / (v * v)
+
+
+class _NegLimit(_Form):
+    """a = -c^2, B = infinity: f = tan, h = sec."""
+
+    def _tc(self, x):
+        th = self._theta(x)
+        cs = np.cos(th)
+        _check_regular(x, cs)
+        return th, cs
+
+    def f(self, x):
+        return np.tan(self._tc(x)[0])
+
+    def h(self, x):
+        return 1.0 / self._tc(x)[1]
+
+    def df(self, x):
+        return self.c * self.h(x) ** 2
+
+    def dh(self, x):
+        th, cs = self._tc(x)
+        return self.c * np.tan(th) * (1.0 / cs)
+
+    def z(self, x, b, D):
+        th, cs = self._tc(x)
+        return (b / self.c) * np.tan(th) + D / cs
+
+    def dz(self, x, b, D):
+        th, cs = self._tc(x)
+        sec = 1.0 / cs
+        return b * sec * sec + self.c * D * sec * np.tan(th)
+
+
+# (sign class, B is infinite) -> row
+_FORMS = {
+    ("pos", False): _PosFinite, ("pos", True): _PosLimit,
+    ("zero", False): _ZeroFinite, ("zero", True): _ZeroLimit,
+    ("neg", False): _NegFinite, ("neg", True): _NegLimit,
+}
 
 
 @dataclass(frozen=True)
@@ -162,99 +395,30 @@ class RiccatiSolution:
     def c(self) -> float:
         return math.sqrt(abs(self.a))
 
-    def _theta(self, x):
-        return self.c * (x - self.A)
+    @property
+    def form(self) -> _Form:
+        """This solution's row of the closed-form table."""
+        return _FORMS[self.kind, self.B.is_infinite](self.c, self.A, self.B.value)
 
-    def _denominator(self, x):
-        kind = self.kind
-        if self.B.is_infinite:
-            if kind == "pos":
-                return np.cosh(self._theta(x))
-            if kind == "zero":
-                return x - self.A
-            return np.cos(self._theta(x))
-        Bv = self.B.value
-        if kind == "pos":
-            th = self._theta(x)
-            return Bv * np.cosh(th) - np.sinh(th)
-        if kind == "zero":
-            return 1.0 + Bv * (x - self.A)
-        th = self._theta(x)
-        return Bv * np.cos(th) - np.sin(th)
-
-    def _check_regular(self, x, den):
-        if np.any(den == 0.0):
-            bad = np.atleast_1d(np.asarray(x, dtype=float))[np.atleast_1d(den) == 0.0]
-            raise PoleError(
-                f"Riccati solution evaluated at a singular point (x = {bad[:3].tolist()}...)",
-                locations=bad.tolist(),
-            )
+    @property
+    def scale(self) -> float:
+        """y = scale * f: c, -c, B, or 1 for the rational B = infinity form."""
+        if self.kind == "pos":
+            return self.c
+        if self.kind == "neg":
+            return -self.c
+        return 1.0 if self.B.is_infinite else self.B.value
 
     def evaluate(self, x):
         arr, scalar = _prep(x)
-        kind = self.kind
-        c = self.c
-        if self.B.is_infinite:
-            if kind == "pos":
-                return _ret(c * np.tanh(self._theta(arr)), scalar)
-            if kind == "zero":
-                den = arr - self.A
-                self._check_regular(arr, den)
-                return _ret(1.0 / den, scalar)
-            th = self._theta(arr)
-            den = np.cos(th)
-            self._check_regular(arr, den)
-            return _ret(-c * np.tan(th), scalar)
-        Bv = self.B.value
-        if kind == "pos":
-            num, den = _pos_fraction(self._theta(arr), Bv)
-            self._check_regular(arr, den)
-            return _ret(c * num / den, scalar)
-        if kind == "zero":
-            den = 1.0 + Bv * (arr - self.A)
-            self._check_regular(arr, den)
-            return _ret(Bv / den, scalar)
-        th = self._theta(arr)
-        sn, cs = np.sin(th), np.cos(th)
-        num = Bv * sn + cs
-        den = Bv * cs - sn
-        self._check_regular(arr, den)
-        return _ret(-c * num / den, scalar)
+        return _ret(self.scale * self.form.f(arr), scalar)
 
     __call__ = evaluate
 
     def derivative(self, x):
-        """dy/dx from the closed form (quotient rule), not from the equation."""
+        """dy/dx = scale * f' from the closed form, not from the equation."""
         arr, scalar = _prep(x)
-        kind = self.kind
-        c = self.c
-        if self.B.is_infinite:
-            if kind == "pos":
-                ch = np.cosh(self._theta(arr))
-                return _ret(c * c / (ch * ch), scalar)
-            if kind == "zero":
-                den = arr - self.A
-                self._check_regular(arr, den)
-                return _ret(-1.0 / (den * den), scalar)
-            cs = np.cos(self._theta(arr))
-            self._check_regular(arr, cs)
-            return _ret(-c * c / (cs * cs), scalar)
-        Bv = self.B.value
-        if kind == "pos":
-            kappa = Bv * Bv - 1.0
-            if kappa == 0.0:
-                return _ret(np.zeros_like(arr), scalar)
-            hn, hd = _pos_recip(self._theta(arr), Bv)
-            self._check_regular(arr, hd)
-            h = hn / hd
-            return _ret(c * c * kappa * h * h, scalar)
-        if kind == "zero":
-            den = self._denominator(arr)
-            self._check_regular(arr, den)
-            return _ret(-Bv * Bv / (den * den), scalar)
-        den = self._denominator(arr)
-        self._check_regular(arr, den)
-        return _ret(-c * c * (Bv * Bv + 1.0) / (den * den), scalar)
+        return _ret(self.scale * self.form.df(arr), scalar)
 
     def singularities(self, window) -> list:
         """Poles inside [lo, hi], each polished by one Newton step on the denominator."""
@@ -338,84 +502,15 @@ class ZSolution:
     D: float
     y: RiccatiSolution
 
-    def _parts(self, arr):
-        # returns (numerator, denominator, u) for the finite-B rational forms;
-        # u = B sin + cos is the trigonometric numerator (None for 'zero')
-        y = self.y
-        c = y.c
-        if y.kind == "zero":
-            t = arr - y.A
-            Bv = y.B.value
-            return (self.b * (0.5 * t * (2.0 + Bv * t)) + self.D, 1.0 + Bv * t,
-                    None)
-        th = y._theta(arr)
-        sn, cs = np.sin(th), np.cos(th)
-        u = y.B.value * sn + cs
-        v = y.B.value * cs - sn
-        return (self.b / c) * u - self.D, v, u
-
-    def _pos_fh(self, arr):
-        y = self.y
-        th = y._theta(arr)
-        fn, fd = _pos_fraction(th, y.B.value)
-        hn, hd = _pos_recip(th, y.B.value)
-        y._check_regular(arr, fd)
-        y._check_regular(arr, hd)
-        return fn / fd, hn / hd
-
     def evaluate(self, x):
         arr, scalar = _prep(x)
-        y = self.y
-        c = y.c
-        if y.B.is_infinite:
-            if y.kind == "pos":
-                th = y._theta(arr)
-                return _ret((self.b / c) * np.tanh(th) + self.D * _sech(th), scalar)
-            if y.kind == "zero":
-                t = arr - y.A
-                y._check_regular(arr, t)
-                return _ret(0.5 * self.b * t + self.D / t, scalar)
-            th = y._theta(arr)
-            cs = np.cos(th)
-            y._check_regular(arr, cs)
-            return _ret((self.b / c) * np.tan(th) + self.D / cs, scalar)
-        if y.kind == "pos":
-            f, h = self._pos_fh(arr)
-            return _ret((self.b / c) * f + self.D * h, scalar)
-        num, den, _ = self._parts(arr)
-        y._check_regular(arr, den)
-        return _ret(num / den, scalar)
+        return _ret(self.y.form.z(arr, self.b, self.D), scalar)
 
     __call__ = evaluate
 
     def derivative(self, x):
         arr, scalar = _prep(x)
-        y = self.y
-        c = y.c
-        b = self.b
-        if y.B.is_infinite:
-            if y.kind == "pos":
-                th = y._theta(arr)
-                sech = _sech(th)
-                return _ret(b * sech * sech - c * self.D * sech * np.tanh(th), scalar)
-            if y.kind == "zero":
-                t = arr - y.A
-                y._check_regular(arr, t)
-                return _ret(0.5 * b - self.D / (t * t), scalar)
-            th = y._theta(arr)
-            cs = np.cos(th)
-            y._check_regular(arr, cs)
-            sec = 1.0 / cs
-            return _ret(b * sec * sec + c * self.D * sec * np.tan(th), scalar)
-        if y.kind == "pos":
-            f, h = self._pos_fh(arr)
-            z = (b / c) * f + self.D * h
-            return _ret(b - c * f * z, scalar)
-        num, den, u = self._parts(arr)
-        y._check_regular(arr, den)
-        if y.kind == "zero":
-            return _ret(b - y.B.value * num / (den * den), scalar)
-        return _ret(b + c * u * num / (den * den), scalar)
+        return _ret(self.y.form.dz(arr, self.b, self.D), scalar)
 
 
 def solve_z(b: float, y: RiccatiSolution, D: float) -> ZSolution:

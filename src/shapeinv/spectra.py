@@ -234,22 +234,8 @@ def _probe_square_integrable(log_derivative: Callable, domain,
     return NormalizabilityReport(False, None, end, max_stages)
 
 
-def _unbounded_domain(family: Family, anchor: float):
-    """Pole-free interval around anchor with no outer window clipping."""
-    p = family.params
-    if p.sign.kind == "neg":
-        span = 2.5 * math.pi / p.sign.c
-        window = (anchor - span, anchor + span)
-    else:
-        window = (anchor - 1e15, anchor + 1e15)
-    poles = family.singularities(1.0, window)
-    scale = max(abs(anchor), 1.0)
-    for pole in poles:
-        if abs(pole - anchor) < 1e-12 * scale:
-            raise PoleError(f"anchor {anchor} sits on a pole", locations=[pole])
-    left = max((pl for pl in poles if pl < anchor), default=-math.inf)
-    right = min((pl for pl in poles if pl > anchor), default=math.inf)
-    return left, right
+# the window of a seed probe's cell: the whole line, cut only by poles
+_WHOLE_LINE = (-math.inf, math.inf)
 
 
 def _reference_cell(family: Family):
@@ -263,7 +249,7 @@ def _reference_cell(family: Family):
         for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
             cand = p.A + off / cee
             try:
-                memo["reference"] = (cand, _unbounded_domain(family, cand))
+                memo["reference"] = (cand, family.natural_domain(1.0, cand, _WHOLE_LINE))
             except PoleError:
                 continue
             break
@@ -292,7 +278,7 @@ def _require_seed_normalizable(family: Family, p: float, sign: int, anchor: floa
     anchored. Each (p, sign, probe anchor) is probed once per Family instance;
     equal instances do not share reports.
     """
-    domain = _unbounded_domain(family, anchor)
+    domain = family.natural_domain(1.0, anchor, _WHOLE_LINE)
     ref = _reference_cell(family)
     if ref is not None and domain[0] < ref[0] < domain[1]:
         anchor, domain = ref
@@ -326,7 +312,7 @@ def check_normalizable(family: Family, m, direction, probe_domain=None,
     if probe_domain is None:
         if anchor is None:
             anchor = _default_anchor(family)
-        probe_domain = _unbounded_domain(family, float(anchor))
+        probe_domain = family.natural_domain(1.0, float(anchor), _WHOLE_LINE)
     return _probe_square_integrable(
         _seed_log_derivative(family, float(m), sign), probe_domain,
         anchor=anchor, rel_tol=rel_tol, max_stages=max_stages, samples=samples)

@@ -349,6 +349,46 @@ def test_out_of_range_offset_is_a_config_error(flags):
     assert "out of range" in diag["message"]
 
 
+@pytest.mark.parametrize("family", [
+    "TypeA:c=1e300", "TypeA:c=1e-300", "HyperbolicTanh:c=1e-300",
+    "TypeA:c=1e14", "TypeE:c=1e14", "HyperbolicTanh:c=1e-50",
+    "TypeA:c=1.01e6", "TypeA:c=0.99e-6",
+])
+def test_out_of_range_rate_constant_is_a_config_error(family):
+    # a = -+c^2 overflows or underflows at the extremes, and well inside
+    # them the pole scans lose the digits to place the poles
+    code, out, err = run_cli("spectrum", "--family", family, "--mode", "analytic")
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert diag["message"].startswith("rate constant c = ")
+    assert "out of range" in diag["message"]
+
+
+@pytest.mark.parametrize("family", [
+    "TypeA:c=1e6", "TypeA:c=1e-6", "TypeE:c=1e6",
+    "HyperbolicTanh:c=1e-6,b=-4e-12,D=5e-7",
+])
+def test_rate_constant_at_its_bounds_is_accepted(family):
+    code, out, err = run_cli("spectrum", "--family", family, "--m", "2",
+                             "--mode", "analytic")
+    assert code == 0 and err == ""
+    assert json.loads(out)["analytic"]["levels"]
+
+
+def test_pole_diagnostic_names_few_distinct_locations():
+    # seed-probe samples land on the pole at x = A about a thousand times
+    code, out, err = run_cli("spectrum", "--family",
+                             "HyperbolicCoth:b=-4,D=3,A=1e6", "--mode", "analytic")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    diag = stderr_diag(err)
+    assert diag["error"] == "pole"
+    locations = diag["locations"]
+    assert 1 <= len(locations) <= 8
+    assert len(set(locations)) == len(locations)
+
+
 def test_grid_too_coarse_diagnostic_carries_h_and_w_max():
     code, out, err = run_cli("wavefunction", "--family", "TypeD:b=1",
                              "--m", "1", "--k", "1", "--grid=-8,8,64",

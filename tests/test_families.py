@@ -138,6 +138,29 @@ def test_k0_solves_companion_sweep():
         assert np.max(np.abs(res)) < 1e-9
 
 
+def test_k0_is_the_block_combination_sweep():
+    # z = alpha f + beta h in every (sign, B) class. The companion residual
+    # above cannot catch a wrong finite-B z, since z' is evaluated there as
+    # b - y z; this compares z and z' with the blocks instead
+    rng = np.random.default_rng(45)
+    for i in range(120):
+        kind = ("pos", "zero", "neg")[i % 3]
+        c = rng.uniform(0.3, 2.5)
+        sign = {"pos": positive_a(c), "zero": zero_a(), "neg": negative_a(c)}[kind]
+        B = INFINITY if (i // 3) % 2 else ExtendedReal(rng.uniform(-4, 4))
+        fam = make(AFF, sign, B, A=rng.uniform(-1.5, 1.5),
+                   b=rng.uniform(-2, 2), D=rng.uniform(-2, 2))
+        p = fam.params
+        alpha, beta = (p.D, p.b) if kind == "zero" else (p.b / c, p.D)
+        xs = _window(fam, rng)
+        bs = fam.basis()
+        af, bh = alpha * bs.f(xs), beta * bs.h(xs)
+        adf, bdh = alpha * bs.df(xs), beta * bs.dh(xs)
+        scale = np.abs(adf) + np.abs(bdh) + np.abs(af) + np.abs(bh) + 1.0
+        assert np.max(np.abs(fam.k0(xs) - (af + bh)) / scale) < 1e-12
+        assert np.max(np.abs(fam.k0_prime(xs) - (adf + bdh)) / scale) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # spectral symbol L and spacing R
 

@@ -1,16 +1,16 @@
 """Partner potentials, shape-invariance residuals, closed-form coefficient
 records, and the L-sequence classifier."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from shapeinv.errors import FamilyError
 from shapeinv.families import PRESET_NAMES, preset_params
-from shapeinv.partners import (PotentialPair, Superpotential,
-                               classify_L_sequence, closed_form_potentials,
-                               factorization_residuals, pair_from_family,
-                               potential_V, potential_Vtilde,
-                               shape_invariance_residual)
+from shapeinv.partners import (PotentialPair, classify_L_sequence,
+                               closed_form_potentials, factorization_residuals,
+                               pair_from_family, shape_invariance_residual)
 
 
 def sample_window(fam, n=160):
@@ -52,15 +52,6 @@ def test_pair_energy_offset():
     assert override.V(0.0, 1.0) == pytest.approx(-1.0)
 
 
-def test_free_function_potentials_match_pair():
-    fam = preset_params("TypeA")
-    W = Superpotential.from_family(fam)
-    pp = PotentialPair(W=W, d=2.0)
-    xs = np.linspace(0.3, 2.8, 40)
-    assert np.allclose(potential_V(W, 2.0)(xs, 2.0), pp.V(xs, 2.0))
-    assert np.allclose(potential_Vtilde(W, 2.0)(xs, 2.0), pp.Vtilde(xs, 2.0))
-
-
 # ---------------------------------------------------------------------------
 # shape invariance
 
@@ -76,7 +67,7 @@ def test_shape_invariance_residual_presets(name, m):
 
 def test_shape_invariance_detects_fake():
     # W = m x is factorizable but not shape invariant with constant R
-    W = Superpotential(lambda x, m: m * x, lambda x, m: m * np.ones_like(x))
+    W = SimpleNamespace(k=lambda x, m: m * x, k_prime=lambda x, m: m * np.ones_like(x))
     pp = PotentialPair(W=W)
     fam = preset_params("TypeD", b=1.0)  # only supplies an R to subtract
     xs = np.array([0.5, 1.5])

@@ -145,7 +145,7 @@ def _typea_increasing_seed():
     fam = preset_params("TypeA")
     anchor = spectra._default_anchor(fam)
     return (spectra._seed_log_derivative(fam, 2.0, -1),
-            spectra._unbounded_domain(fam, anchor), anchor)
+            fam.natural_domain(1.0, anchor, (-math.inf, math.inf)), anchor)
 
 
 # (log derivative, domain, anchor) and its report (normalizable,
@@ -459,7 +459,7 @@ def test_seed_probed_once_per_family(monkeypatch, case):
         assert at == anchor
         fresh = unmemoized(
             spectra._seed_log_derivative(fam, p, sign),
-            spectra._unbounded_domain(fam, at), anchor=at)
+            fam.natural_domain(1.0, at, (-math.inf, math.inf)), anchor=at)
         assert rep == fresh
     # an equal but distinct instance shares no verdicts
     twin = make()
