@@ -417,6 +417,7 @@ def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction,
                        boundary_tol: float = 1e-8) -> float:
     """|<phi, (-d/dx + W) psi> - <psi, (d/dx + W) phi>| on a shared grid.
 
+    W is a callable W(x, m), such as a family's k, or its samples on the grid.
     The two first-order operators are mutually adjoint only when phi*psi dies
     off at the window ends, so that hypothesis is checked first and its
     failure is reported as a boundary-condition error rather than a defect.

@@ -19,9 +19,9 @@ from .errors import FamilyError
 from .families import Family, FamilyKind
 
 __all__ = [
-    "PotentialPair", "pair_from_family", "shape_invariance_residual", "closed_form_potentials",
-    "PotentialRecord", "classify_L_sequence", "LSequenceClass",
-    "factorization_residuals",
+    "PotentialPair", "pair_from_family", "shape_invariance_residual",
+    "closed_form_potentials", "PotentialRecord", "classify_L_sequence",
+    "LSequenceClass", "factorization_residuals",
 ]
 
 

@@ -67,7 +67,8 @@ def test_shape_invariance_residual_presets(name, m):
 
 def test_shape_invariance_detects_fake():
     # W = m x is factorizable but not shape invariant with constant R
-    W = SimpleNamespace(k=lambda x, m: m * x, k_prime=lambda x, m: m * np.ones_like(x))
+    W = SimpleNamespace(k=lambda x, m: m * x,
+                        k_prime=lambda x, m: m * np.ones_like(x))
     pp = PotentialPair(W=W)
     fam = preset_params("TypeD", b=1.0)  # only supplies an R to subtract
     xs = np.array([0.5, 1.5])
