@@ -100,10 +100,17 @@ def _draw_solution(rng, idx: int):
 
 def check_riccati_residuals(n_draws: int = 200, n_pts: int = 400,
                             seed: int = 7):
-    """Residuals of y' = a - y^2 and y z + z' = b from the closed forms."""
+    """Residuals of y' = a - y^2 and y z + z' = b from the closed forms, and
+    z' against alpha f' + beta h' (relative to max(1, |alpha f' + beta h'|)).
+
+    The last one is the check that can fail: the zero and neg rows evaluate
+    z' as b - y z from z's own numerator, which satisfies the companion
+    equation whatever that numerator is.
+    """
     rng = np.random.default_rng(seed)
     worst_y = 0.0
     worst_z = 0.0
+    worst_dz = 0.0
     for i in range(n_draws):
         sol = _draw_solution(rng, i)
         xs = _sample_regular(sol, rng, n_pts)
@@ -113,11 +120,19 @@ def check_riccati_residuals(n_draws: int = 200, n_pts: int = 400,
         b = rng.uniform(-3.0, 3.0)
         D = rng.uniform(-3.0, 3.0)
         z = riccati.solve_z(b, sol, D)
-        res_z = y * z.evaluate(xs) + z.derivative(xs) - b
+        dz = z.derivative(xs)
+        res_z = y * z.evaluate(xs) + dz - b
         worst_z = max(worst_z, float(np.max(np.abs(res_z))))
+        alpha, beta = (D, b) if sol.kind == "zero" else (b / sol.c, D)
+        form = sol.form
+        comb = alpha * form.df(xs) + beta * form.dh(xs)
+        res_dz = np.abs(dz - comb) / np.maximum(1.0, np.abs(comb))
+        worst_dz = max(worst_dz, float(np.max(res_dz)))
     detail = f"{n_draws} draws x {n_pts} points, margin 1e-2 from poles"
     return (_result("riccati-residual", worst_y, 1e-9, detail),
-            _result("companion-residual", worst_z, 1e-9, detail))
+            _result("companion-residual", worst_z, 1e-9, detail),
+            _result("companion-derivative", worst_dz, 1e-9,
+                    detail + "; relative to max(1, |alpha f' + beta h'|)"))
 
 
 def _superposition_triples():

@@ -40,6 +40,9 @@ EXIT_VERIFY = 5
 EXIT_TRUNCATION = 6
 
 _DEFAULT_N = 2001
+# the most grid nodes a run may ask for: a few 8 MB sample arrays, refused
+# before any of them is allocated
+_MAX_N = 1_000_001
 
 
 def _diag(slug: str, message: str, **extra) -> None:
@@ -81,6 +84,9 @@ class RunConfig:
         if self.grid != "auto":
             for key in ("xmin", "xmax"):
                 _require_finite(f"grid {key}", self.grid[key])
+            if self.grid["n"] > _MAX_N:
+                raise ValueError(f"grid n = {self.grid['n']} is too large: "
+                                 f"need n <= {_MAX_N}")
 
     def to_json(self) -> dict:
         return {

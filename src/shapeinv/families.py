@@ -124,15 +124,13 @@ class Family:
     def __post_init__(self):
         if self.kind is FamilyKind.INVERSE_POWER and self.params.q == 0.0:
             raise FamilyError("inverse-power ansatz requires q != 0")
-        # spectra's seed-screening memo and the (k0, k1) sample memo of k: not
-        # fields, so they stay out of ==, hash, repr and replace(), and they
-        # belong to this instance alone
-        object.__setattr__(self, "_seed_memo", {})
+        # the (k0, k1) sample memo of k: not a field, so it stays out of ==,
+        # hash, repr and replace(), and it belongs to this instance alone
         object.__setattr__(self, "_k_memo", {})
 
     def __getstate__(self):
-        # copies and unpickled instances start with empty memos
-        return {**self.__dict__, "_seed_memo": {}, "_k_memo": {}}
+        # copies and unpickled instances start with an empty memo
+        return {**self.__dict__, "_k_memo": {}}
 
     # -- structural helpers -------------------------------------------------
 
@@ -229,6 +227,21 @@ class Family:
         if self.kind is FamilyKind.AFFINE:
             return k0 + m * k1
         return self.params.q / m + m * k1
+
+    def _k_coefficients(self, m):
+        """(gamma, beta, kappa) with k(., m) = gamma f + beta h + kappa over
+        the basis() pair: z = alpha f + beta h plus m y = m scale f, or
+        q/m + m scale f for the inverse-power ansatz."""
+        m = self._require_m(m)
+        p = self.params
+        scale = self._y().scale
+        if self.kind is FamilyKind.INVERSE_POWER:
+            return m * scale, 0.0, p.q / m
+        if p.sign.kind == "zero":
+            alpha, beta = p.D, p.b
+        else:
+            alpha, beta = p.b / p.sign.c, p.D
+        return alpha + m * scale, beta, 0.0
 
     def k_prime(self, x, m):
         m = self._require_m(m)

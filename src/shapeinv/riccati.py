@@ -83,6 +83,14 @@ def _ret(vals, scalar):
 # that one D serves z and the potential records at every B, including B -> 0.
 # Derivatives are explicit closed forms, never taken from the equations they
 # are checked against.
+#
+# Each row also knows how f and h end, which decides whether a chain seed
+# exp(s int k) is square integrable without sampling it (spectra). At a pole
+# x0, `residues` gives (res f, res h): res f = 1/scale, since y has residue +1,
+# and h ~ res h / (x - x0), since h' = -y h. Toward an infinite end sigma,
+# `end` gives (f_inf, f_tail, h_sign): f -> f_inf + f_tail / x, and h_sign is
+# the sign of h where h grows without bound (0 where h stays bounded). The
+# trigonometric rows have poles every pi/c and no infinite end.
 
 _MAX_LOCATIONS = 8
 
@@ -161,6 +169,18 @@ class _PosFinite(_Form):
         f = self.f(x)
         return b - self.c * f * ((b / self.c) * f + D * self.h(x))
 
+    def residues(self, x0):
+        # the one pole, tanh(theta0) = B with |B| < 1
+        return 1.0 / self.c, 1.0 / (self.c * math.sqrt(1.0 - self.B * self.B))
+
+    def end(self, sigma):
+        # f = -1, h = -e^theta at B = 1; f = 1, h = e^-theta at B = -1 (Morse)
+        if self.B == 1.0:
+            return -1.0, 0.0, (-1.0 if sigma > 0 else 0.0)
+        if self.B == -1.0:
+            return 1.0, 0.0, (1.0 if sigma < 0 else 0.0)
+        return float(sigma), 0.0, 0.0
+
 
 def _sech(th):
     e = np.exp(-np.abs(th))
@@ -191,6 +211,9 @@ class _PosLimit(_Form):
         th = self._theta(x)
         sech = _sech(th)
         return b * sech * sech - self.c * D * sech * np.tanh(th)
+
+    def end(self, sigma):
+        return float(sigma), 0.0, 0.0
 
 
 class _ZeroFinite(_Form):
@@ -231,6 +254,16 @@ class _ZeroFinite(_Form):
         t, v = self._tv(x)
         return b - self.B * self._zu(t, b, D) / (v * v)
 
+    def residues(self, x0):
+        # the one pole, t0 = -1/B
+        return 1.0 / self.B, -0.5 / self.B / self.B
+
+    def end(self, sigma):
+        # h = t at B = 0, else h ~ t/2; f = 1 at B = 0, else f ~ 1/(B t)
+        if self.B == 0.0:
+            return 1.0, 0.0, float(sigma)
+        return 0.0, 1.0 / self.B, float(sigma)
+
 
 class _ZeroLimit(_Form):
     """a = 0, B = infinity: f = 1/t, h = t/2, with t = x - A."""
@@ -260,6 +293,13 @@ class _ZeroLimit(_Form):
     def dz(self, x, b, D):
         t = self._t(x)
         return 0.5 * b - D / (t * t)
+
+    def residues(self, x0):
+        # the one pole, t0 = 0; h = t/2 is regular there
+        return 1.0, 0.0
+
+    def end(self, sigma):
+        return 0.0, 1.0, float(sigma)
 
 
 class _NegFinite(_Form):
@@ -299,6 +339,13 @@ class _NegFinite(_Form):
         u, v = self._uv(x)
         return b + self.c * u * self._zu(u, b, D) / (v * v)
 
+    def residues(self, x0):
+        # res h = 1/(c (B sin + cos)(theta0)), where B sin + cos = +-sqrt(1 + B^2):
+        # only its sign is read off the pole, so far poles keep an exact size
+        th = self.c * (x0 - self.A)
+        size = 1.0 / (self.c * math.hypot(1.0, self.B))
+        return -1.0 / self.c, math.copysign(size, self.B * math.sin(th) + math.cos(th))
+
 
 class _NegLimit(_Form):
     """a = -c^2, B = infinity: f = tan, h = sec."""
@@ -330,6 +377,11 @@ class _NegLimit(_Form):
         th, cs = self._tc(x)
         sec = 1.0 / cs
         return b * sec * sec + self.c * D * sec * np.tan(th)
+
+    def residues(self, x0):
+        # res h = -1/(c sin(theta0)), with sin(theta0) = +-1
+        th = self.c * (x0 - self.A)
+        return -1.0 / self.c, math.copysign(1.0 / self.c, -math.sin(th))
 
 
 # (sign class, B is infinite) -> row

@@ -12,8 +12,14 @@ A(m+k), ..., A(m+1); the energies are E_k = d - sum_{r=0..k} R(m+r) and each
 R in the sum must be negative. When L increases, the seed is
 exp(-int W(., m-k)) pushed up by A*(m-k+1), ..., A*(m); then
 E_k = d + sum_{r=1..k} R(m-r) with each R positive. Either way a level only
-exists if its seed is square integrable, which is probed numerically on the
-family's pole-free domain.
+exists if its seed is square integrable on the family's pole-free cell.
+
+That verdict is exact: k(., p) is gamma(p) f + beta h + kappa(p) over the
+closed forms, so the seed's behaviour at each end of the cell follows from a
+residue at a pole or a limit at infinity (the unbroken-SUSY criterion of
+Cooper, Khare & Sukhatme, applied end by end). The numerical probe
+`check_normalizable` samples the same question on nested windows; it is kept
+as an independent oracle and for the CLI's numeric pre-check.
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ def _as_grid(x) -> Tuple[Grid, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# square-integrability probe
+# square integrability: the numerical probe and the exact seed verdict
 
 @dataclass(frozen=True)
 class NormalizabilityReport:
@@ -234,33 +240,22 @@ def _probe_square_integrable(log_derivative: Callable, domain,
     return NormalizabilityReport(False, None, end, max_stages)
 
 
-# the window of a seed probe's cell: the whole line, cut only by poles
+# the window of a seed's cell: the whole line, cut only by poles
 _WHOLE_LINE = (-math.inf, math.inf)
 
 
-def _reference_cell(family: Family):
-    """(anchor, pole-free cell) of the family's reference point, or None when
-    every candidate near A sits on a pole; found once per instance."""
-    memo = family._seed_memo
-    if "reference" not in memo:
-        p = family.params
-        cee = p.sign.c if p.sign.kind != "zero" else 1.0
-        memo["reference"] = None
-        for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
-            cand = p.A + off / cee
-            try:
-                memo["reference"] = (cand, family.natural_domain(1.0, cand, _WHOLE_LINE))
-            except PoleError:
-                continue
-            break
-    return memo["reference"]
-
-
 def _default_anchor(family: Family) -> float:
-    cell = _reference_cell(family)
-    if cell is None:
-        raise PoleError("no pole-free anchor found near the family's reference point")
-    return cell[0]
+    """The first pole-free point of A + (0.618, -0.382, 1.227, 2.414)/c."""
+    p = family.params
+    cee = p.sign.c if p.sign.kind != "zero" else 1.0
+    for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
+        cand = p.A + off / cee
+        try:
+            family.natural_domain(1.0, cand, _WHOLE_LINE)
+        except PoleError:
+            continue
+        return cand
+    raise PoleError("no pole-free anchor found near the family's reference point")
 
 
 def _seed_log_derivative(family: Family, p: float, sign: int) -> Callable:
@@ -269,30 +264,53 @@ def _seed_log_derivative(family: Family, p: float, sign: int) -> Callable:
     return g
 
 
+def _seed_end_verdicts(family: Family, p: float, sign: int, cell) -> tuple:
+    """(left, right): is exp(sign int k(., p)) square integrable toward each
+    end of the pole-free cell?
+
+    k = gamma f + beta h + kappa over the family's closed-form row. Near a
+    pole x0, k ~ rho / (x - x0) and the seed ~ |x - x0|^(sign rho), square
+    integrable iff 2 sign rho > -1. Toward an infinite end sigma, the seed
+    decays iff sigma sign k ends negative. The leading term of k there is
+    beta h where h grows (linearly on the rational rows, exponentially on
+    Morse), else the limit gamma f_inf + kappa, and when that is 0 the 1/x
+    tail rho_inf decides: square integrable iff 2 sign rho_inf < -1.
+    Marginal cases are not square integrable.
+    """
+    gamma, beta, kappa = family._k_coefficients(p)
+    form = family.basis()
+    out = []
+    for sigma, end in ((-1, cell[0]), (+1, cell[1])):
+        if math.isfinite(end):
+            res_f, res_h = form.residues(end)
+            # res h overflows at a far zero-row pole (|B| tiny); beta = 0
+            # must not turn that into nan
+            rho = gamma * res_f + (beta * res_h if beta != 0.0 else 0.0)
+            out.append(2.0 * sign * rho > -1.0)
+            continue
+        f_inf, f_tail, h_sign = form.end(sigma)
+        if beta != 0.0 and h_sign != 0.0:
+            lead = beta * h_sign
+        else:
+            lead = gamma * f_inf + kappa
+        if lead != 0.0:
+            out.append(sigma * sign * lead < 0.0)
+        else:
+            out.append(2.0 * sign * gamma * f_tail < -1.0)
+    return tuple(out)
+
+
 def _require_seed_normalizable(family: Family, p: float, sign: int, anchor: float):
     """Raise unless the seed exp(sign int W(., p)) is square integrable on the
-    pole-free cell around anchor.
-
-    The probe runs from the family's reference anchor whenever that cell
-    holds it, so the verdict does not depend on where in the cell the caller
-    anchored. Each (p, sign, probe anchor) is probed once per Family instance;
-    equal instances do not share reports.
-    """
-    domain = family.natural_domain(1.0, anchor, _WHOLE_LINE)
-    ref = _reference_cell(family)
-    if ref is not None and domain[0] < ref[0] < domain[1]:
-        anchor, domain = ref
-    key = (p, sign, anchor)
-    report = family._seed_memo.get(key)
-    if report is None:
-        report = _probe_square_integrable(_seed_log_derivative(family, p, sign),
-                                          domain, anchor=anchor)
-        family._seed_memo[key] = report
-    if not report.normalizable:
+    pole-free cell around anchor. The verdict depends on the cell alone; when
+    both ends diverge, the left one is named."""
+    left, right = _seed_end_verdicts(
+        family, p, sign, family.natural_domain(1.0, anchor, _WHOLE_LINE))
+    if not (left and right):
+        end = "right" if left else "left"
         raise NormalizationError(
             f"chain seed at parameter {p:g} is not square integrable "
-            f"(divergent toward the {report.divergent_end} end)",
-            divergent_end=report.divergent_end)
+            f"(divergent toward the {end} end)", divergent_end=end)
 
 
 def check_normalizable(family: Family, m, direction, probe_domain=None,
@@ -324,9 +342,10 @@ def check_normalizable(family: Family, m, direction, probe_domain=None,
 def resolve_direction(family: Family, m, direction=None,
                       anchor: Optional[float] = None,
                       probe: bool = True) -> ChainDirection:
-    """Pick the chain direction: explicit wins, then seed probes, then the
-    monotonicity of L along the orbit. An m outside the family's admissible
-    set raises FamilyError before any of that."""
+    """Pick the chain direction: explicit wins, then the seed verdicts
+    (skipped with probe=False), then the monotonicity of L along the orbit.
+    An m outside the family's admissible set raises FamilyError before any of
+    that."""
     m = family._require_m(m)
     if direction is not None:
         return _coerce_direction(direction)
@@ -652,12 +671,12 @@ def spectrum_analytic(family: Family, m, kmax: int, direction=None,
                       screen_seeds: bool = True) -> SpectrumResult:
     """Levels 0..kmax of H(m) as exact R sums, plus the partner spectrum.
 
-    No grid is touched: energies are finite sums and the only numerics is the
-    optional seed screening, which truncates the ladder where the would-be
-    state stops being square integrable (or where an R sign flips / the orbit
-    leaves the admissible set). The partner list keeps the extra bottom level
-    at d for decreasing chains and drops the shared ground level for
-    increasing ones.
+    Nothing is sampled: energies are finite sums, and the optional seed
+    screening reads the closed forms' residues and limits to truncate the
+    ladder where the would-be state stops being square integrable (or where
+    an R sign flips / the orbit leaves the admissible set). The partner list
+    keeps the extra bottom level at d for decreasing chains and drops the
+    shared ground level for increasing ones.
     """
     m = float(m)
     kmax = int(kmax)

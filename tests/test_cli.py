@@ -154,8 +154,9 @@ def test_verify_riccati_passes():
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
     assert {c["name"] for c in doc["checks"]} == {
-        "riccati-residual", "companion-residual", "superposition-endpoints",
-        "superposition-residual", "block-derivative-identities"}
+        "riccati-residual", "companion-residual", "companion-derivative",
+        "superposition-endpoints", "superposition-residual",
+        "block-derivative-identities"}
 
 
 def test_verify_coarse_ladder_fails():
@@ -320,6 +321,27 @@ def test_non_finite_config_values_are_config_errors(tmp_path, doc, field):
     assert f"{field} must be a finite number" in diag["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mode", "numeric", "--grid=-8,8,1000000000000"],
+    ["eval", "--grid=-8,8,1000000000000"],
+    ["verify", "--suite", "ladder", "--grid=-8,8,1000000000000"],
+    ["spectrum", "--config", None],
+], ids=["spectrum", "eval", "verify", "config-file"])
+def test_huge_grid_is_a_config_error(tmp_path, argv):
+    # refused before any sample array is allocated (one of 10^12 nodes
+    # would fail at once, or swap)
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"grid": {"xmin": -8.0, "xmax": 8.0,
+                                        "n": 10 ** 12}}))
+    argv = [str(cfg) if a is None else a for a in argv]
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert diag["message"] == ("grid n = 1000000000000 is too large: "
+                               "need n <= 1000001")
+
+
 @pytest.mark.parametrize("extra", [[], ["--direction", "increasing"]],
                          ids=["auto", "increasing"])
 def test_inadmissible_m_is_a_config_error(extra):
@@ -377,9 +399,11 @@ def test_rate_constant_at_its_bounds_is_accepted(family):
 
 
 def test_pole_diagnostic_names_few_distinct_locations():
-    # seed-probe samples land on the pole at x = A about a thousand times
+    # the numeric mode's pre-check still samples the seed: at A = 1e6 its
+    # shells toward the pole collapse onto x = A, which they hit many times
     code, out, err = run_cli("spectrum", "--family",
-                             "HyperbolicCoth:b=-4,D=3,A=1e6", "--mode", "analytic")
+                             "HyperbolicCoth:b=-4,D=3,A=1e6", "--m", "4",
+                             "--mode", "numeric", "--direction", "decreasing")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     diag = stderr_diag(err)

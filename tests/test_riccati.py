@@ -363,3 +363,55 @@ def test_reduction_round_trip_alternative():
     dy = (p.a * u + p.b) / (u + 1.0) ** 2
     res = dy + y * y - 1.0
     assert np.max(np.abs(res)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the rows' residues and end limits, read off the closed forms themselves
+
+TABLE_ROWS = {
+    "pos": (1.44, (0.0, 0.6, -0.35, 1.0, -1.0, 2.5, INFINITY)),
+    "zero": (0.0, (0.0, 0.8, -1.7, INFINITY)),
+    "neg": (-0.81, (0.0, 0.75, -2.0, INFINITY)),
+}
+ROW_CASES = [(kind, B) for kind, (_, Bs) in TABLE_ROWS.items() for B in Bs]
+
+
+def _row(kind, B, A=0.3):
+    sol = general_solution(TABLE_ROWS[kind][0], A, B)
+    return sol, sol.form
+
+
+@pytest.mark.parametrize("kind, B", ROW_CASES)
+def test_residues_match_the_closed_forms(kind, B):
+    sol, form = _row(kind, B)
+    poles = sol.singularities((sol.A - 8.0, sol.A + 8.0))
+    if not poles:
+        assert kind == "pos" and (B is INFINITY or abs(B) >= 1.0) \
+            or kind == "zero" and B == 0.0
+        return
+    for x0 in poles:
+        res_f, res_h = form.residues(x0)
+        assert res_f == pytest.approx(1.0 / sol.scale, rel=1e-13)
+        for step in (1e-6, -1e-6):
+            x = np.array([x0 + step])
+            assert (step * form.f(x))[0] == pytest.approx(res_f, rel=1e-5)
+            assert (step * form.h(x))[0] == pytest.approx(res_h, rel=1e-5,
+                                                          abs=1e-5)
+
+
+@pytest.mark.parametrize("kind, B", [case for case in ROW_CASES
+                                     if case[0] != "neg"])
+def test_end_limits_match_the_closed_forms(kind, B):
+    # f -> f_inf + f_tail / x; h grows with the sign h_sign, or dies out
+    sol, form = _row(kind, B)
+    reach = 30.0 / sol.c if kind == "pos" else 1e7
+    for sigma in (-1, 1):
+        f_inf, f_tail, h_sign = form.end(sigma)
+        t = sigma * reach
+        x = np.array([sol.A + t])
+        f, h = form.f(x)[0], form.h(x)[0]
+        assert t * (f - f_inf) == pytest.approx(f_tail, rel=1e-5, abs=1e-9)
+        if h_sign == 0.0:
+            assert abs(h) < 1e-12
+        else:
+            assert math.copysign(1.0, h) == h_sign and abs(h) > 1e6

@@ -192,20 +192,23 @@ def test_probe_reports_pinned_one_evaluation_per_stage(case):
 
 
 def test_probe_overflow_is_silent_divergence():
-    # Morse (B = -1): exp(-th) in the closed form overflows on the wide probe
-    # shells; the probe reads that as divergence without a RuntimeWarning
+    # Morse (B = -1): exp(-th) in the closed form overflows on the probe's
+    # wide shells, which the probe reads as divergence toward the left, with
+    # no RuntimeWarning. The level-3 seed in fact decays double-exponentially
+    # to the left and diverges to the right, where k tends to a constant of
+    # the growing sign; the exact screening names that end.
     fam = preset_params("TypeB_real", c=1.1202389828913326,
                         A=-0.18415032727483238, b=-0.35339366958075147,
                         D=-1.6616092770240576)
     m = 3.186823711815706
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        quiet = spectrum_analytic(fam, m, 5)
-    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        strict = spectrum_analytic(fam, m, 5)
-    assert strict.levels == quiet.levels
-    assert [k for k, _ in strict.levels] == [0, 1, 2]
+        probe = check_normalizable(fam, m - 3.0, "increasing")
+        spec = spectrum_analytic(fam, m, 5)
+    assert (probe.normalizable, probe.divergent_end) == (False, "left")
+    assert spec.direction is ChainDirection.IncreasingL
+    assert [k for k, _ in spec.levels] == [0, 1, 2]
+    assert spec.truncation_reason.endswith("(divergent toward the right end)")
 
 
 # ---------------------------------------------------------------------------
@@ -414,81 +417,72 @@ def test_wavefunction_accessors():
 
 
 # ---------------------------------------------------------------------------
-# seed-screening memo: one probe per (seed parameter, sign) and Family instance
+# seed screening is exact: no probe, no per-instance state
 
 def _counting_probe(monkeypatch):
     calls = []
     real = spectra._probe_square_integrable
 
-    def probe(log_derivative, domain, anchor=None, **kwargs):
-        calls.append(anchor)
-        return real(log_derivative, domain, anchor=anchor, **kwargs)
+    def probe(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "_probe_square_integrable", probe)
-    return calls, real
+    return calls
 
 
-def _seed_reports(fam):
-    return {key: rep for key, rep in fam._seed_memo.items()
-            if key != "reference"}
-
-
-MEMO_CASES = {
+SCREEN_CASES = {
     "TypeA": (lambda: preset_params("TypeA"), 2.0, TRIG_GRID),
     "TypeC": (lambda: preset_params("TypeC", b=-1.0), 2.0,
               Grid(1e-2, 10.0, 4001)),
 }
 
 
-@pytest.mark.parametrize("case", MEMO_CASES)
-def test_seed_probed_once_per_family(monkeypatch, case):
-    make, m, grid = MEMO_CASES[case]
-    calls, unmemoized = _counting_probe(monkeypatch)
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_seed_screening_makes_no_probe(monkeypatch, case):
+    make, m, grid = SCREEN_CASES[case]
+    calls = _counting_probe(monkeypatch)
     fam = make()
+    direction = resolve_direction(fam, m)
     spec = spectrum_analytic(fam, m, 4)
-    assert len(spec.levels) == 5
+    assert spec.direction is direction and len(spec.levels) == 5
     for k, energy in spec.levels:
-        assert excited_state(fam, m, k, spec.direction, grid).energy == energy
-    assert max_level(fam, m, spec.direction, limit=5) is None
-    reports = _seed_reports(fam)
-    # resolve_direction's losing probe plus one seed per level
-    assert len(calls) == len(reports) == 6
-    assert len({(p, sign) for p, sign, _ in reports}) == 6
-    anchor = spectra._default_anchor(fam)
-    for (p, sign, at), rep in reports.items():
-        assert at == anchor
-        fresh = unmemoized(
-            spectra._seed_log_derivative(fam, p, sign),
-            fam.natural_domain(1.0, at, (-math.inf, math.inf)), anchor=at)
-        assert rep == fresh
-    # an equal but distinct instance shares no verdicts
-    twin = make()
-    assert twin == fam
-    spectrum_analytic(twin, m, 4)
-    assert len(calls) == 12
+        assert excited_state(fam, m, k, direction, grid).energy == energy
+    assert ground_state(fam, m, direction, grid).node_count() == 0
+    assert max_level(fam, m, direction, limit=5) is None
+    assert calls == []
 
 
-def test_seed_probe_off_the_reference_cell_uses_callers_anchor(monkeypatch):
-    # one period over, the trig barrier's cell (pi, 2 pi) does not hold the
-    # reference anchor, so the grid's midpoint anchors the probe
-    calls, _ = _counting_probe(monkeypatch)
-    fam = preset_params("TypeA")
+def test_seed_verdict_does_not_depend_on_the_anchor():
+    # every anchor of a cell gives the same verdicts, also in a cell away
+    # from the family's reference point: one period over, on (pi, 2 pi)
+    fam = preset_params("TypeA", b=0.3, D=0.2)
+    want = spectrum_analytic(fam, 2.0, 6)
+    assert len(want.levels) == 7
+    for base in (0.0, math.pi, -5.0 * math.pi):
+        for u in (1e-9, 0.25, 0.5, 0.9, 1.0 - 1e-9):
+            got = spectrum_analytic(fam, 2.0, 6, anchor=base + u * math.pi)
+            assert got == want
     grid = Grid(math.pi + 1e-3, 2.0 * math.pi - 1e-3, 2001)
-    mid = float(grid.x[grid.n // 2])
-    wf = excited_state(fam, 2.0, 1, "decreasing", grid)
-    assert wf.node_count() == 1
-    assert calls == [mid]
-    assert list(_seed_reports(fam)) == [(4.0, +1, mid)]
+    assert excited_state(fam, 2.0, 1, "decreasing", grid).node_count() == 1
+    # no poles: the whole line is one cell
+    tanh = preset_params("HyperbolicTanh", D=0.3)
+    want = spectrum_analytic(tanh, 3.0, 5)
+    assert len(want.levels) == 3
+    assert "not square integrable" in want.truncation_reason
+    for anchor in (-1e6, -40.0, 0.0, 3.0, 1e6):
+        assert spectrum_analytic(tanh, 3.0, 5, anchor=anchor) == want
 
 
-def test_filled_memo_leaves_identity_alone():
+def test_seed_screening_leaves_identity_alone():
     fam = preset_params("TypeA")
-    before = (repr(fam), hash(fam))
+    before = (repr(fam), hash(fam), sorted(fam.__getstate__()))
     spectrum_analytic(fam, 2.0, 3)
-    assert _seed_reports(fam)
-    assert (repr(fam), hash(fam)) == before
+    max_level(fam, 2.0, "decreasing", limit=8)
+    assert (repr(fam), hash(fam), sorted(fam.__getstate__())) == before
     assert fam == preset_params("TypeA")
+    assert not hasattr(fam, "_seed_memo")
     back = pickle.loads(pickle.dumps(fam))
     assert back == fam and hash(back) == hash(fam) and repr(back) == repr(fam)
-    # copies start with an empty memo, so no two instances share verdicts
-    assert back._seed_memo == {} and copy.copy(fam)._seed_memo == {}
+    assert spectrum_analytic(back, 2.0, 3) == spectrum_analytic(
+        copy.copy(fam), 2.0, 3)
