@@ -7,6 +7,8 @@ finite-difference oracle (numerics), and residual suites tying the two
 together (checks). The `shapeinv` console script fronts all of it.
 """
 
+import importlib
+
 from .errors import (BoundaryConditionError, FamilyError, GridTooCoarseError,
                      NormalizationError, OrbitError, PoleError, ShapeInvError,
                      VerificationError)
@@ -31,6 +33,15 @@ from .spectra import (ChainDirection, NormalizabilityReport, SpectralChain,
                       check_normalizable, count_nodes, energy_level,
                       excited_state, ground_state, ladder_apply, max_level,
                       partner_energies, resolve_direction, spectrum_analytic)
-from .checks import CheckResult, SUITE_NAMES, run_suite, run_suites
 
 __version__ = "0.1.0"
+
+# The residual suites load on first use: only `verify` needs them, and the
+# CLI's other subcommands skip their import.
+_CHECKS_NAMES = frozenset({"CheckResult", "SUITE_NAMES", "run_suite", "run_suites"})
+
+
+def __getattr__(name):
+    if name in _CHECKS_NAMES:
+        return getattr(importlib.import_module(".checks", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import checks, families, numerics, partners, spectra
+from . import families, numerics, partners, riccati, spectra
 from .errors import (BoundaryConditionError, FamilyError, GridTooCoarseError,
                      NormalizationError, OrbitError, PoleError, ShapeInvError,
                      VerificationError)
@@ -288,12 +288,14 @@ def _grid_meta(grid: numerics.Grid) -> dict:
     return {"xmin": grid.x0, "xmax": grid.x1, "n": grid.n}
 
 
-def _require_pole_free(fam: families.Family, m: float,
-                       grid: numerics.Grid) -> None:
-    poles = fam.singularities(m, (grid.x0, grid.x1))
+def _require_pole_free(fam: families.Family, m: float, window) -> None:
+    """Refuse a window holding poles, naming at most 8 distinct ones like
+    the closed forms' own check: a wide window can hold thousands."""
+    poles = fam.singularities(m, window)
     if poles:
+        locations = sorted({float(p) for p in poles})[:riccati._MAX_LOCATIONS]
         raise PoleError("potential has poles inside the requested grid",
-                        locations=[float(p) for p in poles])
+                        locations=locations)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -369,10 +371,7 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     fam = cfg.build_family()
     xs = _eval_points(cfg, fam)
-    poles = fam.singularities(cfg.m, (float(xs[0]), float(xs[-1])))
-    if poles:
-        raise PoleError("potential has poles inside the requested grid",
-                        locations=[float(p) for p in poles])
+    _require_pole_free(fam, cfg.m, (float(xs[0]), float(xs[-1])))
     xs, W, V, Vt = _eval_samples(cfg, fam, xs)
     if cfg.output_format == "json":
         doc = {"columns": ["x", "W", "V", "Vtilde"],
@@ -432,7 +431,7 @@ def cmd_spectrum(args) -> int:
                   direction=direction.value)
             return EXIT_NORMALIZABILITY
         grid = _resolve_grid(cfg, fam)
-        _require_pole_free(fam, cfg.m, grid)
+        _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
         pp = partners.pair_from_family(fam, cfg.d)
         numeric = numerics.spectrum_numeric(lambda x: pp.V(x, cfg.m), grid,
                                             cfg.kmax + 1)
@@ -474,6 +473,7 @@ def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     if _dump_config_requested(args, cfg):
         return EXIT_OK
+    from . import checks  # only verify needs the suites; see __init__
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
     n = cfg.grid["n"] if isinstance(cfg.grid, dict) else _DEFAULT_N
     results = checks.run_suites(names, n=n)
@@ -504,7 +504,7 @@ def cmd_wavefunction(args) -> int:
         _diag("non-normalizable", str(exc))
         return EXIT_NORMALIZABILITY
     grid = _resolve_grid(cfg, fam)
-    _require_pole_free(fam, cfg.m, grid)
+    _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
     try:
         wf = spectra.excited_state(fam, cfg.m, args.k, direction, grid, cfg.d)
     except (OrbitError, NormalizationError) as exc:

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,9 @@ class TridiagonalSym:
         return out
 
     def _pivmin(self) -> float:
+        # a Python float, so the scalar recurrences never touch numpy scalars
         e2max = float(np.max(self.offdiag * self.offdiag)) if self.offdiag.size else 0.0
-        return max(e2max, 1.0) * np.finfo(float).tiny / _EPS
+        return max(e2max, 1.0) * _TINY / _EPS
 
     def _sturm_rows(self):
         # Row data of the Sturm recurrence as Python floats. The leading 0.0
@@ -212,6 +214,23 @@ class TridiagonalSym:
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
     def eigenvalues_lowest(self, k: int, tol: Optional[float] = None) -> np.ndarray:
+        """The k lowest eigenvalues, ascending, by Sturm-count bisection.
+
+        Every level walks one fixed bisection tree: the root is the
+        Gershgorin bracket widened by pad, a node [a, b] splits at
+        0.5 * (a + b), and level i keeps the lower half where
+        count(mid) > i. A walk stops at a width relative to the level's
+        magnitude (an explicit tol is absolute), once the midpoint no longer
+        splits the node, or after 220 splits, and returns the node's midpoint.
+
+        The computed Sturm count is monotone in the shift, so a count taken
+        anywhere settles every node whose midpoint lies beyond it. A
+        `_ShiftRecord` collects such counts cheaply (doubling up from the
+        lower Gershgorin bound, safeguarded Newton steps on det(T - sigma I),
+        a bracket around the Newton limit), and `_sturm_count` runs only at a
+        node they leave open. The result is the same double as splitting
+        every node with its own count.
+        """
         if not 1 <= k <= self.n:
             raise ValueError("k must be between 1 and the matrix size")
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
@@ -221,26 +240,33 @@ class TridiagonalSym:
         pad = 2.0 * _EPS * max(abs(lo), abs(hi), 1.0)
         d, e2 = self._sturm_rows()
         pivmin = self._pivmin()
-        los = [lo - pad] * k
-        his = [hi + pad] * k
-        # Bisect level by level, lowest first. Every count narrows the
-        # bracket of each later level the shift falls inside of. A level stops
-        # at a width relative to its magnitude (an explicit tol is absolute),
-        # or once the midpoint no longer splits the bracket.
+        known = _ShiftRecord(d, e2, pivmin, k, _EPS * max(abs(lo), abs(hi)) + pivmin)
+        known.double_up(lo, hi + pad)
+        los, his = [], []
         for i in range(k):
-            for _ in range(220):
-                a, b = los[i], his[i]
+            a, b = lo - pad, hi + pad
+            polished = False
+            splits = 0
+            while splits < 220:
                 mid = 0.5 * (a + b)
                 stop = 2.0 * _EPS * max(abs(a), abs(b)) + pivmin if tol is None else tol
                 if b - a <= stop or not a < mid < b:
                     break
-                count = _sturm_count(d, e2, pivmin, mid)
-                for j in range(i, k):
-                    if los[j] < mid < his[j]:
-                        if count > j:
-                            his[j] = mid
-                        else:
-                            los[j] = mid
+                if mid >= known.upper[i]:
+                    b = mid
+                elif mid <= known.lower[i]:
+                    a = mid
+                elif not polished and known.isolates(i):
+                    polished = True
+                    known.polish(i)
+                    continue
+                elif known.count(mid) > i:
+                    b = mid
+                else:
+                    a = mid
+                splits += 1
+            los.append(a)
+            his.append(b)
         return 0.5 * (np.array(los) + np.array(his))
 
     def eigenvector(self, lam: float, prev: Sequence[np.ndarray] = (),
@@ -276,6 +302,112 @@ def _sturm_count(d, e2, pivmin, sigma):
             if q > -pivmin:
                 q = -pivmin
     return count
+
+
+def _newton_pass(d, e2, pivmin, sigma):
+    """`_sturm_count`'s pass at sigma, carrying each pivot's derivative along.
+
+    Returns the count, the same as `_sturm_count` gives, and
+    sum_j q_j'/q_j = d/dsigma log|det(T - sigma I)|. Pivots never vanish
+    after the clamp, so plain Python floats stay finite or turn inf/nan
+    without raising."""
+    count = 0
+    q = 1.0
+    r = 0.0  # q'/q of the previous row
+    s = 0.0
+    for di, ei in zip(d, e2):
+        t = ei / q
+        dq = t * r - 1.0
+        q = (di - sigma) - t
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+        r = dq / q
+        s += r
+    return count, s
+
+
+class _ShiftRecord:
+    """What the Sturm counts taken so far say about each of the k levels.
+
+    For level i, `lower[i]` is the largest shift counted at most i and
+    `upper[i]` the smallest counted above i, with their counts in
+    `lower_count` and `upper_count`. By monotonicity of the count, level i's
+    bisection goes right at any midpoint <= lower[i] and left at any
+    midpoint >= upper[i]."""
+
+    # Newton stops once a step is below NEWTON_RTOL |x| or the noise; the
+    # bracket around its limit starts at x +- HALO * noise, widening fourfold.
+    # On the finite-difference matrices the limit lands 0.02 to 0.2 noise
+    # units from the level's count step.
+    NEWTON_RTOL = 1e-7
+    NEWTON_STEPS = 40
+    HALO = 0.0625
+
+    def __init__(self, d, e2, pivmin, k, noise):
+        """noise: eps times the Gershgorin magnitude, plus pivmin: about
+        the width within which rounding decides a shift's count."""
+        self.d, self.e2, self.pivmin, self.k = d, e2, pivmin, k
+        self.noise = noise
+        self.lower = [-math.inf] * k
+        self.lower_count = [-1] * k
+        self.upper = [math.inf] * k
+        self.upper_count = [len(d) + 1] * k
+
+    def note(self, sigma, count):
+        for j in range(min(count, self.k)):
+            if sigma < self.upper[j]:
+                self.upper[j], self.upper_count[j] = sigma, count
+        for j in range(count, self.k):
+            if sigma > self.lower[j]:
+                self.lower[j], self.lower_count[j] = sigma, count
+
+    def count(self, sigma):
+        c = _sturm_count(self.d, self.e2, self.pivmin, sigma)
+        self.note(sigma, c)
+        return c
+
+    def double_up(self, lo, top):
+        """Counts at lo + s, lo + 2s, lo + 4s, ... below top, until one
+        passes every level; s is 1, or a few ulps of lo where that is more."""
+        step = max(1.0, 4.0 * _EPS * abs(lo))
+        while lo + step < top and self.count(lo + step) < self.k:
+            step *= 2.0
+
+    def isolates(self, i):
+        """Whether the recorded bracket of level i holds it alone."""
+        return self.lower_count[i] == i and self.upper_count[i] == i + 1
+
+    def polish(self, i):
+        """Safeguarded Newton on det(T - sigma I) inside level i's isolating
+        bracket, then counts around the limit, widened until they bracket the
+        level. Every pass is recorded; none decides a node by itself."""
+        x = 0.5 * (self.lower[i] + self.upper[i])
+        older = old = self.upper[i] - self.lower[i]
+        for _ in range(self.NEWTON_STEPS):
+            c, s = _newton_pass(self.d, self.e2, self.pivmin, x)
+            self.note(x, c)
+            a, b = self.lower[i], self.upper[i]
+            nx = x - 1.0 / s if s else math.nan
+            if not a < nx < b or abs(nx - x) > 0.5 * older:
+                nx = 0.5 * (a + b)
+                if not a < nx < b:
+                    return
+            elif abs(nx - x) <= max(self.NEWTON_RTOL * abs(x), self.noise):
+                x = nx
+                break
+            older, old = old, abs(nx - x)
+            x = nx
+        else:
+            return
+        dx = self.HALO * self.noise
+        while self.upper[i] - self.lower[i] > 2.0 * dx:
+            if self.lower[i] < x - dx:
+                self.count(x - dx)
+            if x + dx < self.upper[i]:
+                self.count(x + dx)
+            dx *= 4.0
 
 
 def _factor_shifted(diag, off, shift):

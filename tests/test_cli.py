@@ -413,6 +413,17 @@ def test_pole_diagnostic_names_few_distinct_locations():
     assert len(set(locations)) == len(locations)
 
 
+def test_eval_pole_diagnostic_is_capped():
+    # the window holds 31,830 poles of cot; naming them all took 610 KB
+    code, out, err = run_cli("eval", "--family", "TypeA",
+                             "--grid=0.5,1e5,100")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1024
+    locations = stderr_diag(err)["locations"]
+    assert locations == sorted(set(locations))
+    assert len(locations) == 8 and locations[0] == pytest.approx(math.pi)
+
+
 def test_grid_too_coarse_diagnostic_carries_h_and_w_max():
     code, out, err = run_cli("wavefunction", "--family", "TypeD:b=1",
                              "--m", "1", "--k", "1", "--grid=-8,8,64",

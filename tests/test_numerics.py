@@ -3,14 +3,20 @@ eigensolver, and the Dirichlet spectrum driver."""
 
 import json
 import math
+import warnings
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
+from shapeinv import numerics
 from shapeinv.errors import BoundaryConditionError, PoleError
 from shapeinv.families import family_from_json, preset_params
-from shapeinv.numerics import (Grid, GridFunction, NumericSpectrum,
+from shapeinv.numerics import (_EPS, _newton_pass, _sturm_count,
+                               Grid, GridFunction, NumericSpectrum,
                                TridiagonalSym, adjointness_defect,
                                apply_hamiltonian, derivative, eigen_lowest,
                                fix_sign, hamiltonian_matrix, inner_product,
@@ -191,12 +197,12 @@ def test_count_below_and_bounds():
     assert one.eigenvalues_lowest(1)[0] == pytest.approx(3.0, abs=1e-14)
 
 
-def test_count_below_on_leading_minor_eigenvalues():
-    # Build pivots of T - 0*I as powers of two with one exact zero at row j,
-    # so 0 is an eigenvalue of the leading (j+1)x(j+1) minor and the Sturm
-    # recurrence hits a vanishing pivot that must be clamped, not divided by.
+def _leading_minor_matrices():
+    """(d, e, j): pivots of T - 0*I as powers of two with one exact zero at
+    row j, so 0 is an eigenvalue of the leading (j+1)x(j+1) minor and the
+    Sturm recurrence hits a vanishing pivot that must be clamped, not
+    divided by."""
     rng = np.random.default_rng(29)
-    checked = 0
     for _ in range(60):
         n = int(rng.integers(2, 10))
         piv = rng.choice([-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0], n)
@@ -205,6 +211,12 @@ def test_count_below_on_leading_minor_eigenvalues():
         e = rng.choice([-1.0, 1.0], n - 1)
         d = piv.copy()
         d[1:] += 1.0 / np.where(piv[:-1] == 0.0, np.inf, piv[:-1])
+        yield d, e, j
+
+
+def test_count_below_on_leading_minor_eigenvalues():
+    checked = 0
+    for d, e, j in _leading_minor_matrices():
         minor = np.linalg.eigvalsh(_dense(d[:j + 1], e[:j]))
         assert np.min(np.abs(minor)) < 1e-12
         evals = np.linalg.eigvalsh(_dense(d, e))
@@ -238,13 +250,22 @@ def _config_problem(name):
     return fam, cfg["m"], (lambda x: pair.V(x, cfg["m"])), grid, cfg["kmax"] + 1
 
 
+def _config_matrices(name, n=None):
+    """The fine Dirichlet matrix of a tests/data configuration, at n nodes
+    or the configuration's own, and its Richardson coarse matrix, with the
+    level count."""
+    _, _, V, grid, k = _config_problem(name)
+    n = n or grid.n
+    fine = Grid(grid.x0, grid.x1, n)
+    coarse = Grid(grid.x0, grid.x1, n // 2 + 1)
+    return [hamiltonian_matrix(V, g) for g in (fine, coarse)], k
+
+
 @pytest.mark.parametrize("name", ["oscillator", "trig", "hyperbolic"])
 def test_config_matrices_match_lapack_bisection(name):
     linalg = pytest.importorskip("scipy.linalg")
-    _, _, V, grid, k = _config_problem(name)
-    coarse = Grid(grid.x0, grid.x1, grid.n // 2 + 1)
-    for g in (grid, coarse):
-        mat = hamiltonian_matrix(V, g)
+    mats, k = _config_matrices(name)
+    for mat in mats:
         got = mat.eigenvalues_lowest(k)
         want = linalg.eigh_tridiagonal(
             mat.diag, mat.offdiag, eigvals_only=True, select="i",
@@ -262,6 +283,166 @@ def test_lower_levels_do_not_depend_on_the_level_count(n):
         mat = hamiltonian_matrix(lambda x: V(x, 1.0), grid)
         three, four = mat.eigenvalues_lowest(3), mat.eigenvalues_lowest(4)
         assert three.tobytes() == four[:3].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the tree walk against plain bisection
+
+def _reference_eigenvalues(mat, k: int, tol: Optional[float] = None) -> np.ndarray:
+    """The solver before the tree walk: plain level-by-level bisection,
+    one Sturm count per split."""
+    lo, hi = mat.gershgorin()
+    pad = 2.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+    d, e2 = mat._sturm_rows()
+    pivmin = mat._pivmin()
+    los = [lo - pad] * k
+    his = [hi + pad] * k
+    # Bisect level by level, lowest first. Every count narrows the
+    # bracket of each later level the shift falls inside of. A level stops
+    # at a width relative to its magnitude (an explicit tol is absolute),
+    # or once the midpoint no longer splits the bracket.
+    for i in range(k):
+        for _ in range(220):
+            a, b = los[i], his[i]
+            mid = 0.5 * (a + b)
+            stop = 2.0 * _EPS * max(abs(a), abs(b)) + pivmin if tol is None else tol
+            if b - a <= stop or not a < mid < b:
+                break
+            count = _sturm_count(d, e2, pivmin, mid)
+            for j in range(i, k):
+                if los[j] < mid < his[j]:
+                    if count > j:
+                        his[j] = mid
+                    else:
+                        los[j] = mid
+    return 0.5 * (np.array(los) + np.array(his))
+
+
+def _assert_matches_reference(mat, k, tol=None):
+    """Bit-identity with plain bisection, unless a level's final width lies
+    more than 2**200 splits below the root's: only there can the 220-split
+    cap bind (levels within about 1e-60 of 0 on a matrix of unit scale), and
+    the walk may return a different tiny value (see test_zero_matrix_levels).
+    Returns whether the comparison was made."""
+    want = _reference_eigenvalues(mat, k, tol)
+    lo, hi = mat.gershgorin()
+    root = hi - lo + 4.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+    if np.any(root / (2.0 * _EPS * np.abs(want) + mat._pivmin()) > 2.0 ** 200):
+        return False
+    got = mat.eigenvalues_lowest(k, tol)
+    assert got.tobytes() == want.tobytes(), (got, want)
+    return True
+
+
+@pytest.mark.parametrize("n", [1001, 2001, 4001])
+@pytest.mark.parametrize("name", ["oscillator", "trig", "hyperbolic"])
+def test_tree_walk_matches_reference_on_config_matrices(name, n):
+    mats, k = _config_matrices(name, n)
+    for mat in mats:
+        assert _assert_matches_reference(mat, k)
+
+
+def test_tree_walk_matches_reference_with_explicit_tol():
+    mats, k = _config_matrices("trig", 1001)
+    for tol in (1e-3, 1e-9):
+        assert _assert_matches_reference(mats[0], k, tol)
+    w21 = TridiagonalSym(diag=np.abs(np.arange(21) - 10.0), offdiag=np.ones(20))
+    assert _assert_matches_reference(w21, 21, 1e-12)
+
+
+def test_tree_walk_matches_reference_on_wilkinson():
+    d = np.abs(np.arange(21) - 10.0)
+    assert _assert_matches_reference(TridiagonalSym(diag=d, offdiag=np.ones(20)), 21)
+
+
+def test_tree_walk_matches_reference_on_leading_minor_pivots():
+    checked = 0
+    for d, e, _ in _leading_minor_matrices():
+        checked += _assert_matches_reference(TridiagonalSym(diag=d, offdiag=e), d.size)
+    assert checked >= 30
+
+
+_ENTRY = st.one_of(st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0, 4.0]),
+                   st.floats(-10.0, 10.0, allow_nan=False))
+_COUPLING = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5]),
+                      st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rows=st.lists(st.tuples(_ENTRY, _COUPLING), min_size=1, max_size=12),
+       scale=st.sampled_from([1e-3, 1.0, 1e4]))
+def test_tree_walk_matches_reference_on_random_tridiagonals(rows, scale):
+    # zero couplings split the matrix into blocks with shared eigenvalues
+    d = np.array([r[0] for r in rows]) * scale
+    e = np.array([r[1] for r in rows[1:]]) * scale
+    mat = TridiagonalSym(diag=d, offdiag=e)
+    _assert_matches_reference(mat, mat.n)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_zero_matrix_levels(n):
+    # Every level of the zero matrix walks the same path for all 220 splits
+    # and returns the same node, -2**-271. Plain bisection capped each
+    # level's own splits at 220 after inheriting the lower level's bracket,
+    # and returned -2.6e-82, -1.6e-148, -9.3e-215, -5.5e-281, -5.0e-293 at
+    # n = 5.
+    got = TridiagonalSym(diag=np.zeros(n), offdiag=np.zeros(n - 1)).eigenvalues_lowest(n)
+    assert got.tobytes() == np.full(n, -2.0 ** -271).tobytes()
+
+
+def test_sturm_count_monotone_near_every_trig_level():
+    # the tree walk takes a decision from any count on the far side of a
+    # midpoint, which is sound because the computed count never decreases
+    # as the shift grows; here on every double within 64 ulps of each level
+    mats, k = _config_matrices("trig", 4001)
+    mat = mats[0]
+    d, e2 = mat._sturm_rows()
+    pivmin = mat._pivmin()
+    for lam in mat.eigenvalues_lowest(k):
+        sigma = float(lam)
+        for _ in range(64):
+            sigma = float(np.nextafter(sigma, -np.inf))
+        counts = []
+        for _ in range(129):
+            c = _sturm_count(d, e2, pivmin, sigma)
+            assert _newton_pass(d, e2, pivmin, sigma)[0] == c
+            counts.append(c)
+            sigma = float(np.nextafter(sigma, np.inf))
+        assert counts == sorted(counts)
+        assert counts[0] < counts[-1]  # the level's step lies in the window
+
+
+@pytest.mark.parametrize("d", [[2.0, -1.0, 2.0], [0.0, 0.0, 1e-300, 3.0]])
+def test_clamped_pivots_raise_no_warning(d):
+    # zero couplings put pivots at -pivmin, where a numpy scalar would warn
+    # on the derivative's overflow; a pivot in (0, pivmin) counts as negative
+    mat = TridiagonalSym(diag=np.array(d), offdiag=np.zeros(len(d) - 1))
+    rows, pivmin = mat._sturm_rows(), mat._pivmin()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mat.eigenvalues_lowest(mat.n)
+        for sigma in (-1.0, 0.0, 1e-300, 2.0, 5.0):
+            assert (_newton_pass(*rows, pivmin, sigma)[0]
+                    == _sturm_count(*rows, pivmin, sigma)
+                    == mat.count_below(sigma))
+    assert np.allclose(got, np.sort(d), atol=1e-12)
+
+
+def test_trig_pass_count(monkeypatch):
+    # Sturm passes (counts plus Newton passes) of the trig configuration's
+    # fine and coarse matrices; plain bisection took 346 counts
+    passes = []
+    for name in ("_sturm_count", "_newton_pass"):
+        fn = getattr(numerics, name)
+
+        def counted(*args, fn=fn, name=name):
+            passes.append(name)
+            return fn(*args)
+        monkeypatch.setattr(numerics, name, counted)
+    mats, k = _config_matrices("trig")
+    for mat in mats:
+        mat.eigenvalues_lowest(k)
+    assert 0 < len(passes) <= 250
 
 
 def test_eigensolver_argument_checks():
