@@ -289,11 +289,13 @@ def _grid_meta(grid: numerics.Grid) -> dict:
 
 
 def _require_pole_free(fam: families.Family, m: float, window) -> None:
-    """Refuse a window holding poles, naming at most 8 distinct ones like
-    the closed forms' own check: a wide window can hold thousands."""
-    poles = fam.singularities(m, window)
+    """Refuse a window holding poles, naming its first 8 distinct ones like
+    the closed forms' own check: a wide window can hold millions, so only
+    the periods that can hold those 8 are scanned."""
+    cap = riccati._MAX_LOCATIONS
+    poles = fam.singularities_near(m, window, float(window[0]), cap + 1)
     if poles:
-        locations = sorted({float(p) for p in poles})[:riccati._MAX_LOCATIONS]
+        locations = sorted({float(p) for p in poles})[:cap]
         raise PoleError("potential has poles inside the requested grid",
                         locations=locations)
 
@@ -423,11 +425,11 @@ def cmd_spectrum(args) -> int:
         report["analytic"] = block
     numeric = None
     if mode in ("numeric", "both"):
-        probe = spectra.check_normalizable(fam, cfg.m, direction)
-        if not probe:
+        seed = spectra.check_normalizable(fam, cfg.m, direction)
+        if not seed:
             _diag("non-normalizable",
                   "ground state is not square integrable",
-                  divergent_end=probe.divergent_end,
+                  divergent_end=seed.divergent_end,
                   direction=direction.value)
             return EXIT_NORMALIZABILITY
         grid = _resolve_grid(cfg, fam)
@@ -611,7 +613,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        # overflow and the like are classified by the finite checks of each
+        # path (samples, matrix, ladder), never reported as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except PoleError as exc:
         _diag("pole", str(exc),
               locations=getattr(exc, "locations", None))

@@ -266,21 +266,28 @@ class Family:
         """Poles of k(., m) in [lo, hi]; locations do not depend on m."""
         return self._y().singularities(window)
 
+    def singularities_near(self, m, window, around, periods) -> list:
+        """Poles of k(., m) in the window within `periods` pole spacings of
+        `around`, at a cost independent of the window's width.
+
+        The negative-a rows have poles every pi/c, so the scan is clipped to
+        that many periods on each side of `around`; a huge window would
+        otherwise enumerate astronomically many roots. Every other row has at
+        most one pole, and the whole window is scanned.
+        """
+        lo, hi = float(window[0]), float(window[1])
+        if self.params.sign.kind == "neg":
+            span = periods * math.pi / self.params.sign.c
+            lo, hi = max(lo, around - span), min(hi, around + span)
+        return self.singularities(m, (lo, hi))
+
     def natural_domain(self, m, anchor, window):
         """Largest pole-free open interval around anchor, clipped to window."""
         lo, hi = float(window[0]), float(window[1])
         anchor = float(anchor)
         if not lo <= anchor <= hi:
             raise ValueError("anchor must lie inside the window")
-        scan_lo, scan_hi = lo, hi
-        if self.params.sign.kind == "neg":
-            # poles repeat every pi/c, so the nearest ones sit within a few
-            # periods of the anchor; scanning a huge window would enumerate
-            # astronomically many roots
-            span = 2.5 * math.pi / self.params.sign.c
-            scan_lo = max(scan_lo, anchor - span)
-            scan_hi = min(scan_hi, anchor + span)
-        poles = self.singularities(m, (scan_lo, scan_hi))
+        poles = self.singularities_near(m, (lo, hi), anchor, 2.5)
         for pole in poles:
             if abs(pole - anchor) < 1e-12 * max(abs(pole), abs(anchor), 1.0):
                 raise PoleError(f"anchor {anchor} coincides with a pole", locations=[pole])

@@ -17,9 +17,9 @@ exists if its seed is square integrable on the family's pole-free cell.
 That verdict is exact: k(., p) is gamma(p) f + beta h + kappa(p) over the
 closed forms, so the seed's behaviour at each end of the cell follows from a
 residue at a pole or a limit at infinity (the unbroken-SUSY criterion of
-Cooper, Khare & Sukhatme, applied end by end). The numerical probe
-`check_normalizable` samples the same question on nested windows; it is kept
-as an independent oracle and for the CLI's numeric pre-check.
+Cooper, Khare & Sukhatme, applied end by end). It is the library's only
+square-integrability rule: `check_normalizable` reports it for a chosen
+direction, and the seed screening of every chain raises on it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from itertools import islice
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -126,118 +127,15 @@ def _as_grid(x) -> Tuple[Grid, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# square integrability: the numerical probe and the exact seed verdict
+# square integrability of chain seeds
 
 @dataclass(frozen=True)
 class NormalizabilityReport:
     normalizable: bool
-    log_norm: Optional[float]      # log of the L2 norm, with psi(anchor) = 1
     divergent_end: Optional[str]   # 'left' or 'right'
-    stages: int
 
     def __bool__(self) -> bool:
         return self.normalizable
-
-
-def _probe_square_integrable(log_derivative: Callable, domain,
-                             anchor: Optional[float] = None,
-                             rel_tol: float = 1e-6, max_stages: int = 40,
-                             samples: int = 2048) -> NormalizabilityReport:
-    """Decide whether exp(int_anchor^x g) is square integrable on the domain.
-
-    g = log_derivative is integrated over geometric shells: the probed window
-    approaches finite endpoints geometrically and doubles toward infinite
-    ones, and each stage adds only its new shell, sampled on its own uniform
-    mesh. Resampling the whole window instead would wash out any structure g
-    has near the anchor (1/x spikes, say) once the window dwarfs it. Each
-    stage evaluates g once, on both new shells together. A non-finite g
-    counts as divergence toward that side (left first), so overflow inside g
-    is expected and not warned about. The mass accumulates in log space so
-    nothing overflows. Convergence means the log of the total moved less than
-    rel_tol between consecutive stages.
-    """
-    left, right = float(domain[0]), float(domain[1])
-    if not left < right:
-        raise ValueError("domain must satisfy left < right")
-    if anchor is None:
-        if math.isfinite(left) and math.isfinite(right):
-            anchor = 0.5 * (left + right)
-        elif math.isfinite(left):
-            anchor = left + 1.0
-        elif math.isfinite(right):
-            anchor = right - 1.0
-        else:
-            anchor = 0.0
-    anchor = float(anchor)
-    if not left < anchor < right:
-        raise ValueError("anchor must lie strictly inside the domain")
-
-    half = max(samples // 2, 64)
-    gap_left = 0.5 * (anchor - left) if math.isfinite(left) else None
-    gap_right = 0.5 * (right - anchor) if math.isfinite(right) else None
-
-    def edge(side, j):
-        if side == "left":
-            if gap_left is not None:
-                return left + gap_left * 0.5 ** j
-            return anchor - 4.0 * 2.0 ** j
-        if gap_right is not None:
-            return right - gap_right * 0.5 ** j
-        return anchor + 4.0 * 2.0 ** j
-
-    # per side: inner shell edge, s at that edge, log of the mass so far
-    state = {"left": (anchor, 0.0, -math.inf),
-             "right": (anchor, 0.0, -math.inf)}
-
-    def shell(side, j):
-        inner, outer = state[side][0], edge(side, j)
-        return (np.linspace(outer, inner, half + 1) if side == "left"
-                else np.linspace(inner, outer, half + 1))
-
-    def advance(side, xs, g):
-        _, s_inner, log_mass = state[side]
-        outer = float(xs[0] if side == "left" else xs[-1])
-        h = xs[1] - xs[0]
-        cum = cumulative_simpson_values(g, h)
-        # s is always int_anchor^x g; continuity carries s_inner across shells
-        s = s_inner + (cum - cum[-1] if side == "left" else cum)
-        two_s = 2.0 * s
-        peak = float(np.max(two_s))
-        val = integrate(np.exp(two_s - peak), h)
-        if val > 0.0 and np.isfinite(peak):
-            log_mass = float(np.logaddexp(log_mass, peak + math.log(val)))
-        elif not np.isfinite(peak):
-            log_mass = math.inf
-        s_outer = float(s[0] if side == "left" else s[-1])
-        state[side] = (outer, s_outer, log_mass)
-        return log_mass
-
-    prev_total = None
-    d_left = d_right = 0.0
-    for j in range(max_stages):
-        prev_l, prev_r = state["left"][2], state["right"][2]
-        xs_l, xs_r = shell("left", j), shell("right", j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.asarray(log_derivative(np.concatenate((xs_l, xs_r))),
-                           dtype=float)
-        g_l, g_r = g[:half + 1], g[half + 1:]
-        if not np.isfinite(g).all():
-            end = "left" if not np.isfinite(g_l).all() else "right"
-            return NormalizabilityReport(False, None, end, j + 1)
-        log_l = advance("left", xs_l, g_l)
-        log_r = advance("right", xs_r, g_r)
-        total = float(np.logaddexp(log_l, log_r))
-        if not np.isfinite(total) or total > 600.0:
-            end = "left" if log_l > log_r else "right"
-            return NormalizabilityReport(False, None, end, j + 1)
-        if prev_total is not None and abs(total - prev_total) < rel_tol:
-            return NormalizabilityReport(True, 0.5 * total, None, j + 1)
-        if j > 0:
-            d_left = log_l - prev_l if np.isfinite(prev_l) else 0.0
-            d_right = log_r - prev_r if np.isfinite(prev_r) else 0.0
-        prev_total = total
-    end = "left" if d_left > d_right else "right"
-    return NormalizabilityReport(False, None, end, max_stages)
 
 
 # the window of a seed's cell: the whole line, cut only by poles
@@ -256,12 +154,6 @@ def _default_anchor(family: Family) -> float:
             continue
         return cand
     raise PoleError("no pole-free anchor found near the family's reference point")
-
-
-def _seed_log_derivative(family: Family, p: float, sign: int) -> Callable:
-    def g(xs):
-        return sign * np.asarray(family.k(xs, p), dtype=float)
-    return g
 
 
 def _seed_end_verdicts(family: Family, p: float, sign: int, cell) -> tuple:
@@ -300,68 +192,67 @@ def _seed_end_verdicts(family: Family, p: float, sign: int, cell) -> tuple:
     return tuple(out)
 
 
-def _require_seed_normalizable(family: Family, p: float, sign: int, anchor: float):
-    """Raise unless the seed exp(sign int W(., p)) is square integrable on the
-    pole-free cell around anchor. The verdict depends on the cell alone; when
-    both ends diverge, the left one is named."""
+def _divergent_end(family: Family, p: float, sign: int,
+                   anchor: float) -> Optional[str]:
+    """None when the seed exp(sign int W(., p)) is square integrable on the
+    pole-free cell around anchor, else its divergent end: the left one when
+    both diverge. The verdict depends on the cell alone."""
     left, right = _seed_end_verdicts(
         family, p, sign, family.natural_domain(1.0, anchor, _WHOLE_LINE))
-    if not (left and right):
-        end = "right" if left else "left"
+    if left and right:
+        return None
+    return "right" if left else "left"
+
+
+def _require_seed_normalizable(family: Family, p: float, sign: int, anchor: float):
+    end = _divergent_end(family, p, sign, anchor)
+    if end is not None:
         raise NormalizationError(
             f"chain seed at parameter {p:g} is not square integrable "
             f"(divergent toward the {end} end)", divergent_end=end)
 
 
-def check_normalizable(family: Family, m, direction, probe_domain=None,
-                       anchor: Optional[float] = None, rel_tol: float = 1e-6,
-                       max_stages: int = 40,
-                       samples: int = 2048) -> NormalizabilityReport:
-    """Is the direction's ground-state candidate exp(-+int W(., m)) in L2?
+def check_normalizable(family: Family, m, direction,
+                       anchor: Optional[float] = None) -> NormalizabilityReport:
+    """Is the direction's ground-state candidate exp(-+int W(., m)) in L2 on
+    the pole-free cell around the anchor (default: the family's reference
+    point)?
 
     Increasing chains test exp(-int W), decreasing ones exp(+int W). The
-    probe integrates exp(+-2 int W) on nested windows inside probe_domain
-    (default: the family's maximal pole-free interval around the anchor) and
-    reports convergence or the divergent end. The report is truthy exactly
-    when the state is square integrable.
+    verdict is the exact one of the seed screening; the report names the
+    divergent end and is truthy exactly when the state is square integrable.
     """
     direction = _coerce_direction(direction)
     sign = +1 if direction is ChainDirection.DecreasingL else -1
-    if probe_domain is None:
-        if anchor is None:
-            anchor = _default_anchor(family)
-        probe_domain = family.natural_domain(1.0, float(anchor), _WHOLE_LINE)
-    return _probe_square_integrable(
-        _seed_log_derivative(family, float(m), sign), probe_domain,
-        anchor=anchor, rel_tol=rel_tol, max_stages=max_stages, samples=samples)
+    if anchor is None:
+        anchor = _default_anchor(family)
+    end = _divergent_end(family, float(m), sign, float(anchor))
+    return NormalizabilityReport(end is None, end)
 
 
 # ---------------------------------------------------------------------------
 # direction resolution and energy bookkeeping
 
 def resolve_direction(family: Family, m, direction=None,
-                      anchor: Optional[float] = None,
-                      probe: bool = True) -> ChainDirection:
-    """Pick the chain direction: explicit wins, then the seed verdicts
-    (skipped with probe=False), then the monotonicity of L along the orbit.
-    An m outside the family's admissible set raises FamilyError before any of
-    that."""
+                      anchor: Optional[float] = None) -> ChainDirection:
+    """Pick the chain direction: explicit wins, then the seed verdicts, then
+    the monotonicity of L along the orbit. An m outside the family's
+    admissible set raises FamilyError before any of that."""
     m = family._require_m(m)
     if direction is not None:
         return _coerce_direction(direction)
     if anchor is None:
         anchor = _default_anchor(family)
-    if probe:
-        try:
-            _require_seed_normalizable(family, m, -1, anchor)
-            return ChainDirection.IncreasingL
-        except (NormalizationError, FamilyError):
-            pass
-        try:
-            _require_seed_normalizable(family, m + 1.0, +1, anchor)
-            return ChainDirection.DecreasingL
-        except (NormalizationError, FamilyError):
-            pass
+    try:
+        _require_seed_normalizable(family, m, -1, anchor)
+        return ChainDirection.IncreasingL
+    except (NormalizationError, FamilyError):
+        pass
+    try:
+        _require_seed_normalizable(family, m + 1.0, +1, anchor)
+        return ChainDirection.DecreasingL
+    except (NormalizationError, FamilyError):
+        pass
     try:
         cls = classify_L_sequence(family, m)
     except FamilyError:
@@ -381,43 +272,71 @@ def _spacing(family: Family, m: float) -> float:
         raise OrbitError(f"chain orbit crosses an undefined parameter: {exc}") from exc
 
 
-def _orbit_spacings(family: Family, m: float, k: int,
-                    direction: ChainDirection) -> list:
-    """R values consumed by level k, sign-checked along the orbit."""
-    out = []
-    if direction is ChainDirection.DecreasingL:
-        for r in range(k + 1):
-            spacing = _spacing(family, m + r)
+@dataclass(frozen=True)
+class ChainStep:
+    k: int
+    energy: float
+    seed_parameter: float
+    seed_sign: int
+    operator_parameters: tuple
+    adjoint: bool
+
+
+def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
+           last: Optional[int] = None) -> Iterator[ChainStep]:
+    """The steps of levels 0, 1, 2, ... of H(m), through `last` if given.
+
+    Energies are d -+ a running sum of the R values along the orbit, each
+    sign-checked as it is added. The first level whose spacing is undefined
+    or of the wrong sign raises OrbitError, naming that level, or `last` when
+    a single level was asked for.
+    """
+    decreasing = direction is ChainDirection.DecreasingL
+    total = 0.0
+    k = 0
+    while last is None or k <= last:
+        named = k if last is None else last
+        if decreasing:
+            spacing = _spacing(family, m + k)
             if not spacing < 0.0:
                 raise OrbitError(
-                    f"spacing R({m + r:g}) = {spacing:g} is not negative; "
-                    f"the decreasing chain has no level {k}")
-            out.append(spacing)
-    else:
-        for r in range(1, k + 1):
-            spacing = _spacing(family, m - r)
-            if not spacing > 0.0:
-                raise OrbitError(
-                    f"spacing R({m - r:g}) = {spacing:g} is not positive; "
-                    f"the increasing chain has no level {k}")
-            out.append(spacing)
-    return out
+                    f"spacing R({m + k:g}) = {spacing:g} is not negative; "
+                    f"the decreasing chain has no level {named}")
+            total += spacing
+            yield ChainStep(k, d - total, m + k + 1.0, +1,
+                            tuple(m + k - i for i in range(k)), False)
+        else:
+            if k > 0:
+                spacing = _spacing(family, m - k)
+                if not spacing > 0.0:
+                    raise OrbitError(
+                        f"spacing R({m - k:g}) = {spacing:g} is not positive; "
+                        f"the increasing chain has no level {named}")
+                total += spacing
+            yield ChainStep(k, d + total, m - k, -1,
+                            tuple(m - k + 1.0 + i for i in range(k)), True)
+        k += 1
+
+
+def _level(family: Family, m: float, k: int, direction: ChainDirection,
+           d: float) -> ChainStep:
+    for step in _orbit(family, m, direction, d, last=k):
+        pass
+    return step
+
+
+def _energy_shift(family: Family, d) -> float:
+    return family.params.d if d is None else float(d)
 
 
 def energy_level(family: Family, m, k: int, direction,
                  d: Optional[float] = None) -> float:
     """Closed-form energy of level k of H(m): d -+ the partial R sum."""
-    m = float(m)
     k = int(k)
     if k < 0:
         raise ValueError("level index must be >= 0")
-    direction = _coerce_direction(direction)
-    if d is None:
-        d = family.params.d
-    spacings = _orbit_spacings(family, m, k, direction)
-    if direction is ChainDirection.DecreasingL:
-        return d - sum(spacings)
-    return d + sum(spacings)
+    return _level(family, float(m), k, _coerce_direction(direction),
+                  _energy_shift(family, d)).energy
 
 
 def partner_energies(family: Family, m, n_levels: int, direction,
@@ -428,30 +347,16 @@ def partner_energies(family: Family, m, n_levels: int, direction,
     mode); increasing chains drop the main tower's ground level.
     """
     direction = _coerce_direction(direction)
-    n_levels = int(n_levels)
+    n_levels = max(int(n_levels), 0)
+    d_val = _energy_shift(family, d)
+    walk = _orbit(family, float(m), direction, d_val)
     if direction is ChainDirection.DecreasingL:
-        out = [family.params.d if d is None else float(d)]
-        out += [energy_level(family, m, j, direction, d) for j in range(n_levels - 1)]
-        return out
-    return [energy_level(family, m, j + 1, direction, d) for j in range(n_levels)]
+        return [d_val] + [s.energy for s in islice(walk, max(n_levels - 1, 0))]
+    return [s.energy for s in islice(walk, 1, n_levels + 1)]
 
 
 # ---------------------------------------------------------------------------
 # states
-
-def _plan_chain(family: Family, m: float, k: int, direction: ChainDirection):
-    """Seed parameter/sign and operator parameters, with R-sign validation."""
-    _orbit_spacings(family, m, k, direction)
-    if direction is ChainDirection.DecreasingL:
-        seed_param, seed_sign = m + k + 1.0, +1
-        op_params = tuple(m + k - i for i in range(k))
-        op_adjoint = False
-    else:
-        seed_param, seed_sign = m - k, -1
-        op_params = tuple(m - k + 1.0 + i for i in range(k))
-        op_adjoint = True
-    return seed_param, seed_sign, op_params, op_adjoint
-
 
 def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
     h = xs[1] - xs[0]
@@ -500,8 +405,7 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
 
 
 def excited_state(family: Family, m, k: int, direction, grid,
-                  d: Optional[float] = None,
-                  screen_seed: bool = True) -> WaveFunction:
+                  d: Optional[float] = None) -> WaveFunction:
     """Level-k bound state of H(m) built by the operator chain.
 
     The chain seeds the shifted-parameter ground state and ladders it back to
@@ -513,22 +417,19 @@ def excited_state(family: Family, m, k: int, direction, grid,
     k = int(k)
     if k < 0:
         raise ValueError("level index must be >= 0")
-    direction = _coerce_direction(direction)
-    seed_param, seed_sign, op_params, op_adjoint = _plan_chain(
-        family, m, k, direction)
-    if screen_seed:
-        _require_seed_normalizable(family, seed_param, seed_sign,
-                                   anchor=float(xs[xs.size // 2]))
-    psi = _state_seed(family, xs, seed_param, seed_sign)
+    step = _level(family, m, k, _coerce_direction(direction),
+                  _energy_shift(family, d))
+    _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
+                               anchor=float(xs[xs.size // 2]))
+    psi = _state_seed(family, xs, step.seed_parameter, step.seed_sign)
     h = float(xs[1] - xs[0])
-    for p in op_params:
-        psi = _ladder_values(psi, xs, family, p, op_adjoint)
+    for p in step.operator_parameters:
+        psi = _ladder_values(psi, xs, family, p, step.adjoint)
         peak = float(np.max(np.abs(psi)))
         if peak == 0.0:
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
         psi = psi / peak
-    energy = energy_level(family, m, k, direction, d)
     nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
     if nrm == 0.0:
         raise NormalizationError("state vanished on the grid")
@@ -538,11 +439,11 @@ def excited_state(family: Family, m, k: int, direction, grid,
         raise VerificationError(
             f"level {k} state shows {nodes} interior nodes; the grid may be "
             "too coarse or the domain clipped")
-    return WaveFunction(GridFunction(gobj, psi), k, energy, True)
+    return WaveFunction(GridFunction(gobj, psi), k, step.energy, True)
 
 
 def ground_state(family: Family, m, direction, grid,
-                 d: Optional[float] = None, check: bool = True) -> WaveFunction:
+                 d: Optional[float] = None) -> WaveFunction:
     """The zero mode exp(-int W(., m)) for increasing chains, or the partner
     tower's bottom exp(+int W(., m)) for decreasing ones; energy d either way."""
     gobj, xs = _as_grid(grid)
@@ -550,9 +451,7 @@ def ground_state(family: Family, m, direction, grid,
     direction = resolve_direction(family, m, direction,
                                   anchor=float(xs[xs.size // 2]))
     sign = -1 if direction is ChainDirection.IncreasingL else +1
-    if check:
-        _require_seed_normalizable(family, m, sign,
-                                   anchor=float(xs[xs.size // 2]))
+    _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
     psi = _state_seed(family, xs, m, sign)
     h = float(xs[1] - xs[0])
     nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
@@ -565,16 +464,6 @@ def ground_state(family: Family, m, direction, grid,
 
 # ---------------------------------------------------------------------------
 # chains and spectra
-
-@dataclass(frozen=True)
-class ChainStep:
-    k: int
-    energy: float
-    seed_parameter: float
-    seed_sign: int
-    operator_parameters: tuple
-    adjoint: bool
-
 
 @dataclass(frozen=True)
 class SpectralChain:
@@ -594,35 +483,25 @@ def build_chain(family: Family, m, n_levels: int, direction,
     """Operator bookkeeping for the first n_levels, without touching a grid."""
     m = float(m)
     direction = _coerce_direction(direction)
-    d_val = family.params.d if d is None else float(d)
-    steps = []
-    for k in range(int(n_levels)):
-        seed_param, seed_sign, op_params, op_adjoint = _plan_chain(
-            family, m, k, direction)
-        steps.append(ChainStep(
-            k=k,
-            energy=energy_level(family, m, k, direction, d_val),
-            seed_parameter=seed_param,
-            seed_sign=seed_sign,
-            operator_parameters=op_params,
-            adjoint=op_adjoint,
-        ))
+    d_val = _energy_shift(family, d)
+    steps = tuple(islice(_orbit(family, m, direction, d_val),
+                         max(int(n_levels), 0)))
     return SpectralChain(family=family, m=m, d=d_val, direction=direction,
-                         steps=tuple(steps))
+                         steps=steps)
 
 
 def max_level(family: Family, m, direction, anchor: Optional[float] = None,
-              limit: int = 64, screen_seeds: bool = True) -> Optional[int]:
+              limit: int = 64) -> Optional[int]:
     """Highest valid level index, or None when nothing fails below `limit`."""
-    m = float(m)
-    direction = _coerce_direction(direction)
     if anchor is None:
         anchor = _default_anchor(family)
+    walk = _orbit(family, float(m), _coerce_direction(direction),
+                  family.params.d)
     for k in range(int(limit)):
         try:
-            seed_param, seed_sign, _, _ = _plan_chain(family, m, k, direction)
-            if screen_seeds:
-                _require_seed_normalizable(family, seed_param, seed_sign, anchor)
+            step = next(walk)
+            _require_seed_normalizable(family, step.seed_parameter,
+                                       step.seed_sign, anchor)
         except (OrbitError, NormalizationError):
             return k - 1
     return None
@@ -685,19 +564,20 @@ def spectrum_analytic(family: Family, m, kmax: int, direction=None,
     if anchor is None:
         anchor = _default_anchor(family)
     direction = resolve_direction(family, m, direction, anchor=anchor)
-    d_val = family.params.d if d is None else float(d)
+    d_val = _energy_shift(family, d)
+    walk = _orbit(family, m, direction, d_val)
     levels = []
     reason = None
     for k in range(kmax + 1):
         try:
-            energy = energy_level(family, m, k, direction, d_val)
+            step = next(walk)
             if screen_seeds:
-                seed_param, seed_sign, _, _ = _plan_chain(family, m, k, direction)
-                _require_seed_normalizable(family, seed_param, seed_sign, anchor)
+                _require_seed_normalizable(family, step.seed_parameter,
+                                           step.seed_sign, anchor)
         except (OrbitError, NormalizationError) as exc:
             reason = str(exc)
             break
-        levels.append((k, energy))
+        levels.append((k, step.energy))
     if direction is ChainDirection.DecreasingL:
         partner = [(0, d_val)] + [(k + 1, e) for k, e in levels]
     else:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from conftest import DATA, GOLDEN, run_cli, stderr_diag
+from shapeinv import cli, spectra
 
 
 def read_golden(name):
@@ -132,6 +133,22 @@ def test_spectrum_numeric_probe_exit_4():
     assert code == 4
     diag = stderr_diag(err)
     assert diag["error"] == "non-normalizable"
+
+
+def test_numeric_precheck_calls_check_normalizable_once(monkeypatch, capsys):
+    # the benchmark's traced fd_crosscheck expects a span for this call
+    calls = []
+    real = spectra.check_normalizable
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "check_normalizable", counting)
+    code = cli.main(["spectrum", "--config", str(DATA / "oscillator.json"),
+                     "--mode", "numeric"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["numeric"]
+    assert len(calls) == 1
 
 
 def test_spectrum_truncation_reported():
@@ -398,19 +415,35 @@ def test_rate_constant_at_its_bounds_is_accepted(family):
     assert json.loads(out)["analytic"]["levels"]
 
 
-def test_pole_diagnostic_names_few_distinct_locations():
-    # the numeric mode's pre-check still samples the seed: at A = 1e6 its
-    # shells toward the pole collapse onto x = A, which they hit many times
-    code, out, err = run_cli("spectrum", "--family",
-                             "HyperbolicCoth:b=-4,D=3,A=1e6", "--m", "4",
-                             "--mode", "numeric", "--direction", "decreasing")
+def test_numeric_precheck_does_not_depend_on_translation():
+    # a sampling pre-check landed on the pole at x = A = 1e6 here and exited
+    # 2; the exact verdict gives every translate the A = 0 answer
+    runs = [run_cli("spectrum", "--family", f"HyperbolicCoth:b=-4,D=3,A={A}",
+                    "--m", "4", "--mode", "numeric", "--direction",
+                    "decreasing") for A in ("0", "30", "1e6")]
+    assert runs[0] == runs[1] == runs[2]
+    code, out, err = runs[0]
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "non-normalizable",
+        "message": "ground state is not square integrable",
+        "divergent_end": "right", "direction": "decreasing"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--grid=-8,8,5"],
+    ["spectrum", "--m", "2", "--mode", "both"],
+], ids=["eval", "spectrum-both"])
+def test_overflow_is_one_pole_diagnostic_not_warnings(argv):
+    # the Morse closed form overflows far left of its well at c = 100; the
+    # finite checks classify that, and no numpy warning reaches stderr
+    code, out, err = run_cli(argv[0], "--family",
+                             "TypeB_real:c=100,b=-70000,D=400", *argv[1:])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
-    diag = stderr_diag(err)
+    diag = json.loads(err)
     assert diag["error"] == "pole"
-    locations = diag["locations"]
-    assert 1 <= len(locations) <= 8
-    assert len(set(locations)) == len(locations)
+    assert diag["message"].startswith("potential is not finite")
 
 
 def test_eval_pole_diagnostic_is_capped():
@@ -422,6 +455,15 @@ def test_eval_pole_diagnostic_is_capped():
     locations = stderr_diag(err)["locations"]
     assert locations == sorted(set(locations))
     assert len(locations) == 8 and locations[0] == pytest.approx(math.pi)
+
+
+def test_eval_pole_scan_does_not_grow_with_the_window():
+    # about 3.2e7 poles: the scan once refused the window as a config error
+    code, out, err = run_cli("eval", "--family", "TypeA",
+                             "--grid=0.5,1e8,100")
+    assert code == 2 and out == ""
+    locations = stderr_diag(err)["locations"]
+    assert locations == pytest.approx([math.pi * j for j in range(1, 9)])
 
 
 def test_grid_too_coarse_diagnostic_carries_h_and_w_max():

@@ -129,6 +129,19 @@ def test_pole_evaluation_raises():
         neg.derivative(0.0)
 
 
+def test_check_regular_names_few_distinct_locations():
+    # 1,000 samples on one pole plus 20 more poles, shuffled among regular
+    # points: the diagnostic names at most 8 locations, sorted and distinct
+    rng = np.random.default_rng(7)
+    poles = np.concatenate((np.full(1000, 2.5), 10.0 + np.arange(20.0)))
+    x = np.concatenate((poles, np.linspace(-1.0, 1.0, 50)))
+    den = np.concatenate((np.zeros(poles.size), np.ones(50)))
+    order = rng.permutation(x.size)
+    with pytest.raises(PoleError) as info:
+        riccati._check_regular(x[order], den[order])
+    assert info.value.locations == [2.5] + [10.0 + j for j in range(7)]
+
+
 def test_pole_locations_reported():
     sol = general_solution(1.0, 0.0, ExtendedReal(0.5))
     assert sol.singularities((-1.0, 1.0)) == pytest.approx([math.atanh(0.5)])

@@ -1,6 +1,6 @@
 """The exact seed verdict: residues at poles and limits at infinity, checked
-against the sampling probe, at its marginal cases, and under translation and
-rescaling of x."""
+against the sampling oracle (probe_oracle), at its marginal cases, and under
+translation and rescaling of x."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from probe_oracle import probe_square_integrable, seed_log_derivative
 from shapeinv import spectra
 from shapeinv.families import (PRESET_NAMES, Family, FamilyKind,
                                FamilyParams, negative_a, positive_a,
@@ -79,13 +80,20 @@ def _check_against_the_probe(fam, p, sign):
     assume(_resolvable(anchor, cell))
     assume(_clear_of_thresholds(_margins(fam, p, sign, cell)))
     left, right = spectra._seed_end_verdicts(fam, p, sign, cell)
-    probe = spectra._probe_square_integrable(
-        spectra._seed_log_derivative(fam, p, sign), cell, anchor=anchor)
+    probe = probe_square_integrable(seed_log_derivative(fam, p, sign), cell,
+                                    anchor=anchor)
     assert probe.normalizable == (left and right)
     # with one end divergent the probe names it, except on Morse (B = +-1),
     # whose closed form overflows on the probe's shells
     if left != right and abs(fam.params.B.value or 0.0) != 1.0:
         assert probe.divergent_end == ("left" if right else "right")
+    # the public question gets the same answer; it names the left end when
+    # both diverge
+    exact = spectra.check_normalizable(
+        fam, p, "decreasing" if sign > 0 else "increasing", anchor=anchor)
+    assert exact.normalizable == probe.normalizable
+    assert exact.divergent_end == (None if left and right
+                                   else "right" if left else "left")
 
 
 SWEEP = settings(derandomize=True, database=None, deadline=None,

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from probe_oracle import probe_seed, probe_square_integrable, seed_log_derivative
 from shapeinv import spectra
 from shapeinv.errors import (GridTooCoarseError, NormalizationError,
                              OrbitError)
@@ -53,7 +54,7 @@ def test_resolve_direction_explicit_wins():
 
 
 def test_resolve_direction_symbol_fallback():
-    # constant superpotential: both seed probes fail, L trend decides
+    # constant superpotential: both seed verdicts fail, L trend decides
     fam = preset_params("TypeB_real")
     assert (resolve_direction(fam, 3.0, None)
             is ChainDirection.IncreasingL)
@@ -127,7 +128,6 @@ def test_build_chain_bookkeeping():
 def test_check_normalizable_reports():
     rep = check_normalizable(typed(), 1.0, "increasing")
     assert rep and rep.normalizable and rep.divergent_end is None
-    assert rep.log_norm is not None
     bad = check_normalizable(typed(), 1.0, "decreasing")
     assert not bad
     assert bad.divergent_end in ("left", "right")
@@ -135,7 +135,7 @@ def test_check_normalizable_reports():
 
 def test_check_normalizable_slow_power_tail():
     # exp(+int W) for the Coulomb-like family decays as exp(q x / m) times
-    # a power, so the probe has to survive wide windows around a 1/x spike
+    # a power: the verdict reads the 1/x pole and the constant tail of W
     fam = preset_params("TypeF", q=-1.0)
     assert check_normalizable(fam, 2.0, "decreasing")
     assert not check_normalizable(fam, 1.0, "increasing")
@@ -144,13 +144,14 @@ def test_check_normalizable_slow_power_tail():
 def _typea_increasing_seed():
     fam = preset_params("TypeA")
     anchor = spectra._default_anchor(fam)
-    return (spectra._seed_log_derivative(fam, 2.0, -1),
+    return (seed_log_derivative(fam, 2.0, -1),
             fam.natural_domain(1.0, anchor, (-math.inf, math.inf)), anchor)
 
 
-# (log derivative, domain, anchor) and its report (normalizable,
-# divergent_end, stages, log_norm), compared bit for bit: evaluating both
-# shells of a stage in one call must not move any of them
+# the sampling oracle (tests/probe_oracle.py): (log derivative, domain,
+# anchor) and its report (normalizable, divergent_end, stages, log_norm),
+# compared bit for bit: evaluating both shells of a stage in one call must
+# not move any of them
 PROBE_PINS = {
     "two finite sides": (
         (lambda x: -x, (-1.0, 2.0), 0.25),
@@ -184,7 +185,7 @@ def test_probe_reports_pinned_one_evaluation_per_stage(case):
         sizes.append(xs.size)
         return g(xs)
 
-    rep = spectra._probe_square_integrable(counting, domain, anchor=anchor)
+    rep = probe_square_integrable(counting, domain, anchor=anchor)
     assert (rep.normalizable, rep.divergent_end, rep.stages,
             rep.log_norm) == expected
     # default samples=2048: two shells of 1024 panels each per stage
@@ -192,20 +193,22 @@ def test_probe_reports_pinned_one_evaluation_per_stage(case):
 
 
 def test_probe_overflow_is_silent_divergence():
-    # Morse (B = -1): exp(-th) in the closed form overflows on the probe's
-    # wide shells, which the probe reads as divergence toward the left, with
-    # no RuntimeWarning. The level-3 seed in fact decays double-exponentially
+    # Morse (B = -1): exp(-th) in the closed form overflows on the oracle's
+    # wide shells, which it reads as divergence toward the left, with no
+    # RuntimeWarning. The level-3 seed in fact decays double-exponentially
     # to the left and diverges to the right, where k tends to a constant of
-    # the growing sign; the exact screening names that end.
+    # the growing sign; check_normalizable and the screening name that end.
     fam = preset_params("TypeB_real", c=1.1202389828913326,
                         A=-0.18415032727483238, b=-0.35339366958075147,
                         D=-1.6616092770240576)
     m = 3.186823711815706
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probe = check_normalizable(fam, m - 3.0, "increasing")
+        probe = probe_seed(fam, m - 3.0, "increasing")
+        exact = check_normalizable(fam, m - 3.0, "increasing")
         spec = spectrum_analytic(fam, m, 5)
     assert (probe.normalizable, probe.divergent_end) == (False, "left")
+    assert (exact.normalizable, exact.divergent_end) == (False, "right")
     assert spec.direction is ChainDirection.IncreasingL
     assert [k for k, _ in spec.levels] == [0, 1, 2]
     assert spec.truncation_reason.endswith("(divergent toward the right end)")
@@ -417,19 +420,7 @@ def test_wavefunction_accessors():
 
 
 # ---------------------------------------------------------------------------
-# seed screening is exact: no probe, no per-instance state
-
-def _counting_probe(monkeypatch):
-    calls = []
-    real = spectra._probe_square_integrable
-
-    def probe(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectra, "_probe_square_integrable", probe)
-    return calls
-
+# seed screening is exact: no sampling, no per-instance state
 
 SCREEN_CASES = {
     "TypeA": (lambda: preset_params("TypeA"), 2.0, TRIG_GRID),
@@ -439,9 +430,8 @@ SCREEN_CASES = {
 
 
 @pytest.mark.parametrize("case", SCREEN_CASES)
-def test_seed_screening_makes_no_probe(monkeypatch, case):
+def test_seed_screening_makes_no_probe(case):
     make, m, grid = SCREEN_CASES[case]
-    calls = _counting_probe(monkeypatch)
     fam = make()
     direction = resolve_direction(fam, m)
     spec = spectrum_analytic(fam, m, 4)
@@ -450,7 +440,6 @@ def test_seed_screening_makes_no_probe(monkeypatch, case):
         assert excited_state(fam, m, k, direction, grid).energy == energy
     assert ground_state(fam, m, direction, grid).node_count() == 0
     assert max_level(fam, m, direction, limit=5) is None
-    assert calls == []
 
 
 def test_seed_verdict_does_not_depend_on_the_anchor():
