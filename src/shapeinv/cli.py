@@ -264,7 +264,9 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
                              _DEFAULT_N)
     pp = partners.pair_from_family(fam, cfg.d)
     center = anchor if (left_pole or right_pole) else fam.params.A
-    step = 1.0
+    # probe and size the well in units of 1/c; unit scale when a = 0 (c = 0)
+    c = fam.params.sign.c or 1.0
+    step = 1.0 / c
     if left_pole:
         step = min(step, 0.5 * (anchor - lo))
     if right_pole:
@@ -272,7 +274,9 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
     v0 = float(pp.V(center, cfg.m))
     curv = abs(float(pp.V(center + step, cfg.m))
                + float(pp.V(center - step, cfg.m)) - 2.0 * v0) / (step * step)
-    extent = max(8.0, 6.0 / math.sqrt(curv)) if curv > 1e-8 else 8.0
+    extent = 8.0 / c
+    if curv > 1e-8 * c ** 4:
+        extent = max(extent, 6.0 / math.sqrt(curv))
     x0 = lo + cfg.pole_margin if left_pole else center - extent
     x1 = hi - cfg.pole_margin if right_pole else center + extent
     return numerics.Grid(x0, x1, _DEFAULT_N)
@@ -308,20 +312,10 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _dump_config_requested(args, cfg: RunConfig) -> bool:
-    if getattr(args, "dump_config", False):
-        sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_families(args) -> int:
-    cfg = _resolve_config(args)
-    if _dump_config_requested(args, cfg):
-        return EXIT_OK
+def cmd_families(args, cfg: RunConfig) -> int:
     catalogue = families.preset_catalogue()
     if args.name is not None:
         rows = [row for row in catalogue if row["name"] == args.name]
@@ -367,10 +361,7 @@ def _eval_samples(cfg: RunConfig, fam: families.Family, xs: np.ndarray):
     return xs, W, V, Vt
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
-    if _dump_config_requested(args, cfg):
-        return EXIT_OK
+def cmd_eval(args, cfg: RunConfig) -> int:
     fam = cfg.build_family()
     xs = _eval_points(cfg, fam)
     _require_pole_free(fam, cfg.m, (float(xs[0]), float(xs[-1])))
@@ -393,10 +384,7 @@ def _resolve_direction_or_exit(cfg: RunConfig, fam: families.Family):
     return spectra.resolve_direction(fam, cfg.m, requested)
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _resolve_config(args)
-    if _dump_config_requested(args, cfg):
-        return EXIT_OK
+def cmd_spectrum(args, cfg: RunConfig) -> int:
     fam = cfg.build_family()
     try:
         direction = _resolve_direction_or_exit(cfg, fam)
@@ -471,10 +459,7 @@ def cmd_spectrum(args) -> int:
     return exit_code
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
-    if _dump_config_requested(args, cfg):
-        return EXIT_OK
+def cmd_verify(args, cfg: RunConfig) -> int:
     from . import checks  # only verify needs the suites; see __init__
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
     n = cfg.grid["n"] if isinstance(cfg.grid, dict) else _DEFAULT_N
@@ -491,10 +476,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_wavefunction(args) -> int:
-    cfg = _resolve_config(args)
-    if _dump_config_requested(args, cfg):
-        return EXIT_OK
+def cmd_wavefunction(args, cfg: RunConfig) -> int:
     if cfg.output_format == "csv" and not cfg.output_path:
         _diag("usage", "wavefunction in csv format needs --out for the "
               "sidecar; use --format json for standard output")
@@ -616,7 +598,11 @@ def main(argv=None) -> int:
         # overflow and the like are classified by the finite checks of each
         # path (samples, matrix, ladder), never reported as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.handler(args)
+            cfg = _resolve_config(args)
+            if args.dump_config:
+                sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
+                return EXIT_OK
+            return args.handler(args, cfg)
     except PoleError as exc:
         _diag("pole", str(exc),
               locations=getattr(exc, "locations", None))

@@ -10,14 +10,12 @@ power (k = q/m + m k1 with k0 forced to zero).
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import riccati
 from .errors import FamilyError, PoleError
 from .riccati import INFINITY, ExtendedReal, as_extended, general_solution, solve_z
 
@@ -108,9 +106,8 @@ class FamilyParams:
                 f"and c|A| <= {_MAX_OFFSET:g}")
 
 
-# The memo behind Family.k: at most this many sample arrays per instance,
-# each of at most this many points (larger arrays are evaluated directly).
-_K_MEMO_ENTRIES = 8
+# The memo behind Family.k holds the last sample array of at most this many
+# points (larger arrays are evaluated directly).
 _K_MEMO_MAX_POINTS = 1 << 16
 
 
@@ -124,8 +121,14 @@ class Family:
     def __post_init__(self):
         if self.kind is FamilyKind.INVERSE_POWER and self.params.q == 0.0:
             raise FamilyError("inverse-power ansatz requires q != 0")
-        # the (k0, k1) sample memo of k: not a field, so it stays out of ==,
-        # hash, repr and replace(), and it belongs to this instance alone
+        # built once: the Riccati solution y = k1 (whose row of the
+        # closed-form table is basis()), the companion z = k0, and the
+        # (k0, k1) sample memo of k; not fields, so they stay out of ==,
+        # hash, repr and replace(), and the memo belongs to this instance
+        p = self.params
+        y = general_solution(p.sign.a, p.A, p.B)
+        object.__setattr__(self, "_y", y)
+        object.__setattr__(self, "_z", solve_z(p.b, y, p.D))
         object.__setattr__(self, "_k_memo", {})
 
     def __getstate__(self):
@@ -138,62 +141,32 @@ class Family:
     def a(self) -> float:
         return self.params.sign.a
 
-    def _y(self) -> riccati.RiccatiSolution:
-        p = self.params
-        return general_solution(p.sign.a, p.A, p.B)
-
     def basis(self):
         """The (f, h) pair the potentials are quadratic in, with f', h', z, z':
         this family's row of the closed-form table in riccati."""
-        return self._y().form
-
-    def _k1_is_constant(self) -> bool:
-        p = self.params
-        if p.B.is_infinite:
-            return False
-        if p.sign.kind == "pos":
-            return p.B.value in (-1.0, 1.0)
-        if p.sign.kind == "zero":
-            return p.B.value == 0.0
-        return False
+        return self._y.form
 
     @property
     def is_trivial(self) -> bool:
-        """True when k(x, m) has no x dependence for any m."""
-        if not self._k1_is_constant():
-            return False
-        if self.kind is FamilyKind.INVERSE_POWER:
-            return True
-        p = self.params
-        if p.sign.kind == "pos":
-            return p.D == 0.0
-        return p.b == 0.0
-
-    def validate(self, strict: bool = False) -> None:
-        """Raise FamilyError on hard problems; with strict=True also on triviality."""
-        if strict and self.is_trivial:
-            raise FamilyError(
-                "family is trivial: k(x, m) is x-independent for this (sign, B, constants) choice")
+        """True when k(x, m) has no x dependence for any m: f is constant
+        and k = gamma f + beta h + kappa carries no h."""
+        return self.basis().f_is_constant and self._k_coefficients(1.0)[1] == 0.0
 
     # -- evaluation ----------------------------------------------------------
 
     def k1(self, x):
         """The m-linear part: the Riccati solution y of y' = a - y^2."""
-        return self._y().evaluate(x)
+        return self._y.evaluate(x)
 
     def k1_prime(self, x):
-        return self._y().derivative(x)
-
-    def _z(self) -> riccati.ZSolution:
-        p = self.params
-        return solve_z(p.b, self._y(), p.D)
+        return self._y.derivative(x)
 
     def k0(self, x):
         """The m-independent part of the affine ansatz (a companion linear solve)."""
-        return self._z().evaluate(x)
+        return self._z.evaluate(x)
 
     def k0_prime(self, x):
-        return self._z().derivative(x)
+        return self._z.derivative(x)
 
     def _require_m(self, m: float) -> float:
         m = float(m)
@@ -207,7 +180,7 @@ class Family:
         return k0, self.k1(arr)
 
     def _k_samples(self, x):
-        """(k0(x), k1(x)); for arrays, remembered by shape and bytes of x."""
+        """(k0(x), k1(x)); for the last array, remembered by shape and bytes."""
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
             return self._k_parts(arr)
@@ -216,8 +189,7 @@ class Family:
         parts = memo.get(key)
         if parts is None:
             parts = self._k_parts(arr)
-            if len(memo) >= _K_MEMO_ENTRIES:
-                del memo[next(iter(memo))]   # first in, first out
+            memo.clear()
             memo[key] = parts
         return parts
 
@@ -234,13 +206,10 @@ class Family:
         q/m + m scale f for the inverse-power ansatz."""
         m = self._require_m(m)
         p = self.params
-        scale = self._y().scale
+        scale = self._y.scale
         if self.kind is FamilyKind.INVERSE_POWER:
             return m * scale, 0.0, p.q / m
-        if p.sign.kind == "zero":
-            alpha, beta = p.D, p.b
-        else:
-            alpha, beta = p.b / p.sign.c, p.D
+        alpha, beta = self.basis().companion(p.b, p.D)
         return alpha + m * scale, beta, 0.0
 
     def k_prime(self, x, m):
@@ -264,22 +233,21 @@ class Family:
 
     def singularities(self, m, window) -> list:
         """Poles of k(., m) in [lo, hi]; locations do not depend on m."""
-        return self._y().singularities(window)
+        return self._y.singularities(window)
 
     def singularities_near(self, m, window, around, periods) -> list:
         """Poles of k(., m) in the window within `periods` pole spacings of
         `around`, at a cost independent of the window's width.
 
-        The negative-a rows have poles every pi/c, so the scan is clipped to
-        that many periods on each side of `around`; a huge window would
-        otherwise enumerate astronomically many roots. Every other row has at
-        most one pole, and the whole window is scanned.
+        The scan is clipped to that many of the row's periods on each side of
+        `around`: the negative-a rows have poles every pi/c, and a huge window
+        would otherwise enumerate astronomically many roots. Every other row
+        has at most one pole and an infinite period, so the whole window is
+        scanned.
         """
-        lo, hi = float(window[0]), float(window[1])
-        if self.params.sign.kind == "neg":
-            span = periods * math.pi / self.params.sign.c
-            lo, hi = max(lo, around - span), min(hi, around + span)
-        return self.singularities(m, (lo, hi))
+        span = periods * self.basis().period
+        return self.singularities(m, (max(float(window[0]), around - span),
+                                      min(float(window[1]), around + span)))
 
     def natural_domain(self, m, anchor, window):
         """Largest pole-free open interval around anchor, clipped to window."""
@@ -342,12 +310,7 @@ def preset_params(name: str, *, c: float = 1.0, A: float = 0.0, b: float = 0.0,
         raise ValueError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
     pd = _PRESETS[name]
-    if pd.sign_kind == "zero":
-        sign = zero_a()
-    elif pd.sign_kind == "pos":
-        sign = positive_a(c)
-    else:
-        sign = negative_a(c)
+    sign = SignClass(pd.sign_kind, float(c))   # c is dropped when a = 0
     if pd.kind is FamilyKind.INVERSE_POWER:
         if q == 0.0:
             raise FamilyError(f"preset {name} requires q != 0")
@@ -435,12 +398,7 @@ def family_from_json(obj: dict) -> Family:
                          "or 'inf', got an integer beyond the double range")
     else:
         B = ExtendedReal(float(b_raw))
-    if sign_kind == "zero":
-        sign = zero_a()
-    elif sign_kind == "pos":
-        sign = positive_a(vals["c"])
-    else:
-        sign = negative_a(vals["c"])
-    params = FamilyParams(sign=sign, A=vals["A"], B=B, b=vals["b"], D=vals["D"],
-                          q=vals["q"], t=vals["t"], d=vals["d"])
+    params = FamilyParams(sign=SignClass(sign_kind, vals["c"]), A=vals["A"],
+                          B=B, b=vals["b"], D=vals["D"], q=vals["q"],
+                          t=vals["t"], d=vals["d"])
     return Family(params=params, kind=kind)

@@ -270,13 +270,14 @@ class TridiagonalSym:
         return 0.5 * (np.array(los) + np.array(his))
 
     def eigenvector(self, lam: float, prev: Sequence[np.ndarray] = (),
-                    seed: int = 0, iters: int = 2) -> np.ndarray:
-        """Inverse iteration at shift lam, orthogonalized against prev."""
+                    seed: int = 0) -> np.ndarray:
+        """Two steps of inverse iteration at shift lam, orthogonalized
+        against prev."""
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.n)
         v /= np.linalg.norm(v)
         fact = _factor_shifted(self.diag, self.offdiag, lam)
-        for _ in range(max(iters, 1)):
+        for _ in range(2):
             v = _solve_factored(fact, v)
             for p in prev:
                 v = v - (p @ v) * p
@@ -545,14 +546,14 @@ def _superpotential_samples(W, xs: np.ndarray, m) -> np.ndarray:
     return np.asarray(W, dtype=float)
 
 
-def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction,
-                       boundary_tol: float = 1e-8) -> float:
+def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction) -> float:
     """|<phi, (-d/dx + W) psi> - <psi, (d/dx + W) phi>| on a shared grid.
 
     W is a callable W(x, m), such as a family's k, or its samples on the grid.
     The two first-order operators are mutually adjoint only when phi*psi dies
-    off at the window ends, so that hypothesis is checked first and its
-    failure is reported as a boundary-condition error rather than a defect.
+    off at the window ends (to 1e-8 of its peak), so that hypothesis is
+    checked first and its failure is reported as a boundary-condition error
+    rather than a defect.
     """
     if phi.grid != psi.grid:
         raise ValueError("phi and psi must share the grid")
@@ -562,7 +563,7 @@ def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction,
     prod = u * v
     scale = max(float(np.max(np.abs(prod))), np.finfo(float).tiny)
     edge = max(abs(prod[0]), abs(prod[-1]))
-    if edge > boundary_tol * scale:
+    if edge > 1e-8 * scale:
         raise BoundaryConditionError(
             "phi*psi does not vanish at the window ends "
             f"(edge/peak = {edge / scale:.3e})")

@@ -107,58 +107,48 @@ def _zeros():
 
 
 def closed_form_potentials(family: Family, m) -> PotentialRecord:
-    """Exact expansion of the partner pair in the family's (f, h) basis."""
+    """Exact expansion of the partner pair in the family's (f, h) basis.
+
+    On the rows with a = 0, f' = -kappa f^2 and y = kappa f; on the others,
+    f' = c kappa h^2 and y = scale f with scale = +-c.
+    """
     m = float(m)
     p = family.params
-    limit = p.B.is_infinite
-    c = p.sign.c
-    a = p.sign.a
+    affine = family.kind is FamilyKind.AFFINE
+    if not affine and m == 0.0:
+        raise FamilyError("inverse-power family is undefined at m = 0")
+    form = family.basis()
+    kappa, scale, c, q = form.kappa, family._y.scale, p.sign.c, p.q
     V, Vt = _zeros(), _zeros()
-    if family.kind is FamilyKind.AFFINE:
-        if p.sign.kind == "zero":
-            Bc = 1.0 if limit else p.B.value
+    if not affine:
+        V["f"] = Vt["f"] = 2.0 * q * scale
+    if p.sign.kind == "zero":
+        if affine:
             V["h2"] = Vt["h2"] = p.b * p.b
-            V["f2"] = (p.D + m * Bc) * (p.D + (m + 1.0) * Bc)
-            Vt["f2"] = (p.D + m * Bc) * (p.D + (m - 1.0) * Bc)
-            V["fh"] = 2.0 * p.b * (p.D + (m + 0.5) * Bc)
-            Vt["fh"] = 2.0 * p.b * (p.D + (m - 0.5) * Bc)
+            V["f2"] = (p.D + m * kappa) * (p.D + (m + 1.0) * kappa)
+            Vt["f2"] = (p.D + m * kappa) * (p.D + (m - 1.0) * kappa)
+            V["fh"] = 2.0 * p.b * (p.D + (m + 0.5) * kappa)
+            Vt["fh"] = 2.0 * p.b * (p.D + (m - 0.5) * kappa)
             V["const"] = -p.b
             Vt["const"] = p.b
         else:
-            beta = p.b + m * a
-            if p.sign.kind == "pos":
-                kappa = 1.0 if limit else p.B.value ** 2 - 1.0
-            else:
-                kappa = 1.0 if limit else p.B.value ** 2 + 1.0
-            V["f2"] = Vt["f2"] = beta * beta / (c * c)
-            V["fh"] = (p.D / c) * (2.0 * beta + a)
-            Vt["fh"] = (p.D / c) * (2.0 * beta - a)
-            V["h2"] = p.D * p.D - kappa * beta
-            Vt["h2"] = p.D * p.D + kappa * beta
-    else:
-        if m == 0.0:
-            raise FamilyError("inverse-power family is undefined at m = 0")
-        q = p.q
-        if p.sign.kind == "pos":
-            kappa = 1.0 if limit else p.B.value ** 2 - 1.0
-            V["const"] = Vt["const"] = q * q / (m * m) + m * m * c * c
-            V["f"] = Vt["f"] = 2.0 * q * c
-            V["h2"] = -m * (m + 1.0) * c * c * kappa
-            Vt["h2"] = -m * (m - 1.0) * c * c * kappa
-        elif p.sign.kind == "zero":
-            Bc = 1.0 if limit else p.B.value
             V["const"] = Vt["const"] = q * q / (m * m)
-            V["f"] = Vt["f"] = 2.0 * q * Bc
-            V["f2"] = m * (m + 1.0) * Bc * Bc
-            Vt["f2"] = m * (m - 1.0) * Bc * Bc
-        else:
-            kappa = 1.0 if limit else p.B.value ** 2 + 1.0
-            V["const"] = Vt["const"] = q * q / (m * m) - m * m * c * c
-            V["f"] = Vt["f"] = -2.0 * q * c
-            V["h2"] = m * (m + 1.0) * c * c * kappa
-            Vt["h2"] = m * (m - 1.0) * c * c * kappa
-    return PotentialRecord(basis="limit" if limit else "generic",
-                           V=V, Vtilde=Vt, R_at_m=family.R(m), m=m, family=family)
+            V["f2"] = m * (m + 1.0) * kappa * kappa
+            Vt["f2"] = m * (m - 1.0) * kappa * kappa
+    elif affine:
+        a = p.sign.a
+        beta = p.b + m * a
+        V["f2"] = Vt["f2"] = beta * beta / (c * c)
+        V["fh"] = (p.D / c) * (2.0 * beta + a)
+        Vt["fh"] = (p.D / c) * (2.0 * beta - a)
+        V["h2"] = p.D * p.D - kappa * beta
+        Vt["h2"] = p.D * p.D + kappa * beta
+    else:
+        V["const"] = Vt["const"] = q * q / (m * m) + m * m * scale * c
+        V["h2"] = -m * (m + 1.0) * scale * c * kappa
+        Vt["h2"] = -m * (m - 1.0) * scale * c * kappa
+    return PotentialRecord(basis=form.basis_name, V=V, Vtilde=Vt,
+                           R_at_m=family.R(m), m=m, family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ def _ret(vals, scalar):
 # Each row holds the pair (f, h) that every family is built from, their
 # derivatives, and the companion solution z with y z + z' = b, where
 # y = scale * f (RiccatiSolution.scale). z equals alpha f + beta h with
-# (alpha, beta) = (b/c, D), or (D, b) when a = 0, but is evaluated from its
-# own closed form. h carries a minus sign relative to the bare reciprocal so
+# (alpha, beta) = companion(b, D), but is evaluated from its own closed
+# form. h carries a minus sign relative to the bare reciprocal so
 # that one D serves z and the potential records at every B, including B -> 0.
 # Derivatives are explicit closed forms, never taken from the equations they
 # are checked against.
@@ -90,7 +90,9 @@ def _ret(vals, scalar):
 # and h ~ res h / (x - x0), since h' = -y h. Toward an infinite end sigma,
 # `end` gives (f_inf, f_tail, h_sign): f -> f_inf + f_tail / x, and h_sign is
 # the sign of h where h grows without bound (0 where h stays bounded). The
-# trigonometric rows have poles every pi/c and no infinite end.
+# trigonometric rows have poles every pi/c and no infinite end. The rows list
+# their own poles and carry the constants of _Form, so no other module
+# branches on the sign class or the B form again.
 
 _MAX_LOCATIONS = 8
 
@@ -104,14 +106,39 @@ def _check_regular(x, den):
                         locations=bad)
 
 
+def _newton(r, den, dden):
+    # one Newton step on a row's denominator, skipped where its slope is 0
+    return r - den / dden if dden != 0.0 else r
+
+
 class _Form:
-    """A row's constants: c, A, and B (None for B = infinity)."""
+    """A row's constants: c, A, and B (None for B = infinity), and
+
+    - kappa: f' = c kappa h^2 on the rows with a != 0, and f' = -kappa f^2
+      with y = kappa f on the rows with a = 0;
+    - f_is_constant: f has no x dependence (B = +-1 at a > 0, B = 0 at a = 0);
+    - period: the spacing of the poles, inf on rows with at most one pole;
+    - basis_name: 'limit' for the B = infinity rows, else 'generic'.
+    """
+
+    kappa = 1.0
+    f_is_constant = False
+    period = math.inf
+    basis_name = "generic"
 
     def __init__(self, c: float, A: float, B):
         self.c, self.A, self.B = c, A, B
 
     def _theta(self, x):
         return self.c * (np.asarray(x, dtype=float) - self.A)
+
+    def companion(self, b, D):
+        """(alpha, beta) with z = alpha f + beta h."""
+        return b / self.c, D
+
+    def poles(self, lo, hi) -> list:
+        """Newton-polished poles, a superset of those in [lo, hi]."""
+        return []
 
 
 class _PosFinite(_Form):
@@ -120,6 +147,11 @@ class _PosFinite(_Form):
     The raw sinh/cosh ratios turn into inf/inf for |theta| beyond ~710, so
     both fractions are rewritten in tanh and exp(-|theta|), which never do.
     """
+
+    def __init__(self, c, A, B):
+        super().__init__(c, A, B)
+        self.kappa = B * B - 1.0
+        self.f_is_constant = abs(B) == 1.0
 
     def _f_parts(self, th):
         B = self.B
@@ -153,11 +185,10 @@ class _PosFinite(_Form):
         return u / v
 
     def df(self, x):
-        kappa = self.B * self.B - 1.0
-        if kappa == 0.0:
+        if self.f_is_constant:
             return np.zeros_like(self._theta(x))
         h = self.h(x)
-        return self.c * kappa * h * h
+        return self.c * self.kappa * h * h
 
     def dh(self, x):
         return -self.c * self.f(x) * self.h(x)
@@ -168,6 +199,15 @@ class _PosFinite(_Form):
     def dz(self, x, b, D):
         f = self.f(x)
         return b - self.c * f * ((b / self.c) * f + D * self.h(x))
+
+    def poles(self, lo, hi):
+        # the one pole, tanh(theta0) = B, exists for |B| < 1
+        if not abs(self.B) < 1.0:
+            return []
+        r = self.A + math.atanh(self.B) / self.c
+        th = self.c * (r - self.A)
+        return [_newton(r, self.B * math.cosh(th) - math.sinh(th),
+                        self.c * (self.B * math.sinh(th) - math.cosh(th)))]
 
     def residues(self, x0):
         # the one pole, tanh(theta0) = B with |B| < 1
@@ -189,6 +229,8 @@ def _sech(th):
 
 class _PosLimit(_Form):
     """a = c^2, B = infinity: f = tanh, h = sech; no poles."""
+
+    basis_name = "limit"
 
     def f(self, x):
         return np.tanh(self._theta(x))
@@ -218,6 +260,14 @@ class _PosLimit(_Form):
 
 class _ZeroFinite(_Form):
     """a = 0: f = 1/v, h = t (2 + B t)/(2 v), with t = x - A and v = 1 + B t."""
+
+    def __init__(self, c, A, B):
+        super().__init__(c, A, B)
+        self.kappa = B
+        self.f_is_constant = B == 0.0
+
+    def companion(self, b, D):
+        return D, b
 
     def _tv(self, x):
         t = np.asarray(x, dtype=float) - self.A
@@ -254,6 +304,9 @@ class _ZeroFinite(_Form):
         t, v = self._tv(x)
         return b - self.B * self._zu(t, b, D) / (v * v)
 
+    def poles(self, lo, hi):
+        return [self.A - 1.0 / self.B] if self.B != 0.0 else []
+
     def residues(self, x0):
         # the one pole, t0 = -1/B
         return 1.0 / self.B, -0.5 / self.B / self.B
@@ -267,6 +320,11 @@ class _ZeroFinite(_Form):
 
 class _ZeroLimit(_Form):
     """a = 0, B = infinity: f = 1/t, h = t/2, with t = x - A."""
+
+    basis_name = "limit"
+
+    def companion(self, b, D):
+        return D, b
 
     def _t(self, x):
         t = np.asarray(x, dtype=float) - self.A
@@ -294,6 +352,9 @@ class _ZeroLimit(_Form):
         t = self._t(x)
         return 0.5 * b - D / (t * t)
 
+    def poles(self, lo, hi):
+        return [self.A]
+
     def residues(self, x0):
         # the one pole, t0 = 0; h = t/2 is regular there
         return 1.0, 0.0
@@ -302,8 +363,37 @@ class _ZeroLimit(_Form):
         return 0.0, 1.0, float(sigma)
 
 
-class _NegFinite(_Form):
+class _Periodic(_Form):
+    """The a = -c^2 rows: poles at theta = base + j pi, every pi/c, where the
+    row's denominator _den(theta) vanishes."""
+
+    def __init__(self, c, A, B):
+        super().__init__(c, A, B)
+        self.period = math.pi / c
+
+    def poles(self, lo, hi):
+        c, A, base = self.c, self.A, self.base
+        # theta = base + j*pi, x = A + theta/c; pick all j landing in the window
+        j_lo = math.floor((c * (lo - A) - base) / math.pi) - 1
+        j_hi = math.ceil((c * (hi - A) - base) / math.pi) + 1
+        if j_hi - j_lo > 5_000_000:
+            raise ValueError(
+                f"window spans about {j_hi - j_lo:.2e} poles; narrow it")
+        roots = [A + (base + j * math.pi) / c for j in range(j_lo, j_hi + 1)]
+        return [_newton(r, *self._den(c * (r - A))) for r in roots]
+
+
+class _NegFinite(_Periodic):
     """a = -c^2: f = u/v, h = -1/v, with u = B sin + cos and v = B cos - sin."""
+
+    def __init__(self, c, A, B):
+        super().__init__(c, A, B)
+        self.kappa = B * B + 1.0
+        self.base = math.atan(B)
+
+    def _den(self, th):
+        return (self.B * math.cos(th) - math.sin(th),
+                -self.c * (self.B * math.sin(th) + math.cos(th)))
 
     def _uv(self, x):
         th = self._theta(x)
@@ -321,7 +411,7 @@ class _NegFinite(_Form):
 
     def df(self, x):
         v = self._uv(x)[1]
-        return self.c * (self.B * self.B + 1.0) / (v * v)
+        return self.c * self.kappa / (v * v)
 
     def dh(self, x):
         u, v = self._uv(x)
@@ -347,8 +437,14 @@ class _NegFinite(_Form):
         return -1.0 / self.c, math.copysign(size, self.B * math.sin(th) + math.cos(th))
 
 
-class _NegLimit(_Form):
+class _NegLimit(_Periodic):
     """a = -c^2, B = infinity: f = tan, h = sec."""
+
+    basis_name = "limit"
+    base = math.pi / 2.0
+
+    def _den(self, th):
+        return math.cos(th), -self.c * math.sin(th)
 
     def _tc(self, x):
         th = self._theta(x)
@@ -428,38 +524,24 @@ class RiccatiSolution:
 
     The three sign classes use hyperbolic, rational, and trigonometric forms
     respectively; B = infinity selects the dedicated limiting form rather
-    than a large finite value.
+    than a large finite value. kind, c, scale and form (the row of the
+    closed-form table) are worked out once, on construction.
     """
 
     a: float
     A: float
     B: ExtendedReal
 
-    @property
-    def kind(self) -> str:
-        if self.a > 0:
-            return "pos"
-        if self.a < 0:
-            return "neg"
-        return "zero"
-
-    @property
-    def c(self) -> float:
-        return math.sqrt(abs(self.a))
-
-    @property
-    def form(self) -> _Form:
-        """This solution's row of the closed-form table."""
-        return _FORMS[self.kind, self.B.is_infinite](self.c, self.A, self.B.value)
-
-    @property
-    def scale(self) -> float:
-        """y = scale * f: c, -c, B, or 1 for the rational B = infinity form."""
-        if self.kind == "pos":
-            return self.c
-        if self.kind == "neg":
-            return -self.c
-        return 1.0 if self.B.is_infinite else self.B.value
+    def __post_init__(self):
+        # y = scale * f: c, -c, or kappa when a = 0 (B, or 1 for the
+        # rational B = infinity form); none of the four is a field
+        kind = "pos" if self.a > 0 else "neg" if self.a < 0 else "zero"
+        c = math.sqrt(abs(self.a))
+        form = _FORMS[kind, self.B.is_infinite](c, self.A, self.B.value)
+        scale = form.kappa if kind == "zero" else math.copysign(c, self.a)
+        for name, value in (("kind", kind), ("c", c), ("form", form),
+                            ("scale", scale)):
+            object.__setattr__(self, name, value)
 
     def evaluate(self, x):
         arr, scalar = _prep(x)
@@ -473,72 +555,12 @@ class RiccatiSolution:
         return _ret(self.scale * self.form.df(arr), scalar)
 
     def singularities(self, window) -> list:
-        """Poles inside [lo, hi], each polished by one Newton step on the denominator."""
+        """Poles inside [lo, hi], each polished by one Newton step on the
+        denominator of its row."""
         lo, hi = float(window[0]), float(window[1])
         if not lo < hi:
             raise ValueError("window must satisfy lo < hi")
-        kind = self.kind
-        c = self.c
-        roots: list = []
-        if kind == "pos":
-            if self.B.is_infinite:
-                return []
-            Bv = self.B.value
-            if abs(Bv) < 1.0:
-                roots = [self.A + math.atanh(Bv) / c]
-            else:
-                return []
-        elif kind == "zero":
-            if self.B.is_infinite:
-                roots = [self.A]
-            else:
-                Bv = self.B.value
-                if Bv == 0.0:
-                    return []
-                roots = [self.A - 1.0 / Bv]
-        else:
-            if self.B.is_infinite:
-                base = math.pi / 2.0
-            else:
-                base = math.atan(self.B.value)
-            # theta = base + j*pi, x = A + theta/c; pick all j landing in the window
-            j_lo = math.floor((c * (lo - self.A) - base) / math.pi) - 1
-            j_hi = math.ceil((c * (hi - self.A) - base) / math.pi) + 1
-            if j_hi - j_lo > 5_000_000:
-                raise ValueError(
-                    f"window spans about {j_hi - j_lo:.2e} poles; narrow it")
-            roots = [self.A + (base + j * math.pi) / c for j in range(j_lo, j_hi + 1)]
-        out = []
-        for r in roots:
-            r = self._polish_root(r)
-            if lo <= r <= hi:
-                out.append(r)
-        return sorted(out)
-
-    def _polish_root(self, r):
-        kind = self.kind
-        c = self.c
-        if self.B.is_infinite:
-            if kind == "zero":
-                return r
-            th = c * (r - self.A)
-            if kind == "pos":
-                return r
-            den, dden = math.cos(th), -c * math.sin(th)
-        else:
-            Bv = self.B.value
-            th = c * (r - self.A)
-            if kind == "pos":
-                den = Bv * math.cosh(th) - math.sinh(th)
-                dden = c * (Bv * math.sinh(th) - math.cosh(th))
-            elif kind == "zero":
-                return r
-            else:
-                den = Bv * math.cos(th) - math.sin(th)
-                dden = -c * (Bv * math.sin(th) + math.cos(th))
-        if dden != 0.0:
-            r = r - den / dden
-        return r
+        return sorted(r for r in self.form.poles(lo, hi) if lo <= r <= hi)
 
 
 def general_solution(a: float, A: float, B) -> RiccatiSolution:
@@ -639,13 +661,17 @@ def reduce_alternative(eq: ConstRiccati, y1) -> LinearFirstOrder:
     return LinearFirstOrder(a=2.0 * eq.a0 / v + eq.a1, b=eq.a0)
 
 
-def solve_linear_first_order(p: LinearFirstOrder, x0: float, E: float = 0.0,
-                             panels: int = 10_000) -> Callable:
+# Simpson panels per point on the quadrature path of solve_linear_first_order
+_PANELS = 10_000
+
+
+def solve_linear_first_order(p: LinearFirstOrder, x0: float,
+                             E: float = 0.0) -> Callable:
     """Solution of v' = a(x) v + b(x) with v(x0) = E.
 
     Constant coefficients short-circuit to the exact closed form; otherwise
     the integrating-factor formula is evaluated with composite Simpson
-    quadrature on `panels` panels per call.
+    quadrature on _PANELS panels per point.
     """
     x0 = float(x0)
     E = float(E)
@@ -680,7 +706,7 @@ def solve_linear_first_order(p: LinearFirstOrder, x0: float, E: float = 0.0,
     def solve_one(xv):
         if xv == x0:
             return E
-        grid = np.linspace(x0, xv, 2 * panels + 1)
+        grid = np.linspace(x0, xv, 2 * _PANELS + 1)
         cum_a = cumulative_simpson(a_fun, grid)
         g = np.asarray(b_fun(grid), dtype=float) * np.exp(-cum_a)
         inner = cumulative_simpson_values(g, grid[1] - grid[0])[-1]

@@ -64,13 +64,13 @@ def _coerce_direction(direction) -> ChainDirection:
         "direction must be 'decreasing', 'increasing', or a ChainDirection")
 
 
-def count_nodes(values, rel_threshold: float = 1e-10) -> int:
-    """Strict sign changes among samples above rel_threshold * peak."""
+def count_nodes(values) -> int:
+    """Strict sign changes among samples above 1e-10 of the peak magnitude."""
     v = np.asarray(values, dtype=float)
     peak = float(np.max(np.abs(v))) if v.size else 0.0
     if peak == 0.0:
         return 0
-    sig = v[np.abs(v) >= rel_threshold * peak]
+    sig = v[np.abs(v) >= 1e-10 * peak]
     signs = np.sign(sig)
     return int(np.sum(signs[1:] != signs[:-1]))
 
@@ -100,10 +100,10 @@ class WaveFunction:
     def h(self) -> float:
         return self.data.grid.h
 
-    def node_count(self, rel_threshold: float = 1e-10) -> int:
+    def node_count(self) -> int:
         """Sign changes on the grid interior, the samples excited_state checks;
         the end samples only carry the walls' round-off."""
-        return count_nodes(self.values[1:-1], rel_threshold)
+        return count_nodes(self.values[1:-1])
 
     def norm(self) -> float:
         return self.data.norm()
@@ -145,7 +145,7 @@ _WHOLE_LINE = (-math.inf, math.inf)
 def _default_anchor(family: Family) -> float:
     """The first pole-free point of A + (0.618, -0.382, 1.227, 2.414)/c."""
     p = family.params
-    cee = p.sign.c if p.sign.kind != "zero" else 1.0
+    cee = p.sign.c or 1.0   # c = 0 when a = 0
     for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
         cand = p.A + off / cee
         try:
@@ -358,11 +358,24 @@ def partner_energies(family: Family, m, n_levels: int, direction,
 # ---------------------------------------------------------------------------
 # states
 
-def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
-    h = xs[1] - xs[0]
+def _W_samples(family: Family, xs: np.ndarray, p: float) -> np.ndarray:
     W = np.asarray(family.k(xs, p), dtype=float)
     if not np.all(np.isfinite(W)):
         raise PoleError("superpotential is not finite on the working grid")
+    return W
+
+
+def _normalized(psi: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """psi over its norm on the grid xs, with the sign fixed."""
+    nrm = math.sqrt(max(integrate(psi * psi, float(xs[1] - xs[0])), 0.0))
+    if nrm == 0.0:
+        raise NormalizationError("state vanished on the grid")
+    return fix_sign(psi / nrm)
+
+
+def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
+    h = xs[1] - xs[0]
+    W = _W_samples(family, xs, p)
     # int W anchored to the grid midpoint; the shift to a max of 0 before
     # exponentiating only changes the constant that normalization absorbs
     s = sign * cumulative_simpson_values(W, h)
@@ -374,9 +387,7 @@ def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarr
 def _ladder_values(psi: np.ndarray, xs: np.ndarray, family: Family, p: float,
                    adjoint: bool) -> np.ndarray:
     h = float(xs[1] - xs[0])
-    W = np.asarray(family.k(xs, p), dtype=float)
-    if not np.all(np.isfinite(W)):
-        raise PoleError("superpotential is not finite on the working grid")
+    W = _W_samples(family, xs, p)
     peak = float(np.max(np.abs(psi)))
     if peak > 0.0:
         # coarseness gate on the state's support only: a potential blowing up
@@ -422,7 +433,6 @@ def excited_state(family: Family, m, k: int, direction, grid,
     _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
                                anchor=float(xs[xs.size // 2]))
     psi = _state_seed(family, xs, step.seed_parameter, step.seed_sign)
-    h = float(xs[1] - xs[0])
     for p in step.operator_parameters:
         psi = _ladder_values(psi, xs, family, p, step.adjoint)
         peak = float(np.max(np.abs(psi)))
@@ -430,10 +440,7 @@ def excited_state(family: Family, m, k: int, direction, grid,
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
         psi = psi / peak
-    nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
-    if nrm == 0.0:
-        raise NormalizationError("state vanished on the grid")
-    psi = fix_sign(psi / nrm)
+    psi = _normalized(psi, xs)
     nodes = count_nodes(psi[1:-1])
     if nodes != k:
         raise VerificationError(
@@ -452,14 +459,8 @@ def ground_state(family: Family, m, direction, grid,
                                   anchor=float(xs[xs.size // 2]))
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
-    psi = _state_seed(family, xs, m, sign)
-    h = float(xs[1] - xs[0])
-    nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
-    if nrm == 0.0:
-        raise NormalizationError("state vanished on the grid")
-    psi = fix_sign(psi / nrm)
-    energy = family.params.d if d is None else float(d)
-    return WaveFunction(GridFunction(gobj, psi), 0, energy, True)
+    psi = _normalized(_state_seed(family, xs, m, sign), xs)
+    return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,7 @@ def test_numeric_precheck_does_not_depend_on_translation():
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--grid=-8,8,5"],
-    ["spectrum", "--m", "2", "--mode", "both"],
+    ["spectrum", "--m", "2", "--mode", "both", "--grid=-8,8,2001"],
 ], ids=["eval", "spectrum-both"])
 def test_overflow_is_one_pole_diagnostic_not_warnings(argv):
     # the Morse closed form overflows far left of its well at c = 100; the
@@ -444,6 +444,24 @@ def test_overflow_is_one_pole_diagnostic_not_warnings(argv):
     diag = json.loads(err)
     assert diag["error"] == "pole"
     assert diag["message"].startswith("potential is not finite")
+
+
+def test_auto_grid_is_sized_in_units_of_one_over_c():
+    # the c = 100 Morse well is about 0.01 wide: an auto grid of [-8, 8]
+    # put one node per well width and overflowed; in units of 1/c it
+    # resolves the levels, each within 1.5 times its Richardson estimate
+    code, out, err = run_cli("spectrum", "--family",
+                             "TypeB_real:c=100,b=-70000,D=400", "--m", "2",
+                             "--mode", "both", "--kmax", "3")
+    assert code == 3
+    assert stderr_diag(err)["error"] == "tolerance"
+    report = json.loads(out)
+    grid = report["numeric"]["grid"]
+    assert grid["n"] == 2001 and -0.1 < grid["xmin"] < grid["xmax"] < 0.1
+    rows = report["comparison"]["levels"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["abs_diff"] <= 1.5 * row["richardson"], row
 
 
 def test_eval_pole_diagnostic_is_capped():

@@ -262,9 +262,6 @@ def test_trivial_guard():
     # B = +-1 in the positive class collapses k1 to a constant
     fam = make(AFF, positive_a(1.0), ExtendedReal(1.0), b=0.5)
     assert fam.is_trivial
-    with pytest.raises(FamilyError):
-        fam.validate(strict=True)
-    fam.validate(strict=False)  # hard checks still fine
     xs = np.linspace(-1.0, 1.0, 50)
     m = 2.0
     res = (fam.k(xs, m + 1.0) ** 2 - fam.k(xs, m) ** 2
@@ -357,3 +354,64 @@ def test_infinite_B_survives_round_trip():
     doc = family_to_json(fam)
     assert doc["B"] == "inf"
     assert family_from_json(doc).params.B.is_infinite
+
+
+def _former_is_trivial(fam):
+    """The rule is_trivial followed before the rows carried f_is_constant."""
+    p = fam.params
+    if p.B.is_infinite:
+        k1_is_constant = False
+    elif p.sign.kind == "pos":
+        k1_is_constant = p.B.value in (-1.0, 1.0)
+    else:
+        k1_is_constant = p.sign.kind == "zero" and p.B.value == 0.0
+    if not k1_is_constant:
+        return False
+    if fam.kind is INV:
+        return True
+    return p.D == 0.0 if p.sign.kind == "pos" else p.b == 0.0
+
+
+def test_is_trivial_truth_table():
+    seen = set()
+    for sign in (positive_a(1.3), zero_a(), negative_a(0.9)):
+        for B in (1.0, -1.0, 0.0, 0.5, -2.0, INFINITY):
+            for kind in (AFF, INV):
+                for b in (0.0, 0.7):
+                    for D in (0.0, -0.4):
+                        fam = make(kind, sign, B, b=b, D=D, q=1.5)
+                        assert fam.is_trivial == _former_is_trivial(fam), \
+                            (sign.kind, B, kind, b, D)
+                        seen.add(fam.is_trivial)
+    assert seen == {True, False}
+
+
+def test_family_builds_its_closed_forms_once(monkeypatch):
+    built = []
+
+    def count(cls):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in (riccati.RiccatiSolution, riccati.ZSolution, riccati._Form):
+        count(cls)
+    xs = np.linspace(-0.9, -0.1, 33)
+    for sign in (positive_a(1.3), zero_a(), negative_a(0.9)):
+        for B in (ExtendedReal(0.5), INFINITY):
+            for kind in (AFF, INV):
+                built.clear()
+                fam = make(kind, sign, B, b=0.7, D=-0.4, q=1.5, A=0.2)
+                assert sorted(built) == ["RiccatiSolution", "ZSolution", "_Form"]
+                built.clear()
+                for m in (1.0, 2.5):
+                    fam.k(xs, m)
+                    fam.k(0.3, m)
+                    fam.k_prime(xs, m)
+                    fam._k_coefficients(m)
+                    fam.singularities(m, (-5.0, 5.0))
+                fam.basis().f(xs)
+                assert built == [], (sign.kind, B, kind)

@@ -1,6 +1,6 @@
 """The (k0, k1) sample memo behind Family.k: outputs stay bit-identical to a
 fresh evaluation, whatever the call history, and the memo stays private to
-its instance and bounded."""
+its instance and holds one array."""
 
 import copy
 import dataclasses
@@ -101,7 +101,7 @@ def test_warm_memo_matches_fresh_family(cfg, calls, arrays):
     for which, m in calls:
         x = inputs[which]
         _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
-    assert len(fam._k_memo) <= families._K_MEMO_ENTRIES
+    assert len(fam._k_memo) <= 1
 
 
 @SEEDED
@@ -121,6 +121,7 @@ def test_in_place_mutation_gives_fresh_values(cfg, before, after, m, view):
 @given(cfg=st.integers(0, len(CONFIGS) - 1),
        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20), m=params_m)
 def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
+    # one slot: each new array replaces the last
     fam = _fresh(CONFIGS[cfg])
     lo, hi = _cell(fam)
     keys = []
@@ -129,7 +130,7 @@ def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
         x = np.linspace(lo + (hi - lo) * i / 64.0, hi, size + 1)
         fam.k(x, m)
         keys.append((x.shape, x.tobytes()))
-    assert list(fam._k_memo) == keys[-families._K_MEMO_ENTRIES:]
+    assert list(fam._k_memo) == keys[-1:]
     held = dict(fam._k_memo)
     # scalars, 0-d arrays and arrays above the point bound are evaluated
     # directly and leave the memo alone

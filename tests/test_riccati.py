@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pole_oracle
 from shapeinv import riccati
 from shapeinv.errors import PoleError
 from shapeinv.riccati import (INFINITY, ConstRiccati, ExtendedReal,
@@ -428,3 +431,39 @@ def test_end_limits_match_the_closed_forms(kind, B):
             assert abs(h) < 1e-12
         else:
             assert math.copysign(1.0, h) == h_sign and abs(h) > 1e6
+
+
+# ---------------------------------------------------------------------------
+# the rows' poles against the scan that branched on the sign class
+
+_B_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1e-9, -1e-9, 2.5, INFINITY]),
+    st.floats(-1e-8, 1e-8), st.floats(-50.0, 50.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(kind=st.sampled_from(("pos", "zero", "neg")),
+       log_c=st.floats(-3.0, 3.0), A=st.floats(-10.0, 10.0), B=_B_VALUES,
+       start=st.floats(-60.0, 60.0), width=st.floats(1e-6, 200.0))
+def test_row_poles_equal_the_former_scan(kind, log_c, A, B, start, width):
+    # windows in units of 1/c around A, up to about 60 periods wide
+    c = 10.0 ** log_c
+    a = {"pos": c * c, "zero": 0.0, "neg": -c * c}[kind]
+    sol = general_solution(a, A, B)
+    scale = c if kind != "zero" else 1.0
+    lo = A + start / scale
+    window = (lo, lo + width / scale)
+    assert sol.singularities(window) == pole_oracle.singularities(sol, window)
+
+
+@pytest.mark.parametrize("kind, B", ROW_CASES)
+def test_row_poles_refuse_what_the_former_scan_refused(kind, B):
+    sol, _ = _row(kind, B)
+    for window in ((1.0, 1.0), (2.0, -2.0), (-1e8, 1e8)):
+        try:
+            want = pole_oracle.singularities(sol, window)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)[:20]):
+                sol.singularities(window)
+        else:
+            assert sol.singularities(window) == want
