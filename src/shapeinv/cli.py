@@ -253,19 +253,25 @@ def _resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # grid resolution
 
+def _rate(fam: families.Family) -> float:
+    """The family's rate constant c, or 1 when a = 0 (c = 0 there): lengths
+    are read in units of 1/c and energies in units of c^2."""
+    return fam.params.sign.c or 1.0
+
+
 def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
     anchor = spectra._default_anchor(fam)
     big = 1e15
     lo, hi = fam.natural_domain(cfg.m, anchor, (anchor - big, anchor + big))
     left_pole = lo > anchor - big + 1.0
     right_pole = hi < anchor + big - 1.0
+    # probe and size the well, and keep off the poles, in units of 1/c
+    c = _rate(fam)
+    margin = cfg.pole_margin / c
     if left_pole and right_pole:
-        return numerics.Grid(lo + cfg.pole_margin, hi - cfg.pole_margin,
-                             _DEFAULT_N)
+        return numerics.Grid(lo + margin, hi - margin, _DEFAULT_N)
     pp = partners.pair_from_family(fam, cfg.d)
     center = anchor if (left_pole or right_pole) else fam.params.A
-    # probe and size the well in units of 1/c; unit scale when a = 0 (c = 0)
-    c = fam.params.sign.c or 1.0
     step = 1.0 / c
     if left_pole:
         step = min(step, 0.5 * (anchor - lo))
@@ -277,8 +283,8 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
     extent = 8.0 / c
     if curv > 1e-8 * c ** 4:
         extent = max(extent, 6.0 / math.sqrt(curv))
-    x0 = lo + cfg.pole_margin if left_pole else center - extent
-    x1 = hi - cfg.pole_margin if right_pole else center + extent
+    x0 = lo + margin if left_pole else center - extent
+    x1 = hi - margin if right_pole else center + extent
     return numerics.Grid(x0, x1, _DEFAULT_N)
 
 
@@ -436,6 +442,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         report["numeric"] = {"levels": levels, "grid": _grid_meta(grid)}
     exit_code = EXIT_OK
     if mode == "both":
+        tol = cfg.tol * _rate(fam) ** 2   # in units of c^2
         rows = []
         worst = 0.0
         for k, e_an in analytic.levels:
@@ -447,15 +454,15 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
             rich = report["numeric"]["levels"][k]["richardson"]
             rows.append({"k": k, "E_analytic": e_an, "E_numeric": e_num,
                          "abs_diff": diff, "richardson": rich})
-        within = worst <= cfg.tol
-        report["comparison"] = {"tol": cfg.tol, "levels": rows,
+        within = worst <= tol
+        report["comparison"] = {"tol": tol, "levels": rows,
                                 "max_abs_diff": worst, "within_tol": within}
         if not within:
             exit_code = EXIT_TOLERANCE
     _emit(json.dumps(report, indent=2) + "\n", cfg)
     if exit_code == EXIT_TOLERANCE:
         _diag("tolerance", "analytic and numeric levels disagree beyond tol",
-              max_abs_diff=report["comparison"]["max_abs_diff"], tol=cfg.tol)
+              max_abs_diff=report["comparison"]["max_abs_diff"], tol=tol)
     return exit_code
 
 
@@ -536,7 +543,8 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file (default: standard output)")
     sub.add_argument("--format", choices=("csv", "json"),
                      help="output format")
-    sub.add_argument("--tol", type=float, help="comparison tolerance")
+    sub.add_argument("--tol", type=float,
+                     help="comparison tolerance, in units of c^2")
     sub.add_argument("--dump-config", action="store_true",
                      help="print the resolved configuration and exit")
     sub.add_argument("--family",
@@ -550,7 +558,8 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kmax", type=int, help="highest level index")
     sub.add_argument("--d", type=float, help="factorization energy shift")
     sub.add_argument("--pole-margin", type=float, dest="pole_margin",
-                     help="distance kept from potential poles")
+                     help="distance kept from potential poles, in units "
+                          "of 1/c")
 
 
 def build_parser() -> _Parser:

@@ -106,9 +106,15 @@ class FamilyParams:
                 f"and c|A| <= {_MAX_OFFSET:g}")
 
 
-# The memo behind Family.k holds the last sample array of at most this many
-# points (larger arrays are evaluated directly).
+# The memos behind Family.k and Family.k_prime each hold the last sample
+# array of at most this many points (larger arrays are evaluated directly).
 _K_MEMO_MAX_POINTS = 1 << 16
+
+# the whole line, cut only by poles: the window of a pole-free cell
+_WHOLE_LINE = (-np.inf, np.inf)
+
+# the per-instance sample and cell memos, emptied in copies
+_MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo")
 
 
 @dataclass(frozen=True)
@@ -123,17 +129,19 @@ class Family:
             raise FamilyError("inverse-power ansatz requires q != 0")
         # built once: the Riccati solution y = k1 (whose row of the
         # closed-form table is basis()), the companion z = k0, and the
-        # (k0, k1) sample memo of k; not fields, so they stay out of ==,
-        # hash, repr and replace(), and the memo belongs to this instance
+        # memos of k's (k0, k1) samples, k_prime's (k0', k1') samples and
+        # the pole-free cell; not fields, so they stay out of ==, hash, repr
+        # and replace(), and the memos belong to this instance
         p = self.params
         y = general_solution(p.sign.a, p.A, p.B)
         object.__setattr__(self, "_y", y)
         object.__setattr__(self, "_z", solve_z(p.b, y, p.D))
-        object.__setattr__(self, "_k_memo", {})
+        for memo in _MEMOS:
+            object.__setattr__(self, memo, {})
 
     def __getstate__(self):
-        # copies and unpickled instances start with an empty memo
-        return {**self.__dict__, "_k_memo": {}}
+        # copies and unpickled instances start with empty memos
+        return {**self.__dict__, **{memo: {} for memo in _MEMOS}}
 
     # -- structural helpers -------------------------------------------------
 
@@ -179,23 +187,27 @@ class Family:
         k0 = self.k0(arr) if self.kind is FamilyKind.AFFINE else None
         return k0, self.k1(arr)
 
-    def _k_samples(self, x):
-        """(k0(x), k1(x)); for the last array, remembered by shape and bytes."""
+    def _k_prime_parts(self, arr):
+        k0p = self.k0_prime(arr) if self.kind is FamilyKind.AFFINE else None
+        return k0p, self.k1_prime(arr)
+
+    def _samples(self, memo, parts, x):
+        """parts(x), a (m-free, m-linear) pair; for the last array, remembered
+        in memo by shape and bytes."""
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
-            return self._k_parts(arr)
-        memo = self._k_memo
+            return parts(arr)
         key = (arr.shape, arr.tobytes())
-        parts = memo.get(key)
-        if parts is None:
-            parts = self._k_parts(arr)
+        out = memo.get(key)
+        if out is None:
+            out = parts(arr)
             memo.clear()
-            memo[key] = parts
-        return parts
+            memo[key] = out
+        return out
 
     def k(self, x, m):
         m = self._require_m(m)
-        k0, k1 = self._k_samples(x)
+        k0, k1 = self._samples(self._k_memo, self._k_parts, x)
         if self.kind is FamilyKind.AFFINE:
             return k0 + m * k1
         return self.params.q / m + m * k1
@@ -214,9 +226,10 @@ class Family:
 
     def k_prime(self, x, m):
         m = self._require_m(m)
+        k0p, k1p = self._samples(self._k_prime_memo, self._k_prime_parts, x)
         if self.kind is FamilyKind.AFFINE:
-            return self.k0_prime(x) + m * self.k1_prime(x)
-        return m * self.k1_prime(x)
+            return k0p + m * k1p
+        return m * k1p
 
     def L(self, m) -> float:
         m = self._require_m(m)
@@ -262,6 +275,18 @@ class Family:
         left = max((pole for pole in poles if pole < anchor), default=lo)
         right = min((pole for pole in poles if pole > anchor), default=hi)
         return (left, right)
+
+    def _pole_free_cell(self, anchor):
+        """natural_domain on the whole line: the poles next to anchor, or an
+        infinite end. It does not depend on m; the last anchor's is kept."""
+        memo = self._cell_memo
+        anchor = float(anchor)
+        cell = memo.get(anchor)
+        if cell is None:
+            cell = self.natural_domain(1.0, anchor, _WHOLE_LINE)
+            memo.clear()
+            memo[anchor] = cell
+        return cell
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,15 @@ class Grid:
             raise ValueError("grid needs x1 > x0")
         if self.n < 16:
             raise ValueError("grid needs at least 16 nodes")
+        # the nodes, computed once and read-only so every reader shares them;
+        # not a field, so == and hash still compare (x0, x1, n)
+        x = np.linspace(self.x0, self.x1, self.n)
+        x.flags.writeable = False
+        object.__setattr__(self, "_x", x)
+
+    def __reduce__(self):
+        # copies and unpickled grids rebuild their own read-only nodes
+        return (Grid, (self.x0, self.x1, self.n))
 
     @property
     def h(self) -> float:
@@ -50,7 +59,7 @@ class Grid:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x0, self.x1, self.n)
+        return self._x
 
 
 @dataclass(frozen=True)
@@ -522,10 +531,15 @@ def eigen_lowest(mat: TridiagonalSym, kmax: int, h: float = 1.0, seed: int = 0):
 def fix_sign(values) -> np.ndarray:
     """Flip the overall sign so the first significant lobe is positive."""
     v = np.asarray(values, dtype=float)
-    peak = float(np.max(np.abs(v)))
+    return _fix_sign(v, np.abs(v))
+
+
+def _fix_sign(v: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    # fix_sign with mag = |v| already at hand
+    peak = float(np.max(mag))
     if peak == 0.0:
         return v
-    idx = np.nonzero(np.abs(v) > 1e-6 * peak)[0]
+    idx = np.nonzero(mag > 1e-6 * peak)[0]
     if idx.size and v[idx[0]] < 0.0:
         return -v
     return v

@@ -36,7 +36,8 @@ from ._quad import cumulative_simpson_values
 from .errors import (FamilyError, GridTooCoarseError, NormalizationError,
                      OrbitError, PoleError, VerificationError)
 from .families import Family
-from .numerics import Grid, GridFunction, derivative, fix_sign, integrate
+from .numerics import (Grid, GridFunction, _fix_sign, derivative, fix_sign,
+                       integrate)
 from .partners import classify_L_sequence
 
 __all__ = [
@@ -67,10 +68,15 @@ def _coerce_direction(direction) -> ChainDirection:
 def count_nodes(values) -> int:
     """Strict sign changes among samples above 1e-10 of the peak magnitude."""
     v = np.asarray(values, dtype=float)
-    peak = float(np.max(np.abs(v))) if v.size else 0.0
+    return _count_nodes(v, np.abs(v))
+
+
+def _count_nodes(v: np.ndarray, mag: np.ndarray) -> int:
+    # count_nodes with mag = |v| already at hand
+    peak = float(np.max(mag)) if v.size else 0.0
     if peak == 0.0:
         return 0
-    sig = v[np.abs(v) >= 1e-10 * peak]
+    sig = v[mag >= 1e-10 * peak]
     signs = np.sign(sig)
     return int(np.sum(signs[1:] != signs[:-1]))
 
@@ -138,10 +144,6 @@ class NormalizabilityReport:
         return self.normalizable
 
 
-# the window of a seed's cell: the whole line, cut only by poles
-_WHOLE_LINE = (-math.inf, math.inf)
-
-
 def _default_anchor(family: Family) -> float:
     """The first pole-free point of A + (0.618, -0.382, 1.227, 2.414)/c."""
     p = family.params
@@ -149,7 +151,7 @@ def _default_anchor(family: Family) -> float:
     for off in (0.6180339887498949, -0.3819660112501051, 1.227, 2.414):
         cand = p.A + off / cee
         try:
-            family.natural_domain(1.0, cand, _WHOLE_LINE)
+            family._pole_free_cell(cand)
         except PoleError:
             continue
         return cand
@@ -196,9 +198,10 @@ def _divergent_end(family: Family, p: float, sign: int,
                    anchor: float) -> Optional[str]:
     """None when the seed exp(sign int W(., p)) is square integrable on the
     pole-free cell around anchor, else its divergent end: the left one when
-    both diverge. The verdict depends on the cell alone."""
-    left, right = _seed_end_verdicts(
-        family, p, sign, family.natural_domain(1.0, anchor, _WHOLE_LINE))
+    both diverge. The verdict depends on the cell alone, which the family
+    keeps for the last anchor."""
+    left, right = _seed_end_verdicts(family, p, sign,
+                                     family._pole_free_cell(anchor))
     if left and right:
         return None
     return "right" if left else "left"
@@ -365,12 +368,12 @@ def _W_samples(family: Family, xs: np.ndarray, p: float) -> np.ndarray:
     return W
 
 
-def _normalized(psi: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """psi over its norm on the grid xs, with the sign fixed."""
+def _unit_norm(psi: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """psi over its norm on the grid xs."""
     nrm = math.sqrt(max(integrate(psi * psi, float(xs[1] - xs[0])), 0.0))
     if nrm == 0.0:
         raise NormalizationError("state vanished on the grid")
-    return fix_sign(psi / nrm)
+    return psi / nrm
 
 
 def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
@@ -385,15 +388,16 @@ def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarr
 
 
 def _ladder_values(psi: np.ndarray, xs: np.ndarray, family: Family, p: float,
-                   adjoint: bool) -> np.ndarray:
+                   adjoint: bool, peak: float) -> np.ndarray:
+    """(+-d/dx + W(., p)) psi, where peak = max|psi|."""
     h = float(xs[1] - xs[0])
     W = _W_samples(family, xs, p)
-    peak = float(np.max(np.abs(psi)))
     if peak > 0.0:
         # coarseness gate on the state's support only: a potential blowing up
-        # where psi has died off should not block the ladder
+        # where psi has died off should not block the ladder; the support is
+        # empty only when psi holds nan, a state refused further on
         support = np.abs(psi) >= 1e-6 * peak
-        w_max = float(np.max(np.abs(W[support])))
+        w_max = float(np.max(np.abs(W[support]), initial=0.0))
         if h * w_max > 0.5:
             raise GridTooCoarseError(
                 f"h * max|W| = {h * w_max:.3g} exceeds 0.5 on the state's "
@@ -411,7 +415,8 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
         adjoint = True
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    out = _ladder_values(wf.values, wf.x, family, float(m), adjoint)
+    out = _ladder_values(wf.values, wf.x, family, float(m), adjoint,
+                         float(np.max(np.abs(wf.values))))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
@@ -422,6 +427,9 @@ def excited_state(family: Family, m, k: int, direction, grid,
     The chain seeds the shifted-parameter ground state and ladders it back to
     parameter m, then normalizes and fixes the sign. The node count is
     verified against k on the grid interior.
+
+    Each state entering a ladder step has a peak of exactly 1: the seed is
+    exp(s - max s), and every step divides by its own peak.
     """
     gobj, xs = _as_grid(grid)
     m = float(m)
@@ -434,18 +442,21 @@ def excited_state(family: Family, m, k: int, direction, grid,
                                anchor=float(xs[xs.size // 2]))
     psi = _state_seed(family, xs, step.seed_parameter, step.seed_sign)
     for p in step.operator_parameters:
-        psi = _ladder_values(psi, xs, family, p, step.adjoint)
+        psi = _ladder_values(psi, xs, family, p, step.adjoint, 1.0)
         peak = float(np.max(np.abs(psi)))
         if peak == 0.0:
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
         psi = psi / peak
-    psi = _normalized(psi, xs)
-    nodes = count_nodes(psi[1:-1])
+    psi = _unit_norm(psi, xs)
+    # one |psi| for the node count and the sign, which a flip leaves alone
+    mag = np.abs(psi)
+    nodes = _count_nodes(psi[1:-1], mag[1:-1])
     if nodes != k:
         raise VerificationError(
             f"level {k} state shows {nodes} interior nodes; the grid may be "
             "too coarse or the domain clipped")
+    psi = _fix_sign(psi, mag)
     return WaveFunction(GridFunction(gobj, psi), k, step.energy, True)
 
 
@@ -459,7 +470,7 @@ def ground_state(family: Family, m, direction, grid,
                                   anchor=float(xs[xs.size // 2]))
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
-    psi = _normalized(_state_seed(family, xs, m, sign), xs)
+    psi = fix_sign(_unit_norm(_state_seed(family, xs, m, sign), xs))
     return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 
 

@@ -1,0 +1,132 @@
+"""The ladder chain of `spectra.excited_state` as it stood before the family
+kept its pole-free cell and the chain reused its peaks and |psi|, kept as a
+test oracle.
+
+Every pass is the plain one: the seed's cell comes from `natural_domain` on
+each call, each ladder step takes the max of its input state, and
+normalization, the sign fix and the node count each take their own |psi|.
+The library's chain must give the same states bit for bit and refuse the
+same levels with the same errors.
+"""
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from shapeinv import spectra
+from shapeinv._quad import cumulative_simpson_values
+from shapeinv.errors import (GridTooCoarseError, NormalizationError,
+                             OrbitError, PoleError, VerificationError)
+from shapeinv.numerics import GridFunction, derivative, integrate
+
+_WHOLE_LINE = (-math.inf, math.inf)
+
+
+def fix_sign(values) -> np.ndarray:
+    """Flip the overall sign so the first significant lobe is positive."""
+    v = np.asarray(values, dtype=float)
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return v
+    idx = np.nonzero(np.abs(v) > 1e-6 * peak)[0]
+    if idx.size and v[idx[0]] < 0.0:
+        return -v
+    return v
+
+
+def count_nodes(values) -> int:
+    """Strict sign changes among samples above 1e-10 of the peak magnitude."""
+    v = np.asarray(values, dtype=float)
+    peak = float(np.max(np.abs(v))) if v.size else 0.0
+    if peak == 0.0:
+        return 0
+    sig = v[np.abs(v) >= 1e-10 * peak]
+    signs = np.sign(sig)
+    return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def _divergent_end(family, p: float, sign: int,
+                   anchor: float) -> Optional[str]:
+    left, right = spectra._seed_end_verdicts(
+        family, p, sign, family.natural_domain(1.0, anchor, _WHOLE_LINE))
+    if left and right:
+        return None
+    return "right" if left else "left"
+
+
+def _require_seed_normalizable(family, p: float, sign: int, anchor: float):
+    end = _divergent_end(family, p, sign, anchor)
+    if end is not None:
+        raise NormalizationError(
+            f"chain seed at parameter {p:g} is not square integrable "
+            f"(divergent toward the {end} end)", divergent_end=end)
+
+
+def _W_samples(family, xs: np.ndarray, p: float) -> np.ndarray:
+    W = np.asarray(family.k(xs, p), dtype=float)
+    if not np.all(np.isfinite(W)):
+        raise PoleError("superpotential is not finite on the working grid")
+    return W
+
+
+def _normalized(psi: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """psi over its norm on the grid xs, with the sign fixed."""
+    nrm = math.sqrt(max(integrate(psi * psi, float(xs[1] - xs[0])), 0.0))
+    if nrm == 0.0:
+        raise NormalizationError("state vanished on the grid")
+    return fix_sign(psi / nrm)
+
+
+def _state_seed(family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
+    h = xs[1] - xs[0]
+    W = _W_samples(family, xs, p)
+    s = sign * cumulative_simpson_values(W, h)
+    s -= s[xs.size // 2]
+    s -= np.max(s)
+    return np.exp(s)
+
+
+def _ladder_values(psi: np.ndarray, xs: np.ndarray, family, p: float,
+                   adjoint: bool) -> np.ndarray:
+    h = float(xs[1] - xs[0])
+    W = _W_samples(family, xs, p)
+    peak = float(np.max(np.abs(psi)))
+    if peak > 0.0:
+        support = np.abs(psi) >= 1e-6 * peak
+        w_max = float(np.max(np.abs(W[support])))
+        if h * w_max > 0.5:
+            raise GridTooCoarseError(
+                f"h * max|W| = {h * w_max:.3g} exceeds 0.5 on the state's "
+                "support; refine the grid", h=h, w_max=w_max)
+    dpsi = derivative(psi, h)
+    return (-dpsi if adjoint else dpsi) + W * psi
+
+
+def excited_state(family, m, k: int, direction, grid,
+                  d: Optional[float] = None) -> spectra.WaveFunction:
+    """Level-k bound state of H(m) built by the operator chain."""
+    gobj, xs = spectra._as_grid(grid)
+    m = float(m)
+    k = int(k)
+    if k < 0:
+        raise ValueError("level index must be >= 0")
+    step = spectra._level(family, m, k, spectra._coerce_direction(direction),
+                          spectra._energy_shift(family, d))
+    _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
+                               anchor=float(xs[xs.size // 2]))
+    psi = _state_seed(family, xs, step.seed_parameter, step.seed_sign)
+    for p in step.operator_parameters:
+        psi = _ladder_values(psi, xs, family, p, step.adjoint)
+        peak = float(np.max(np.abs(psi)))
+        if peak == 0.0:
+            raise OrbitError(
+                f"ladder chain annihilated the state at parameter {p:g}")
+        psi = psi / peak
+    psi = _normalized(psi, xs)
+    nodes = count_nodes(psi[1:-1])
+    if nodes != k:
+        raise VerificationError(
+            f"level {k} state shows {nodes} interior nodes; the grid may be "
+            "too coarse or the domain clipped")
+    return spectra.WaveFunction(GridFunction(gobj, psi), k, step.energy, True)

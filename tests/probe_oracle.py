@@ -146,6 +146,6 @@ def probe_seed(family, m, direction,
     sign = +1 if direction is spectra.ChainDirection.DecreasingL else -1
     if anchor is None:
         anchor = spectra._default_anchor(family)
-    domain = family.natural_domain(1.0, float(anchor), spectra._WHOLE_LINE)
+    domain = family.natural_domain(1.0, float(anchor), (-math.inf, math.inf))
     return probe_square_integrable(seed_log_derivative(family, float(m), sign),
                                    domain, anchor=anchor)

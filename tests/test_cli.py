@@ -449,19 +449,90 @@ def test_overflow_is_one_pole_diagnostic_not_warnings(argv):
 def test_auto_grid_is_sized_in_units_of_one_over_c():
     # the c = 100 Morse well is about 0.01 wide: an auto grid of [-8, 8]
     # put one node per well width and overflowed; in units of 1/c it
-    # resolves the levels, each within 1.5 times its Richardson estimate
+    # resolves the levels, each within 1.5 times its Richardson estimate,
+    # and tol = 1e-2 in units of c^2 admits their errors of about 1
     code, out, err = run_cli("spectrum", "--family",
                              "TypeB_real:c=100,b=-70000,D=400", "--m", "2",
                              "--mode", "both", "--kmax", "3")
-    assert code == 3
-    assert stderr_diag(err)["error"] == "tolerance"
+    assert code == 0 and err == ""
     report = json.loads(out)
     grid = report["numeric"]["grid"]
     assert grid["n"] == 2001 and -0.1 < grid["xmin"] < grid["xmax"] < 0.1
+    assert report["comparison"]["tol"] == 1e-2 * 100.0 ** 2
     rows = report["comparison"]["levels"]
     assert len(rows) == 4
     for row in rows:
         assert row["abs_diff"] <= 1.5 * row["richardson"], row
+
+
+@pytest.mark.parametrize("family, extra", [
+    # pole_margin once kept an absolute 1e-3 off the poles of cot, a
+    # twentieth of a node at c = 50: level 2 was off by 0.164 against a
+    # Richardson bar of 0.111
+    ("TypeA:c=50", ("--kmax", "2")),
+    # tol was absolute: errors of about 1 on energies of about 1e5 failed
+    # 1e-2, each within its Richardson bar
+    ("TypeB_real:c=100,b=-70000,D=400", ()),
+])
+def test_margin_and_tol_are_read_in_units_of_c(family, extra):
+    code, out, err = run_cli("spectrum", "--family", family, "--m", "2",
+                             "--mode", "both", *extra)
+    assert code == 0 and err == ""
+    rows = json.loads(out)["comparison"]["levels"]
+    assert len(rows) >= 3
+    for row in rows:
+        assert row["abs_diff"] <= 1.5 * row["richardson"], row
+
+
+def _run_in_process(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# (preset, constants at scale 1, m, explicit grid at scale 1)
+SCALING_CASES = [
+    ("TypeA", dict(c=1.3, A=0.2, b=0.3, D=0.1, t=0.25, d=-0.5), 2.0,
+     (0.21, 2.61, 1001)),
+    ("HyperbolicTanh", dict(c=1.1, A=-0.1, b=0.2, D=0.1, t=0.5, d=0.75), 3.0,
+     (-9.0, 9.0, 1501)),
+    ("TypeB_real", dict(c=1.2, A=0.1, b=0.2, D=-1.0, t=0.0, d=0.0), 2.0,
+     (-4.0, 12.0, 2001)),
+]
+
+
+def _scaled_family(name, consts, s):
+    """The family with c -> s c: x shrinks by s, W grows by s, energies by
+    s^2, so A/s, b s^2, D s, t s^2 and d s^2."""
+    scaled = dict(c=consts["c"] * s, A=consts["A"] / s, b=consts["b"] * s * s,
+                  D=consts["D"] * s, t=consts["t"] * s * s,
+                  d=consts["d"] * s * s)
+    return name + ":" + ",".join(f"{k}={v!r}" for k, v in scaled.items())
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("name, consts, m, grid", SCALING_CASES)
+def test_spectrum_scales_exactly_with_c(capsys, name, consts, m, grid,
+                                        explicit):
+    # c -> 4c rescales x by 1/4 and energies by 16, both exact in binary:
+    # the same exit code, and 16 times the energies bit for bit, need the
+    # auto grid, its pole margin and tol all read in units of c
+    runs = []
+    for s in (1.0, 4.0):
+        argv = ["spectrum", "--family", _scaled_family(name, consts, s),
+                "--m", repr(m), "--mode", "both", "--kmax", "3",
+                "--d", repr(0.125 * s * s)]
+        if explicit:
+            argv.append(f"--grid={grid[0] / s!r},{grid[1] / s!r},{grid[2]}")
+        runs.append(_run_in_process(capsys, *argv))
+    (code1, out1, _), (code4, out4, _) = runs
+    assert code1 == code4
+    one, four = json.loads(out1), json.loads(out4)
+    for block in ("analytic", "numeric"):
+        e1 = [level["E"] for level in one[block]["levels"]]
+        e4 = [level["E"] for level in four[block]["levels"]]
+        assert e1 and e4 == [16.0 * e for e in e1], block
+    assert four["comparison"]["tol"] == 16.0 * one["comparison"]["tol"]
 
 
 def test_eval_pole_diagnostic_is_capped():

@@ -1,6 +1,8 @@
-"""The (k0, k1) sample memo behind Family.k: outputs stay bit-identical to a
-fresh evaluation, whatever the call history, and the memo stays private to
-its instance and holds one array."""
+"""The memos of a Family: the (k0, k1) samples behind Family.k, the
+(k0', k1') samples behind Family.k_prime and the pole-free cell of the
+seed verdicts. Outputs stay bit-identical to a fresh evaluation, whatever
+the call history, and each memo stays private to its instance and holds
+one entry."""
 
 import copy
 import dataclasses
@@ -11,13 +13,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapeinv import families
-from shapeinv.errors import ShapeInvError
+from shapeinv import families, spectra
+from shapeinv.errors import PoleError, ShapeInvError
 from shapeinv.families import (Family, FamilyKind, FamilyParams, negative_a,
                                positive_a, preset_params, zero_a)
 from shapeinv.numerics import Grid
 from shapeinv.riccati import INFINITY, ExtendedReal
-from shapeinv.spectra import excited_state, spectrum_analytic
+from shapeinv.spectra import (check_normalizable, excited_state,
+                              spectrum_analytic)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   max_examples=40)
@@ -140,18 +143,26 @@ def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
     assert list(fam._k_memo) == list(held)
 
 
+MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo")
+
+
 def test_copies_start_with_an_empty_memo():
+    # each of the three memos
     fam = _fresh(CONFIGS[0])
     before = (repr(fam), hash(fam))
-    fam.k(_samples(fam, np.linspace(0.0, 1.0, 50), "plain"), 2.0)
-    assert len(fam._k_memo) == 1
-    assert (repr(fam), hash(fam)) == before
+    xs = _samples(fam, np.linspace(0.0, 1.0, 50), "plain")
+    fam.k(xs, 2.0)
+    fam.k_prime(xs, 2.0)
+    fam._pole_free_cell(fam.params.A + 0.37)
+    assert all(len(getattr(fam, memo)) == 1 for memo in MEMOS)
+    assert (repr(fam), hash(fam)) == before and fam == _fresh(fam)
     back = pickle.loads(pickle.dumps(fam))
     for other in (dataclasses.replace(fam), copy.copy(fam), copy.deepcopy(fam),
                   back):
         assert other == fam and hash(other) == hash(fam)
-        assert other._k_memo == {}
-    assert len(fam._k_memo) == 1
+        assert repr(other) == repr(fam)
+        assert all(getattr(other, memo) == {} for memo in MEMOS)
+    assert all(len(getattr(fam, memo)) == 1 for memo in MEMOS)
 
 
 def _spectrum_and_states(fam, m, grid):
@@ -211,3 +222,125 @@ def test_probe_shells_and_ladder_grids_hit_the_memo(monkeypatch):
         excited_state(fam, 2.0, k, "decreasing", grid)
     assert counted.count(grid.x.tobytes()) == 1
     assert len(counted) == len(set(counted))
+
+
+# ---------------------------------------------------------------------------
+# the (k0', k1') memo behind Family.k_prime
+
+def _k_prime_direct(fam, x, m):
+    """k_prime from the closed forms, without the memo."""
+    if fam.kind is FamilyKind.AFFINE:
+        return fam.k0_prime(x) + m * fam.k1_prime(x)
+    return m * fam.k1_prime(x)
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1),
+       calls=st.lists(st.tuples(st.integers(0, 2), params_m, st.booleans()),
+                      min_size=1, max_size=12),
+       arrays=st.lists(st.tuples(fractions, st.sampled_from(FORMS)),
+                       min_size=3, max_size=3))
+def test_warm_k_prime_memo_matches_fresh_family(cfg, calls, arrays):
+    # k and k_prime interleaved on the same arrays: neither memo leaks into
+    # the other
+    fam = _fresh(CONFIGS[cfg])
+    inputs = [_samples(fam, f, form) for f, form in arrays]
+    for which, m, also_k in calls:
+        x = inputs[which]
+        if also_k:
+            _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
+        _assert_same(fam.k_prime(x, m), _fresh(fam).k_prime(x, m))
+        _assert_same(fam.k_prime(x, m), _k_prime_direct(_fresh(fam), x, m))
+    assert len(fam._k_memo) <= 1 and len(fam._k_prime_memo) <= 1
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1), before=fractions,
+       after=fractions, m=params_m, view=st.booleans())
+def test_k_prime_after_in_place_mutation_gives_fresh_values(cfg, before, after,
+                                                            m, view):
+    fam = _fresh(CONFIGS[cfg])
+    n = min(len(before), len(after))
+    base = _samples(fam, before[:n], "plain").copy()
+    x = base[:] if view else base
+    fam.k_prime(x, m)
+    base[:] = _samples(fam, after[:n], "plain")
+    _assert_same(fam.k_prime(x, m), _fresh(fam).k_prime(x, m))
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1),
+       sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20), m=params_m)
+def test_k_prime_memo_holds_the_last_array(cfg, sizes, m):
+    fam = _fresh(CONFIGS[cfg])
+    lo, hi = _cell(fam)
+    keys = []
+    for i, size in enumerate(sizes):
+        x = np.linspace(lo + (hi - lo) * i / 64.0, hi, size + 1)
+        fam.k_prime(x, m)
+        keys.append((x.shape, x.tobytes()))
+    assert list(fam._k_prime_memo) == keys[-1:]
+    assert fam._k_memo == {}
+    held = dict(fam._k_prime_memo)
+    big = np.linspace(lo, hi, families._K_MEMO_MAX_POINTS + 1)
+    for x in (float(lo), np.array(hi), big):
+        _assert_same(fam.k_prime(x, m), _fresh(fam).k_prime(x, m))
+    assert list(fam._k_prime_memo) == list(held)
+
+
+# ---------------------------------------------------------------------------
+# the pole-free cell memo of the seed verdicts
+
+WHOLE_LINE = (-math.inf, math.inf)
+
+
+@SEEDED
+@given(cfg=st.integers(0, len(CONFIGS) - 1),
+       offsets=st.lists(st.sampled_from((0.37, 0.41, -0.29, 2.9, 7.3)),
+                        min_size=1, max_size=8))
+def test_cell_memo_matches_natural_domain_and_holds_one_anchor(cfg, offsets):
+    fam = _fresh(CONFIGS[cfg])
+    for off in offsets:
+        anchor = fam.params.A + off
+        try:
+            want = _fresh(fam).natural_domain(1.0, anchor, WHOLE_LINE)
+        except PoleError:
+            continue
+        assert fam._pole_free_cell(anchor) == want
+        assert list(fam._cell_memo) == [anchor]
+
+
+def test_cell_memo_does_not_keep_a_pole_refusal():
+    fam = preset_params("TypeA")      # poles of cot at the multiples of pi
+    fam._pole_free_cell(1.0)
+    for _ in range(2):
+        try:
+            fam._pole_free_cell(math.pi)
+        except PoleError as exc:
+            assert exc.locations == [math.pi]
+        else:
+            raise AssertionError("an anchor on a pole must be refused")
+    assert list(fam._cell_memo) == [1.0]
+
+
+def test_seed_verdicts_share_one_cell_per_anchor(monkeypatch):
+    # a request's spectrum and pre-check screen every level from one anchor
+    # and its states from the grid midpoint: two cells, whatever the level
+    # count
+    fam = preset_params("TypeA", c=1.2, A=0.1)
+    anchor = spectra._default_anchor(_fresh(fam))
+    calls = []
+    real = Family.natural_domain
+
+    def natural_domain(self, m, anchor, window):
+        calls.append(anchor)
+        return real(self, m, anchor, window)
+
+    monkeypatch.setattr(Family, "natural_domain", natural_domain)
+    spec = spectrum_analytic(fam, 2.0, 8)
+    assert check_normalizable(fam, 2.0, spec.direction)
+    grid = Grid(0.15, math.pi / 1.2 + 0.05, 2001)
+    for k, _ in spec.levels[:5]:
+        excited_state(fam, 2.0, k, spec.direction, grid)
+    assert len(spec.levels) == 9
+    assert calls == [anchor, float(grid.x[1000])]

@@ -1,0 +1,126 @@
+"""The ladder chain of excited_state against its plain form
+(ladder_oracle): the same states bit for bit, and the same refusals, on a
+fresh family and on one whose memos earlier calls have filled."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ladder_oracle
+from shapeinv.errors import ShapeInvError
+from shapeinv.families import PRESET_NAMES, preset_params
+from shapeinv.numerics import Grid
+from shapeinv.spectra import (excited_state, resolve_direction,
+                              spectrum_analytic)
+
+
+def _constants(name, u, m):
+    """Free constants where the preset has a bound tower at m, from four
+    uniform draws u[0..3] in [0, 1]."""
+    c = 0.8 + 0.7 * u[0]
+    A = u[1] - 0.5
+    if name in ("TypeA", "HyperbolicTanh"):
+        return dict(c=c, A=A, b=u[2] - 0.5, D=0.6 * u[3] - 0.3)
+    if name == "TypeB_real":          # Morse: D < 0 confines the left side
+        return dict(c=c, A=A, b=u[2] - 0.5, D=-0.5 - 1.5 * u[3])
+    if name == "TypeC":               # radial oscillator
+        return dict(A=A, b=-0.5 - 1.5 * u[2], D=0.6 * u[3] - 0.3)
+    if name == "TypeD":               # oscillator
+        return dict(A=A, b=0.5 + 1.5 * u[2], D=u[3] - 0.5)
+    if name == "TypeE":
+        return dict(c=c, A=A, q=math.copysign(0.25 + 0.75 * u[2], u[3] - 0.5))
+    if name == "TypeF":               # Coulomb: attractive for q < 0
+        return dict(A=A, q=-3.0 - 3.0 * u[2])
+    s = 3.0 + 2.0 * u[2]              # HyperbolicCoth (Eckart)
+    return dict(c=c, A=A, b=-c * c * (m + s), D=c * (s + 1.5 * u[3]))
+
+
+def _grid(fam, name, consts, m, n):
+    """n nodes on the pole-free cell around the reference anchor, 0.05 in
+    from each pole, within 8/c of it (Coulomb states spread further)."""
+    c = consts.get("c", 1.0)
+    anchor = consts["A"] + 0.6180339887498949 / c
+    half = (max(8.0, 1.5 * (m + 5.0) ** 2 / abs(consts["q"]))
+            if name == "TypeF" else 8.0 / c)
+    lo, hi = fam.natural_domain(m, anchor, (anchor - half, anchor + half))
+    lo = lo + 0.05 if lo > anchor - half else lo
+    hi = hi - 0.05 if hi < anchor + half else hi
+    return Grid(lo, hi, n)
+
+
+def _outcome(build, fam, m, k, direction, grid):
+    try:
+        wf = build(fam, m, k, direction, grid)
+    except ShapeInvError as exc:
+        return type(exc), str(exc)
+    return wf
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert (got.k, got.energy, got.normalized) == (want.k, want.energy, True)
+    assert got.grid == want.grid
+    assert np.array_equal(got.values, want.values)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+SIZES = (501, 2001, 4001)
+
+
+def _direction(fam, m, choice):
+    """The resolved direction for 'auto' (decreasing when none resolves),
+    else the explicit one, whose seeds may well be refused."""
+    if choice != "auto":
+        return choice
+    try:
+        return resolve_direction(fam, m).value
+    except ShapeInvError:
+        return "decreasing"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=160)
+@given(name=st.sampled_from(PRESET_NAMES),
+       choice=st.sampled_from(("auto", "auto", "decreasing", "increasing")),
+       k=st.integers(0, 4), n=st.sampled_from(SIZES),
+       m=st.floats(1.5, 5.0),
+       u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       warm=st.booleans())
+def test_excited_state_matches_the_plain_chain(name, choice, k, n, m, u, warm):
+    consts = _constants(name, u, m)
+    fam = preset_params(name, **consts)
+    direction = _direction(preset_params(name, **consts), m, choice)
+    grid = _grid(fam, name, consts, m, n)
+    want = _outcome(ladder_oracle.excited_state, preset_params(name, **consts),
+                    m, k, direction, grid)
+    if warm:
+        # fill every memo: the spectrum's anchor, other levels, other grids
+        spectrum_analytic(fam, m, 6)
+        other = _grid(fam, name, consts, m, SIZES[(SIZES.index(n) + 1) % 3])
+        for level, on in (((k + 1) % 5, grid), (k, other),
+                          ((k + 3) % 5, other)):
+            _outcome(excited_state, fam, m, level, direction, on)
+    _assert_same_outcome(_outcome(excited_state, fam, m, k, direction, grid),
+                         want)
+
+
+def test_the_sweep_builds_states_in_both_directions():
+    # the sweep above compares states, not only refusals: every preset has
+    # a resolved direction whose low levels are built
+    built = set()
+    for name in PRESET_NAMES:
+        consts = _constants(name, (0.5, 0.5, 0.5, 0.5), 3.0)
+        fam = preset_params(name, **consts)
+        spec = spectrum_analytic(fam, 3.0, 2)
+        grid = _grid(fam, name, consts, 3.0, 2001)
+        for kk, _ in spec.levels:
+            want = ladder_oracle.excited_state(
+                preset_params(name, **consts), 3.0, kk, spec.direction, grid)
+            _assert_same_outcome(
+                excited_state(fam, 3.0, kk, spec.direction, grid), want)
+        built.add(spec.direction.value)
+    assert built == {"decreasing", "increasing"}

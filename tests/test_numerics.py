@@ -1,8 +1,10 @@
 """Finite-difference oracle: grids, stencils, quadrature, the tridiagonal
 eigensolver, and the Dirichlet spectrum driver."""
 
+import copy
 import json
 import math
+import pickle
 import warnings
 from typing import Optional
 
@@ -32,6 +34,22 @@ def test_grid_basics():
     g = Grid(0.0, 1.0, 101)
     assert g.h == pytest.approx(0.01)
     assert g.x[0] == 0.0 and g.x[-1] == 1.0 and g.x.size == 101
+
+
+def test_grid_nodes_are_computed_once_and_read_only():
+    g = Grid(-0.3, 2.7, 2001)
+    x = g.x
+    assert g.x is x
+    assert np.array_equal(x, np.linspace(-0.3, 2.7, 2001))
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+    assert (repr(g), hash(g)) == ("Grid(x0=-0.3, x1=2.7, n=2001)",
+                                  hash(Grid(-0.3, 2.7, 2001)))
+    # copies and unpickled grids carry their own read-only nodes
+    for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert other == g and hash(other) == hash(g)
+        assert np.array_equal(other.x, x) and not other.x.flags.writeable
 
 
 @pytest.mark.parametrize("args", [(1.0, 0.0, 50), (0.0, 0.0, 50),
