@@ -11,11 +11,12 @@ power (k = q/m + m k1 with k0 forced to zero).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import FamilyError, PoleError
 from .riccati import INFINITY, ExtendedReal, as_extended, general_solution, solve_z
 
@@ -34,21 +35,20 @@ _MIN_RATE = 1e-6
 _MAX_RATE = 1e6
 
 
-@dataclass(frozen=True)
-class SignClass:
+class SignClass(Record):
     """Sign of the Riccati constant a: 'pos' (a = c^2), 'zero', or 'neg' (a = -c^2)."""
 
-    kind: str
-    c: float = 0.0
+    _fields = ("kind", "c")
 
-    def __post_init__(self):
-        if self.kind not in ("pos", "zero", "neg"):
-            raise FamilyError(f"unknown sign class {self.kind!r}")
-        if self.kind == "zero":
-            object.__setattr__(self, "c", 0.0)
-        elif not _MIN_RATE <= self.c <= _MAX_RATE:
-            raise FamilyError(f"rate constant c = {self.c!r} is out of range: "
+    def __init__(self, kind: str, c: float = 0.0):
+        if kind not in ("pos", "zero", "neg"):
+            raise FamilyError(f"unknown sign class {kind!r}")
+        if kind == "zero":
+            c = 0.0
+        elif not _MIN_RATE <= c <= _MAX_RATE:
+            raise FamilyError(f"rate constant c = {c!r} is out of range: "
                               "need 1e-6 <= c <= 1e6 for nonzero a")
+        self.__dict__.update(kind=kind, c=c)
 
     @property
     def a(self) -> float:
@@ -79,31 +79,26 @@ class FamilyKind(Enum):
 _MAX_OFFSET = 1e12
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Constants shared by every member of a family.
 
     D is exactly the constant of the companion linear solve (riccati.solve_z);
     q only matters for the inverse-power ansatz, t shifts L, d shifts energies.
+    B is coerced to an ExtendedReal (as_extended).
     """
 
-    sign: SignClass
-    A: float = 0.0
-    B: ExtendedReal = field(default_factory=lambda: ExtendedReal(0.0))
-    b: float = 0.0
-    D: float = 0.0
-    q: float = 1.0
-    t: float = 0.0
-    d: float = 0.0
+    _fields = ("sign", "A", "B", "b", "D", "q", "t", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "B", as_extended(self.B))
+    def __init__(self, sign: SignClass, A: float = 0.0, B=0.0, b: float = 0.0,
+                 D: float = 0.0, q: float = 1.0, t: float = 0.0, d: float = 0.0):
+        B = as_extended(B)
         # anchors and pole scans sit within a few units and periods 1/c of A;
         # beyond this bound c(x - A) keeps too few digits there to place them
-        if not abs(self.A) <= _MAX_OFFSET / max(self.sign.c, 1.0):
+        if not abs(A) <= _MAX_OFFSET / max(sign.c, 1.0):
             raise FamilyError(
-                f"offset A = {self.A!r} is out of range: need |A| <= {_MAX_OFFSET:g} "
+                f"offset A = {A!r} is out of range: need |A| <= {_MAX_OFFSET:g} "
                 f"and c|A| <= {_MAX_OFFSET:g}")
+        self.__dict__.update(sign=sign, A=A, B=B, b=b, D=D, q=q, t=t, d=d)
 
 
 # The memos behind Family.k and Family.k_prime each hold the last sample
@@ -292,13 +287,13 @@ class Family:
 # ---------------------------------------------------------------------------
 # presets
 
-@dataclass(frozen=True)
-class _PresetDef:
-    kind: FamilyKind
-    sign_kind: str
-    B: ExtendedReal
-    needs_c: bool
-    free: tuple
+class _PresetDef(Record):
+    _fields = ("kind", "sign_kind", "B", "needs_c", "free")
+
+    def __init__(self, kind: FamilyKind, sign_kind: str, B: ExtendedReal,
+                 needs_c: bool, free: tuple):
+        self.__dict__.update(kind=kind, sign_kind=sign_kind, B=B,
+                             needs_c=needs_c, free=free)
 
 
 _PRESETS = {

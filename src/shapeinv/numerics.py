@@ -10,11 +10,11 @@ closed-form machinery is a genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._record import Record
 from .errors import BoundaryConditionError, PoleError
 
 __all__ = [
@@ -28,30 +28,24 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform grid on [x0, x1] with n nodes, endpoints included."""
 
-    x0: float
-    x1: float
-    n: int
+    _fields = ("x0", "x1", "n")
 
-    def __post_init__(self):
-        if not np.isfinite(self.x0) or not np.isfinite(self.x1):
+    def __init__(self, x0: float, x1: float, n: int):
+        if not np.isfinite(x0) or not np.isfinite(x1):
             raise ValueError("grid endpoints must be finite")
-        if not self.x1 > self.x0:
+        if not x1 > x0:
             raise ValueError("grid needs x1 > x0")
-        if self.n < 16:
+        if n < 16:
             raise ValueError("grid needs at least 16 nodes")
-        # the nodes, computed once and read-only so every reader shares them;
-        # not a field, so == and hash still compare (x0, x1, n)
-        x = np.linspace(self.x0, self.x1, self.n)
+        # the nodes, computed once and read-only so every reader shares them
+        # (copies rebuild their own); not a field, so == and hash still
+        # compare (x0, x1, n)
+        x = np.linspace(x0, x1, n)
         x.flags.writeable = False
-        object.__setattr__(self, "_x", x)
-
-    def __reduce__(self):
-        # copies and unpickled grids rebuild their own read-only nodes
-        return (Grid, (self.x0, self.x1, self.n))
+        self.__dict__.update(x0=x0, x1=x1, n=n, _x=x)
 
     @property
     def h(self) -> float:
@@ -62,18 +56,16 @@ class Grid:
         return self._x
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    grid: Grid
-    values: np.ndarray
+class GridFunction(Record):
+    _fields = ("grid", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
+    def __init__(self, grid: Grid, values: np.ndarray):
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (grid.n,):
             raise ValueError("values must match the grid size")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(grid=grid, values=vals)
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
@@ -174,22 +166,19 @@ def inner_product(u, v, h: Optional[float] = None) -> float:
 # ---------------------------------------------------------------------------
 # symmetric tridiagonal matrices
 
-@dataclass(frozen=True)
-class TridiagonalSym:
+class TridiagonalSym(Record):
     """Symmetric tridiagonal matrix given by its diagonal and off-diagonal."""
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    _fields = ("diag", "offdiag")
 
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
+    def __init__(self, diag: np.ndarray, offdiag: np.ndarray):
+        d = np.asarray(diag, dtype=float)
+        e = np.asarray(offdiag, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("diagonal must be a nonempty 1-d array")
         if e.shape != (d.size - 1,):
             raise ValueError("off-diagonal must have one fewer entry")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
+        self.__dict__.update(diag=d, offdiag=e)
 
     @property
     def n(self) -> int:
@@ -518,13 +507,19 @@ def eigen_lowest(mat: TridiagonalSym, kmax: int, h: float = 1.0, seed: int = 0):
     first significant lobe is positive.
     """
     evals = mat.eigenvalues_lowest(kmax)
+    return [(float(e), v) for e, v in zip(evals, _eigenvectors(mat, evals, h, seed))]
+
+
+def _eigenvectors(mat: TridiagonalSym, evals, h: float, seed: int) -> list:
+    """eigen_lowest's vectors for the ascending eigenvalues evals: level j
+    starts from seed + j and is orthogonalized against levels 0..j-1."""
     out = []
     done = []
     scale = 1.0 / math.sqrt(h)
-    for j in range(kmax):
+    for j in range(len(evals)):
         v = mat.eigenvector(evals[j], prev=done, seed=seed + j)
         done.append(v)
-        out.append((float(evals[j]), fix_sign(v) * scale))
+        out.append(fix_sign(v) * scale)
     return out
 
 
@@ -593,14 +588,39 @@ def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 # full numeric spectrum
 
-@dataclass(frozen=True)
-class NumericSpectrum:
-    """Eigenpairs of a discretized Hamiltonian; iterates as (k, E, vector)."""
+class NumericSpectrum(Record):
+    """Eigenpairs of a discretized Hamiltonian; iterates as (k, E, vector).
 
-    grid: Grid
-    energies: np.ndarray
-    wavefunctions: np.ndarray  # shape (grid.n, k), normalized, sign fixed
-    error_estimate: Optional[np.ndarray]  # Richardson estimate per level
+    energies and error_estimate (the Richardson estimate per level, or None)
+    are computed on construction. wavefunctions, shape (grid.n, k),
+    normalized and sign fixed, come from inverse iteration on the interior
+    matrix when first read, and are then kept. Copies and unpickled spectra
+    start without them and build the same vectors on their first read.
+    """
+
+    _fields = ("grid", "energies", "wavefunctions", "error_estimate")
+
+    def __init__(self, grid: Grid, energies: np.ndarray, matrix: TridiagonalSym,
+                 error_estimate: Optional[np.ndarray], seed: int = 0):
+        self.__dict__.update(grid=grid, energies=energies,
+                             error_estimate=error_estimate, _matrix=matrix,
+                             _seed=seed)
+
+    @property
+    def wavefunctions(self) -> np.ndarray:
+        psi = self.__dict__.get("_psi")
+        if psi is None:
+            vecs = _eigenvectors(self._matrix, self.energies, self.grid.h,
+                                 self._seed)
+            psi = np.zeros((self.grid.n, len(vecs)))
+            for j, vec in enumerate(vecs):
+                psi[1:-1, j] = vec
+            self.__dict__["_psi"] = psi
+        return psi
+
+    def __reduce__(self):
+        return NumericSpectrum, (self.grid, self.energies, self._matrix,
+                                 self.error_estimate, self._seed)
 
     def __len__(self) -> int:
         return int(self.energies.size)
@@ -619,20 +639,17 @@ def spectrum_numeric(V: Union[Callable, Sequence, np.ndarray], grid: Grid,
     """Lowest kmax Dirichlet eigenpairs of -d2/dx2 + V on the grid.
 
     Wavefunctions carry the boundary zeros and are normalized so that
-    h * sum(psi^2) = 1. A half-resolution re-run provides a Richardson error
-    estimate per energy whenever the coarse potential is recoverable (callable
-    V, or sampled V on an odd node count).
+    h * sum(psi^2) = 1; they are the vectors of eigen_lowest(T, kmax, h,
+    seed), built on their first read. A half-resolution re-run provides a
+    Richardson error estimate per energy whenever the coarse potential is
+    recoverable (callable V, or sampled V on an odd node count).
     """
     xs = grid.x
     Vv = _potential_samples(V, xs)
     if not (1 <= kmax <= grid.n - 2):
         raise ValueError("kmax out of range for this grid")
     T = hamiltonian_matrix(Vv, grid)
-    pairs = eigen_lowest(T, kmax, h=grid.h, seed=seed)
-    evals = np.array([e for e, _ in pairs])
-    psi = np.zeros((grid.n, kmax))
-    for j, (_, vec) in enumerate(pairs):
-        psi[1:-1, j] = vec
+    evals = T.eigenvalues_lowest(kmax)
 
     err = None
     if richardson:
@@ -646,8 +663,7 @@ def spectrum_numeric(V: Union[Callable, Sequence, np.ndarray], grid: Grid,
                 r = (grid.n - 1) / (n2 - 1)
                 err = np.full(kmax, np.nan)
                 err[:kk] = np.abs(evals[:kk] - e2) / (r * r - 1.0)
-    return NumericSpectrum(grid=grid, energies=evals,
-                           wavefunctions=psi, error_estimate=err)
+    return NumericSpectrum(grid, evals, T, err, seed)
 
 
 def _coarse_samples(V, Vv, grid: Grid):

@@ -12,9 +12,9 @@ available for every family, expressed in the family's (f, h) basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
+from ._record import Record
 from .errors import FamilyError
 from .families import Family, FamilyKind
 
@@ -25,16 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PotentialPair:
+class PotentialPair(Record):
     """A superpotential with its two partner potentials and the energy offset d.
 
     W is the family itself, or any object with k(x, m) and its exact x
     derivative k_prime(x, m).
     """
 
-    W: Family
-    d: float = 0.0
+    _fields = ("W", "d")
+
+    def __init__(self, W: Family, d: float = 0.0):
+        self.__dict__.update(W=W, d=d)
 
     def V(self, x, m):
         w = self.W.k(x, m)
@@ -63,8 +64,7 @@ def shape_invariance_residual(pp: PotentialPair, family: Family, m, x):
 _COEFF_KEYS = ("f2", "fh", "h2", "f", "const")
 
 
-@dataclass(frozen=True)
-class PotentialRecord:
+class PotentialRecord(Record):
     """Coefficients of V - d and Vtilde - d in the basis {f^2, f h, h^2, f, 1}.
 
     The bare-f entry is nonzero only for inverse-power families. basis says
@@ -72,12 +72,12 @@ class PotentialRecord:
     forms.
     """
 
-    basis: str
-    V: dict
-    Vtilde: dict
-    R_at_m: float
-    m: float
-    family: Family
+    _fields = ("basis", "V", "Vtilde", "R_at_m", "m", "family")
+
+    def __init__(self, basis: str, V: dict, Vtilde: dict, R_at_m: float,
+                 m: float, family: Family):
+        self.__dict__.update(basis=basis, V=V, Vtilde=Vtilde, R_at_m=R_at_m,
+                             m=m, family=family)
 
     def _eval(self, coeffs, x):
         bs = self.family.basis()
@@ -154,12 +154,14 @@ def closed_form_potentials(family: Family, m) -> PotentialRecord:
 # ---------------------------------------------------------------------------
 # spectral symbol classification and factorization residuals
 
-@dataclass(frozen=True)
-class LSequenceClass:
+class LSequenceClass(Record):
     """Monotonicity of L along the orbit m -> m - 1, plus the probed values."""
 
-    kind: str  # 'decreasing' | 'increasing' | 'other'
-    values: tuple
+    _fields = ("kind", "values")
+
+    def __init__(self, kind: str, values: tuple):
+        # kind: 'decreasing' | 'increasing' | 'other'
+        self.__dict__.update(kind=kind, values=values)
 
 
 def classify_L_sequence(family: Family, m0, steps: int = 2) -> LSequenceClass:

@@ -14,30 +14,28 @@ y z + z' = b is solved in the same closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from ._quad import cumulative_simpson, cumulative_simpson_values
+from ._record import Record
 from .errors import PoleError
 
 
-@dataclass(frozen=True)
-class ExtendedReal:
+class ExtendedReal(Record):
     """A real constant, or the point at infinity (value is None)."""
 
-    value: Union[float, None]
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value is not None:
-            v = float(self.value)
-            if math.isnan(v):
+    def __init__(self, value: Union[float, None]):
+        if value is not None:
+            value = float(value)
+            if math.isnan(value):
                 raise ValueError("ExtendedReal cannot hold NaN")
-            if math.isinf(v):
-                object.__setattr__(self, "value", None)
-            else:
-                object.__setattr__(self, "value", v)
+            if math.isinf(value):
+                value = None
+        self.__dict__["value"] = value
 
     @property
     def is_infinite(self) -> bool:
@@ -488,17 +486,15 @@ _FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class ConstRiccati:
+class ConstRiccati(Record):
     """y' = a2 y^2 + a1 y + a0 with constant coefficients, a2 != 0."""
 
-    a2: float
-    a1: float
-    a0: float
+    _fields = ("a2", "a1", "a0")
 
-    def __post_init__(self):
-        if self.a2 == 0:
+    def __init__(self, a2: float, a1: float, a0: float):
+        if a2 == 0:
             raise ValueError("a2 must be nonzero for a Riccati equation")
+        self.__dict__.update(a2=a2, a1=a1, a0=a0)
 
 
 def discriminant(eq: ConstRiccati) -> float:
@@ -518,8 +514,7 @@ def constant_solutions(eq: ConstRiccati) -> list:
     return sorted((r1, r2))
 
 
-@dataclass(frozen=True)
-class RiccatiSolution:
+class RiccatiSolution(Record):
     """General solution of y' = a - y^2 for one (a, A, B) choice.
 
     The three sign classes use hyperbolic, rational, and trigonometric forms
@@ -528,20 +523,17 @@ class RiccatiSolution:
     closed-form table) are worked out once, on construction.
     """
 
-    a: float
-    A: float
-    B: ExtendedReal
+    _fields = ("a", "A", "B")
 
-    def __post_init__(self):
+    def __init__(self, a: float, A: float, B: ExtendedReal):
         # y = scale * f: c, -c, or kappa when a = 0 (B, or 1 for the
         # rational B = infinity form); none of the four is a field
-        kind = "pos" if self.a > 0 else "neg" if self.a < 0 else "zero"
-        c = math.sqrt(abs(self.a))
-        form = _FORMS[kind, self.B.is_infinite](c, self.A, self.B.value)
-        scale = form.kappa if kind == "zero" else math.copysign(c, self.a)
-        for name, value in (("kind", kind), ("c", c), ("form", form),
-                            ("scale", scale)):
-            object.__setattr__(self, name, value)
+        kind = "pos" if a > 0 else "neg" if a < 0 else "zero"
+        c = math.sqrt(abs(a))
+        form = _FORMS[kind, B.is_infinite](c, A, B.value)
+        scale = form.kappa if kind == "zero" else math.copysign(c, a)
+        self.__dict__.update(a=a, A=A, B=B, kind=kind, c=c, form=form,
+                             scale=scale)
 
     def evaluate(self, x):
         arr, scalar = _prep(x)
@@ -568,13 +560,13 @@ def general_solution(a: float, A: float, B) -> RiccatiSolution:
     return RiccatiSolution(a=float(a), A=float(A), B=as_extended(B))
 
 
-@dataclass(frozen=True)
-class ZSolution:
+class ZSolution(Record):
     """Closed form z with y(x) z(x) + z'(x) = b, built over a RiccatiSolution y."""
 
-    b: float
-    D: float
-    y: RiccatiSolution
+    _fields = ("b", "D", "y")
+
+    def __init__(self, b: float, D: float, y: RiccatiSolution):
+        self.__dict__.update(b=b, D=D, y=y)
 
     def evaluate(self, x):
         arr, scalar = _prep(x)
@@ -620,12 +612,13 @@ def superpose(y1, y2, y3, k) -> Callable:
     return y
 
 
-@dataclass(frozen=True)
-class LinearFirstOrder:
+class LinearFirstOrder(Record):
     """v' = a(x) v + b(x). Coefficients are floats or callables."""
 
-    a: Union[float, Callable]
-    b: Union[float, Callable]
+    _fields = ("a", "b")
+
+    def __init__(self, a: Union[float, Callable], b: Union[float, Callable]):
+        self.__dict__.update(a=a, b=b)
 
     @property
     def constant_coefficients(self) -> bool:

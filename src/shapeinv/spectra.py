@@ -25,7 +25,6 @@ direction, and the seed screening of every chain raises on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional, Tuple
@@ -33,6 +32,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ._quad import cumulative_simpson_values
+from ._record import Record
 from .errors import (FamilyError, GridTooCoarseError, NormalizationError,
                      OrbitError, PoleError, VerificationError)
 from .families import Family
@@ -81,14 +81,15 @@ def _count_nodes(v: np.ndarray, mag: np.ndarray) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-@dataclass(frozen=True)
-class WaveFunction:
+class WaveFunction(Record):
     """A bound state: grid samples plus (k, energy, normalized) metadata."""
 
-    data: GridFunction
-    k: int
-    energy: float
-    normalized: bool
+    _fields = ("data", "k", "energy", "normalized")
+
+    def __init__(self, data: GridFunction, k: int, energy: float,
+                 normalized: bool):
+        self.__dict__.update(data=data, k=k, energy=energy,
+                             normalized=normalized)
 
     @property
     def grid(self) -> Grid:
@@ -123,22 +124,32 @@ class WaveFunction:
 
 
 def _as_grid(x) -> Tuple[Grid, np.ndarray]:
-    # accepts a Grid or a uniform 1-d sample array
+    # accepts a Grid or a uniform 1-d sample array: within 4 ulps of max|x|
+    # of the nodes of Grid(x[0], x[-1], x.size), which A + np.linspace(...)
+    # meets at any offset the families allow
     if isinstance(x, Grid):
         return x, x.x
     xs = np.asarray(x, dtype=float)
     if xs.ndim != 1 or xs.size < 16:
         raise ValueError("need a Grid or a 1-d array with at least 16 nodes")
-    return Grid(float(xs[0]), float(xs[-1]), int(xs.size)), xs
+    grid = Grid(float(xs[0]), float(xs[-1]), int(xs.size))
+    dev = float(np.max(np.abs(xs - grid.x)))
+    if not dev <= 4.0 * float(np.spacing(np.max(np.abs(xs)))):
+        raise ValueError(f"sample array is not a uniform grid: a node lies "
+                         f"{dev:.3g} from np.linspace(x[0], x[-1], x.size)")
+    return grid, xs
 
 
 # ---------------------------------------------------------------------------
 # square integrability of chain seeds
 
-@dataclass(frozen=True)
-class NormalizabilityReport:
-    normalizable: bool
-    divergent_end: Optional[str]   # 'left' or 'right'
+class NormalizabilityReport(Record):
+    _fields = ("normalizable", "divergent_end")
+
+    def __init__(self, normalizable: bool, divergent_end: Optional[str]):
+        # divergent_end: 'left', 'right', or None when normalizable
+        self.__dict__.update(normalizable=normalizable,
+                             divergent_end=divergent_end)
 
     def __bool__(self) -> bool:
         return self.normalizable
@@ -275,14 +286,16 @@ def _spacing(family: Family, m: float) -> float:
         raise OrbitError(f"chain orbit crosses an undefined parameter: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    k: int
-    energy: float
-    seed_parameter: float
-    seed_sign: int
-    operator_parameters: tuple
-    adjoint: bool
+class ChainStep(Record):
+    _fields = ("k", "energy", "seed_parameter", "seed_sign",
+               "operator_parameters", "adjoint")
+
+    def __init__(self, k: int, energy: float, seed_parameter: float,
+                 seed_sign: int, operator_parameters: tuple, adjoint: bool):
+        self.__dict__.update(k=k, energy=energy, seed_parameter=seed_parameter,
+                             seed_sign=seed_sign,
+                             operator_parameters=operator_parameters,
+                             adjoint=adjoint)
 
 
 def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
@@ -477,13 +490,13 @@ def ground_state(family: Family, m, direction, grid,
 # ---------------------------------------------------------------------------
 # chains and spectra
 
-@dataclass(frozen=True)
-class SpectralChain:
-    family: Family
-    m: float
-    d: float
-    direction: ChainDirection
-    steps: tuple
+class SpectralChain(Record):
+    _fields = ("family", "m", "d", "direction", "steps")
+
+    def __init__(self, family: Family, m: float, d: float,
+                 direction: ChainDirection, steps: tuple):
+        self.__dict__.update(family=family, m=m, d=d, direction=direction,
+                             steps=steps)
 
     @property
     def energies(self) -> np.ndarray:
@@ -519,19 +532,24 @@ def max_level(family: Family, m, direction, anchor: Optional[float] = None,
     return None
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Closed-form levels of H(m) and of its partner; iterates as (k, E)."""
+class SpectrumResult(Record):
+    """Closed-form levels of H(m) and of its partner; iterates as (k, E).
 
-    family: Family
-    m: float
-    d: float
-    direction: ChainDirection
-    requested: int
-    levels: tuple                  # ((k, E), ...)
-    partner_levels: tuple          # ((k, E), ...) for the W(., m) partner
-    truncated: bool
-    truncation_reason: Optional[str]
+    levels and partner_levels (for the W(., m) partner) are ((k, E), ...).
+    """
+
+    _fields = ("family", "m", "d", "direction", "requested", "levels",
+               "partner_levels", "truncated", "truncation_reason")
+
+    def __init__(self, family: Family, m: float, d: float,
+                 direction: ChainDirection, requested: int, levels: tuple,
+                 partner_levels: tuple, truncated: bool,
+                 truncation_reason: Optional[str]):
+        self.__dict__.update(family=family, m=m, d=d, direction=direction,
+                             requested=requested, levels=levels,
+                             partner_levels=partner_levels,
+                             truncated=truncated,
+                             truncation_reason=truncation_reason)
 
     def __len__(self) -> int:
         return len(self.levels)

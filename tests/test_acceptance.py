@@ -153,6 +153,7 @@ def test_criterion_09_ladder_partner_adjoint():
     assert by_name["intertwining"].max_residual <= 5e-3
     assert by_name["partner-pairing-analytic"].max_residual <= 1e-12
     assert by_name["partner-pairing-numeric"].max_residual <= 5e-3
+    assert by_name["state-overlap"].max_residual <= 1e-7
     assert by_name["adjoint-defect-gaussian"].max_residual <= 1e-6
     assert by_name["adjoint-boundary-precondition"].passed  # hard error fired
     assert elapsed < 10.0

@@ -1,21 +1,27 @@
-"""Every span the traced closed_form benchmark expects still fires.
+"""Every span the traced benchmark expects still fires.
 
 The benchmark lists, per workload, the library functions a traced run must
 see (`EXPECTED_SPANS` in bench/run.py); a run that misses one is not
-correct. A memo that answers without calling such a function would only
-show there. This test reads the list from the benchmark's source, without
-importing or running the benchmark, wraps each listed function with a call
-counter the way the tracer does (class attribute plus every module-level
-alias inside shapeinv), and runs one closed_form request per preset.
+correct. A memo or a lazy value that answers without calling such a function
+would only show there. These tests read the list from the benchmark's
+source, without importing or running the benchmark, wrap each listed
+function with a call counter the way the tracer does (class attribute plus
+every module-level alias inside shapeinv), and run one closed_form request
+per preset, or the fd_crosscheck CLI requests that reach the numerics and
+checks layers.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
+
+from conftest import DATA
+from shapeinv import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -76,5 +82,25 @@ def test_every_expected_closed_form_span_fires(monkeypatch):
         outcome = workloads.check_cf(req, workloads.run_cf(req))
         assert outcome.ok, outcome.detail
     assert names == set(workloads.CF_PRESETS)
+    unfired = [span for span in spans if counts[span] == 0]
+    assert unfired == []
+
+
+def test_every_expected_fd_crosscheck_numerics_and_checks_span_fires(
+        monkeypatch, capsys):
+    # verify reads FD eigenvectors (state-overlap); spectrum prints energies
+    # only and must not build them
+    spans = [span for span in _expected_spans("fd_crosscheck")
+             if span.startswith(("numerics.", "checks."))]
+    assert "numerics.TridiagonalSym.eigenvector" in spans
+    assert "checks.run_suite" in spans
+    counts = _count_calls(monkeypatch, spans)
+    assert cli.main(["spectrum", "--config", str(DATA / "trig.json"),
+                     "--mode", "both", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["comparison"]["within_tol"]
+    assert counts["numerics.TridiagonalSym.eigenvector"] == 0
+    assert cli.main(["verify", "--suite", "all", "--grid=-8,8,1001",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
     unfired = [span for span in spans if counts[span] == 0]
     assert unfired == []

@@ -3,6 +3,10 @@ byte stability."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,24 @@ def test_numeric_precheck_calls_check_normalizable_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_spectrum_builds_no_eigenvector():
+    # spectrum prints energies and error bars only: no inverse iteration,
+    # so a fresh process never loads numpy.random either
+    code = ("import sys; from shapeinv.cli import main; "
+            f"rc = main(['spectrum', '--config', {str(DATA / 'trig.json')!r}, "
+            "'--mode', 'both', '--format', 'json']); "
+            "assert rc == 0, rc; "
+            "assert 'numpy.random' not in sys.modules")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["comparison"]["within_tol"] is True
+
+
 def test_spectrum_truncation_reported():
     code, out, _ = run_cli("spectrum", "--family", "HyperbolicTanh", "--m",
                            "3", "--kmax", "5", "--format", "json")
@@ -185,6 +207,11 @@ def test_verify_coarse_ladder_fails():
     diag = stderr_diag(err)
     assert diag["error"] == "verify-failed"
     assert len(diag["checks"]) >= 1
+    # the ladder states refuse the coarse grid; the check reports it
+    overlap = [c for c in doc["checks"] if c["name"] == "state-overlap"]
+    assert overlap[0]["max_residual"] is None
+    assert overlap[0]["detail"].startswith("grid too coarse")
+    assert "state-overlap" in diag["checks"]
 
 
 def test_verify_unknown_suite():

@@ -556,6 +556,78 @@ def test_spectrum_iteration_protocol():
     assert vec.shape == (101,)
 
 
+# ---------------------------------------------------------------------------
+# wavefunctions built on first read
+
+def _eager_wavefunctions(mat, grid, k, seed=0):
+    """The vectors spectrum_numeric built before they became lazy: every
+    level at once, seeds seed + j, each orthogonalized against the earlier
+    raw vectors, then sign-fixed and scaled by 1/sqrt(h)."""
+    evals = mat.eigenvalues_lowest(k)
+    psi = np.zeros((grid.n, k))
+    done = []
+    for j in range(k):
+        v = mat.eigenvector(evals[j], prev=done, seed=seed + j)
+        done.append(v)
+        psi[1:-1, j] = fix_sign(v) * (1.0 / math.sqrt(grid.h))
+    return evals, psi
+
+
+@pytest.mark.parametrize("n", [1001, 2001])
+@pytest.mark.parametrize("name", ["oscillator", "trig", "hyperbolic"])
+def test_lazy_wavefunctions_are_the_eager_vectors(name, n):
+    _, _, V, grid, k = _config_problem(name)
+    grid = Grid(grid.x0, grid.x1, n)
+    evals, want = _eager_wavefunctions(hamiltonian_matrix(V, grid), grid, k)
+    sp = spectrum_numeric(V, grid, k)
+    assert sp.energies.tobytes() == evals.tobytes()
+    assert np.array_equal(sp.wavefunctions, want)
+    pairs = eigen_lowest(hamiltonian_matrix(V, grid), k, h=grid.h)
+    assert np.array_equal(np.array([v for _, v in pairs]).T, want[1:-1])
+    assert [e for e, _ in pairs] == evals.tolist()
+
+
+def _count_eigenvectors(monkeypatch) -> list:
+    calls = []
+    original = TridiagonalSym.eigenvector
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TridiagonalSym, "eigenvector", counted)
+    return calls
+
+
+def test_wavefunctions_are_built_once_on_first_read(monkeypatch):
+    calls = _count_eigenvectors(monkeypatch)
+    _, _, V, grid, k = _config_problem("trig")
+    sp = spectrum_numeric(V, grid, k)
+    assert sp.energies.size == k and sp.error_estimate is not None
+    assert len(calls) == 0
+    first = sp.wavefunctions
+    assert len(calls) == k
+    assert sp.wavefunctions is first
+    assert [float(e) for _, e, _ in sp] == sp.energies.tolist()
+    assert len(calls) == k
+
+
+def test_lazy_spectrum_copies(monkeypatch):
+    _, _, V, grid, k = _config_problem("oscillator")
+    sp = spectrum_numeric(V, Grid(grid.x0, grid.x1, 1001), k)
+    calls = _count_eigenvectors(monkeypatch)
+    copies = (copy.copy(sp), copy.deepcopy(sp), pickle.loads(pickle.dumps(sp)))
+    assert len(calls) == 0   # a copy builds nothing until it is read
+    want = sp.wavefunctions
+    for other in copies:
+        assert other.grid == sp.grid
+        assert other.energies.tobytes() == sp.energies.tobytes()
+        assert other.error_estimate.tobytes() == sp.error_estimate.tobytes()
+        assert np.array_equal(other.wavefunctions, want)
+        assert repr(other) == repr(sp)
+    assert len(calls) == 4 * k
+
+
 def test_spectrum_kmax_range():
     g = Grid(0.0, 1.0, 16)
     with pytest.raises(ValueError):

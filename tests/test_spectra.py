@@ -270,6 +270,26 @@ def test_excited_state_accepts_plain_arrays():
     assert wf.x[0] == -8.0
 
 
+def test_excited_state_refuses_a_non_uniform_array():
+    t = np.linspace(0.0, 1.0, 2001)
+    xs = 1e-3 + (math.pi - 2e-3) * t ** 1.5
+    with pytest.raises(ValueError, match="not a uniform grid: a node lies 0.465"):
+        excited_state(preset_params("TypeA"), 2.0, 1, "decreasing", xs)
+    with pytest.raises(ValueError, match="not a uniform grid"):
+        ground_state(typed(), 1.0, "increasing", np.geomspace(1.0, 9.0, 2001) - 5.0)
+
+
+@pytest.mark.parametrize("A", [-1e12, 123456.789, 1e12])
+def test_excited_state_accepts_offset_linspace_arrays(A):
+    # A + linspace differs from linspace(A - 8, A + 8) by rounding alone
+    xs = A + np.linspace(-8.0, 8.0, 2001)
+    fam = preset_params("TypeD", b=1.0, A=A)
+    wf = excited_state(fam, 1.0, 1, "increasing", xs)
+    assert wf.grid == Grid(float(xs[0]), float(xs[-1]), 2001)
+    assert np.max(np.abs(wf.x - xs)) <= 4.0 * np.spacing(abs(A) + 8.0)
+    assert wf.node_count() == 1
+
+
 def test_states_orthonormal_and_eigen():
     fam = typed()
     states = [excited_state(fam, 1.0, k, "increasing", OSC_GRID)
