@@ -37,8 +37,14 @@ def cumulative_simpson_values(ys, h):
     if n == 2:
         out[1] = 0.5 * h * (ys[0] + ys[1])
         return out
+    scale = h / 12.0
+    y0, y1, y2 = ys[:3].tolist()
     steps = np.empty(n - 1)
-    steps[0] = h / 12.0 * (5.0 * ys[0] + 8.0 * ys[1] - ys[2])
-    steps[1:] = h / 12.0 * (-ys[:-2] + 8.0 * ys[1:-1] + 5.0 * ys[2:])
+    steps[0] = scale * (5.0 * y0 + 8.0 * y1 - y2)
+    # in place, in the order of scale * (-y[i-1] + 8 y[i] + 5 y[i+1])
+    rest = np.multiply(ys[1:-1], 8.0, out=steps[1:])
+    rest -= ys[:-2]
+    rest += 5.0 * ys[2:]
+    rest *= scale
     np.cumsum(steps, out=out[1:])
     return out

@@ -10,6 +10,7 @@ power (k = q/m + m k1 with k0 forced to zero).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -108,8 +109,13 @@ _K_MEMO_MAX_POINTS = 1 << 16
 # the whole line, cut only by poles: the window of a pole-free cell
 _WHOLE_LINE = (-np.inf, np.inf)
 
-# the per-instance sample and cell memos, emptied in copies
-_MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo")
+# The ladder chain's W table (Family._chain_W) holds one grid, and on it the
+# samples of at most this many chain parameters: a level-k state reads k + 1
+# of them, so levels 0-14 on one grid share every read.
+_W_TABLE_MAX_PARAMETERS = 16
+
+# the per-instance sample, cell and W tables, emptied in copies
+_MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table")
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,8 @@ class Family:
             raise FamilyError("inverse-power ansatz requires q != 0")
         # built once: the Riccati solution y = k1 (whose row of the
         # closed-form table is basis()), the companion z = k0, and the
-        # memos of k's (k0, k1) samples, k_prime's (k0', k1') samples and
-        # the pole-free cell; not fields, so they stay out of ==, hash, repr
+        # memos of k's (k0, k1) samples, k_prime's (k0', k1') samples, the
+        # pole-free cell and the ladder chain's W table; not fields, so they stay out of ==, hash, repr
         # and replace(), and the memos belong to this instance
         p = self.params
         y = general_solution(p.sign.a, p.A, p.B)
@@ -193,11 +199,13 @@ class Family:
         if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
             return parts(arr)
         key = (arr.shape, arr.tobytes())
-        out = memo.get(key)
-        if out is None:
-            out = parts(arr)
-            memo.clear()
-            memo[key] = out
+        # the memo's one entry is compared, not looked up: a hit hashes nothing
+        for held, out in memo.items():
+            if held == key:
+                return out
+        out = parts(arr)
+        memo.clear()
+        memo[key] = out
         return out
 
     def k(self, x, m):
@@ -206,6 +214,45 @@ class Family:
         if self.kind is FamilyKind.AFFINE:
             return k0 + m * k1
         return self.params.q / m + m * k1
+
+    def _chain_W(self, x, m):
+        """(W, max|W|) with W = k(x, m) read-only, for the ladder chain.
+
+        W must be finite on every sample, else PoleError. The pair is kept
+        per m (and the sign of a zero m) for the last 1-d grid of at most
+        _K_MEMO_MAX_POINTS points, compared by shape and bytes on each read,
+        so one grid reads each chain parameter through k once.
+        """
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
+            return self._finite_W(arr, m)
+        table = self._w_table
+        key = (arr.shape, arr.tobytes())
+        for held, by_m in table.items():
+            if held == key:
+                break
+        else:
+            by_m = {}
+            table.clear()
+            table[key] = by_m
+        m = float(m)
+        # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
+        m_key = (m, math.copysign(1.0, m))
+        pair = by_m.get(m_key)
+        if pair is None:
+            pair = self._finite_W(arr, m)
+            if len(by_m) >= _W_TABLE_MAX_PARAMETERS:
+                del by_m[next(iter(by_m))]
+            by_m[m_key] = pair
+        return pair
+
+    def _finite_W(self, arr, m):
+        W = np.asarray(self.k(arr, m), dtype=float)
+        w_max = float(np.abs(W).max())
+        if not math.isfinite(w_max):   # nan or inf on some sample
+            raise PoleError("superpotential is not finite on the working grid")
+        W.flags.writeable = False
+        return W, w_max
 
     def _k_coefficients(self, m):
         """(gamma, beta, kappa) with k(., m) = gamma f + beta h + kappa over

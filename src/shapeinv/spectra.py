@@ -68,17 +68,16 @@ def _coerce_direction(direction) -> ChainDirection:
 def count_nodes(values) -> int:
     """Strict sign changes among samples above 1e-10 of the peak magnitude."""
     v = np.asarray(values, dtype=float)
-    return _count_nodes(v, np.abs(v))
+    mag = np.abs(v)
+    return _count_nodes(v, mag, float(mag.max()) if v.size else 0.0)
 
 
-def _count_nodes(v: np.ndarray, mag: np.ndarray) -> int:
-    # count_nodes with mag = |v| already at hand
-    peak = float(np.max(mag)) if v.size else 0.0
+def _count_nodes(v: np.ndarray, mag: np.ndarray, peak: float) -> int:
+    # count_nodes with mag = |v| and peak = max mag already at hand
     if peak == 0.0:
         return 0
-    sig = v[mag >= 1e-10 * peak]
-    signs = np.sign(sig)
-    return int(np.sum(signs[1:] != signs[:-1]))
+    signs = np.sign(v[mag >= 1e-10 * peak])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 class WaveFunction(Record):
@@ -374,49 +373,50 @@ def partner_energies(family: Family, m, n_levels: int, direction,
 # ---------------------------------------------------------------------------
 # states
 
-def _W_samples(family: Family, xs: np.ndarray, p: float) -> np.ndarray:
-    W = np.asarray(family.k(xs, p), dtype=float)
-    if not np.all(np.isfinite(W)):
-        raise PoleError("superpotential is not finite on the working grid")
-    return W
-
-
-def _unit_norm(psi: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """psi over its norm on the grid xs."""
-    nrm = math.sqrt(max(integrate(psi * psi, float(xs[1] - xs[0])), 0.0))
+def _unit_norm(psi: np.ndarray, h: float) -> np.ndarray:
+    """psi, a fresh array, divided in place by its norm on a grid of step h."""
+    nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
     if nrm == 0.0:
         raise NormalizationError("state vanished on the grid")
-    return psi / nrm
+    psi /= nrm
+    return psi
 
 
-def _state_seed(family: Family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
-    h = xs[1] - xs[0]
-    W = _W_samples(family, xs, p)
+def _state_seed(family: Family, xs: np.ndarray, h: float, p: float,
+                sign: int) -> np.ndarray:
+    W, _ = family._chain_W(xs, p)
     # int W anchored to the grid midpoint; the shift to a max of 0 before
     # exponentiating only changes the constant that normalization absorbs
-    s = sign * cumulative_simpson_values(W, h)
+    s = cumulative_simpson_values(W, h)
+    if sign < 0:
+        np.negative(s, out=s)
     s -= s[xs.size // 2]
-    s -= np.max(s)
-    return np.exp(s)
+    s -= s.max()
+    return np.exp(s, out=s)
 
 
-def _ladder_values(psi: np.ndarray, xs: np.ndarray, family: Family, p: float,
-                   adjoint: bool, peak: float) -> np.ndarray:
+def _ladder_values(psi: np.ndarray, xs: np.ndarray, h: float, family: Family,
+                   p: float, adjoint: bool, peak: float) -> np.ndarray:
     """(+-d/dx + W(., p)) psi, where peak = max|psi|."""
-    h = float(xs[1] - xs[0])
-    W = _W_samples(family, xs, p)
-    if peak > 0.0:
-        # coarseness gate on the state's support only: a potential blowing up
-        # where psi has died off should not block the ladder; the support is
-        # empty only when psi holds nan, a state refused further on
+    W, w_all = family._chain_W(xs, p)
+    # coarseness gate on the state's support only: a potential blowing up
+    # where psi has died off should not block the ladder. The max over the
+    # support is at most w_all, the max over the grid, so when h * w_all
+    # passes the support is not looked at. The support is empty only when
+    # psi holds nan, a state refused further on.
+    if h * w_all > 0.5 and peak > 0.0:
         support = np.abs(psi) >= 1e-6 * peak
-        w_max = float(np.max(np.abs(W[support]), initial=0.0))
+        w_max = float(np.abs(W[support]).max(initial=0.0))
         if h * w_max > 0.5:
             raise GridTooCoarseError(
                 f"h * max|W| = {h * w_max:.3g} exceeds 0.5 on the state's "
                 "support; refine the grid", h=h, w_max=w_max)
     dpsi = derivative(psi, h)
-    return (-dpsi if adjoint else dpsi) + W * psi
+    out = W * psi
+    # -dpsi + W psi and W psi - dpsi are the same doubles
+    if adjoint:
+        return np.subtract(out, dpsi, out=out)
+    return np.add(dpsi, out, out=out)
 
 
 def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
@@ -428,8 +428,9 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
         adjoint = True
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    out = _ladder_values(wf.values, wf.x, family, float(m), adjoint,
-                         float(np.max(np.abs(wf.values))))
+    xs = wf.x
+    out = _ladder_values(wf.values, xs, float(xs[1] - xs[0]), family,
+                         float(m), adjoint, float(np.abs(wf.values).max()))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
@@ -442,9 +443,11 @@ def excited_state(family: Family, m, k: int, direction, grid,
     verified against k on the grid interior.
 
     Each state entering a ladder step has a peak of exactly 1: the seed is
-    exp(s - max s), and every step divides by its own peak.
+    exp(s - max s), and every step divides by its own peak. W(., p) is read
+    once per chain parameter and grid (Family._chain_W).
     """
     gobj, xs = _as_grid(grid)
+    h = float(xs[1] - xs[0])
     m = float(m)
     k = int(k)
     if k < 0:
@@ -453,23 +456,25 @@ def excited_state(family: Family, m, k: int, direction, grid,
                   _energy_shift(family, d))
     _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
                                anchor=float(xs[xs.size // 2]))
-    psi = _state_seed(family, xs, step.seed_parameter, step.seed_sign)
+    psi = _state_seed(family, xs, h, step.seed_parameter, step.seed_sign)
     for p in step.operator_parameters:
-        psi = _ladder_values(psi, xs, family, p, step.adjoint, 1.0)
-        peak = float(np.max(np.abs(psi)))
+        psi = _ladder_values(psi, xs, h, family, p, step.adjoint, 1.0)
+        peak = float(np.abs(psi).max())
         if peak == 0.0:
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
-        psi = psi / peak
-    psi = _unit_norm(psi, xs)
-    # one |psi| for the node count and the sign, which a flip leaves alone
+        psi /= peak
+    psi = _unit_norm(psi, h)
+    # one |psi| and one peak for the node count and the sign, which a flip
+    # leaves alone: the node count reads the interior, the sign the grid
     mag = np.abs(psi)
-    nodes = _count_nodes(psi[1:-1], mag[1:-1])
+    inner = float(mag[1:-1].max())
+    nodes = _count_nodes(psi[1:-1], mag[1:-1], inner)
     if nodes != k:
         raise VerificationError(
             f"level {k} state shows {nodes} interior nodes; the grid may be "
             "too coarse or the domain clipped")
-    psi = _fix_sign(psi, mag)
+    psi = _fix_sign(psi, mag, max(inner, float(mag[0]), float(mag[-1])))
     return WaveFunction(GridFunction(gobj, psi), k, step.energy, True)
 
 
@@ -483,7 +488,8 @@ def ground_state(family: Family, m, direction, grid,
                                   anchor=float(xs[xs.size // 2]))
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
-    psi = fix_sign(_unit_norm(_state_seed(family, xs, m, sign), xs))
+    h = float(xs[1] - xs[0])
+    psi = fix_sign(_unit_norm(_state_seed(family, xs, h, m, sign), h))
     return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 
 

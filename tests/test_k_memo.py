@@ -1,6 +1,6 @@
 """The memos of a Family: the (k0, k1) samples behind Family.k, the
-(k0', k1') samples behind Family.k_prime and the pole-free cell of the
-seed verdicts. Outputs stay bit-identical to a fresh evaluation, whatever
+(k0', k1') samples behind Family.k_prime, the pole-free cell of the
+seed verdicts and the ladder chain's W table. Outputs stay bit-identical to a fresh evaluation, whatever
 the call history, and each memo stays private to its instance and holds
 one entry."""
 
@@ -143,17 +143,18 @@ def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
     assert list(fam._k_memo) == list(held)
 
 
-MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo")
+MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table")
 
 
 def test_copies_start_with_an_empty_memo():
-    # each of the three memos
+    # each of the four memos
     fam = _fresh(CONFIGS[0])
     before = (repr(fam), hash(fam))
     xs = _samples(fam, np.linspace(0.0, 1.0, 50), "plain")
     fam.k(xs, 2.0)
     fam.k_prime(xs, 2.0)
     fam._pole_free_cell(fam.params.A + 0.37)
+    fam._chain_W(xs, 2.0)
     assert all(len(getattr(fam, memo)) == 1 for memo in MEMOS)
     assert (repr(fam), hash(fam)) == before and fam == _fresh(fam)
     back = pickle.loads(pickle.dumps(fam))
@@ -344,3 +345,89 @@ def test_seed_verdicts_share_one_cell_per_anchor(monkeypatch):
         excited_state(fam, 2.0, k, spec.direction, grid)
     assert len(spec.levels) == 9
     assert calls == [anchor, float(grid.x[1000])]
+
+
+# ---------------------------------------------------------------------------
+# the ladder chain's W table
+
+
+def _typea_states(fam, x, levels):
+    return [excited_state(fam, 2.0, k, "decreasing", x).values.tobytes()
+            for k in levels]
+
+
+def test_w_table_sees_a_grid_mutated_in_place():
+    # the table compares the array's bytes, never its identity
+    fam = preset_params("TypeA")
+    x = np.linspace(1e-2, math.pi - 1e-2, 2001)
+    first = _typea_states(fam, x, range(4))
+    x[:] = np.linspace(0.2, math.pi - 0.3, 2001)
+    assert _typea_states(fam, x, range(4)) == _typea_states(
+        preset_params("TypeA"), x.copy(), range(4))
+    assert first == _typea_states(preset_params("TypeA"),
+                                  np.linspace(1e-2, math.pi - 1e-2, 2001),
+                                  range(4))
+
+
+def test_w_table_is_bounded_and_read_only():
+    fam = preset_params("TypeA")
+    lo, hi = 0.1, math.pi - 0.1
+    x = np.linspace(lo, hi, 501)
+    cap = families._W_TABLE_MAX_PARAMETERS
+    for p in range(1, 2 * cap + 1):
+        W, w_max = fam._chain_W(x, float(p))
+        assert not W.flags.writeable
+        _assert_same(W, _fresh(fam).k(x, float(p)))
+        assert w_max == float(np.max(np.abs(W)))
+    (key, by_m), = fam._w_table.items()
+    assert key == (x.shape, x.tobytes())
+    assert len(by_m) == cap
+    assert sorted(m for m, _ in by_m) == list(range(cap + 1, 2 * cap + 1))
+    assert all(not W.flags.writeable for W, _ in by_m.values())
+    # a new grid replaces the old one; scalars, 0-d and large arrays pass by
+    y = np.linspace(lo, hi, 601)
+    fam._chain_W(y, 2.0)
+    (key, by_m), = fam._w_table.items()
+    assert key == (y.shape, y.tobytes()) and len(by_m) == 1
+    big = np.linspace(lo, hi, families._K_MEMO_MAX_POINTS + 1)
+    for arg in (float(lo), np.array(hi), big):
+        W, _ = fam._chain_W(arg, 3.0)
+        _assert_same(W, np.asarray(_fresh(fam).k(arg, 3.0)))
+    assert list(fam._w_table) == [(y.shape, y.tobytes())]
+    # zero and minus zero are kept apart
+    fam._chain_W(y, 0.0)
+    fam._chain_W(y, -0.0)
+    assert len(fam._w_table[key]) == 3
+
+
+def test_w_table_refuses_a_non_finite_w_every_time():
+    # closed forms refuse their poles themselves; m k1 overflows instead
+    fam = preset_params("TypeA")
+    x = np.linspace(0.1, 3.0, 101)
+    for _ in range(2):
+        try:
+            with np.errstate(over="ignore"):
+                fam._chain_W(x, 1e308)
+        except PoleError as exc:
+            assert str(exc) == ("superpotential is not finite on the "
+                                "working grid")
+        else:
+            raise AssertionError("a W with a pole on the grid is refused")
+    assert fam._w_table[(x.shape, x.tobytes())] == {}
+
+
+def test_chain_reads_each_parameter_once_per_grid(monkeypatch):
+    # levels 0-4 of a decreasing TypeA chain use parameters m + 1 .. m + 5
+    fam = preset_params("TypeA")
+    calls = []
+    real = Family.k
+
+    def k(self, x, m):
+        calls.append((np.asarray(x).tobytes(), float(m)))
+        return real(self, x, m)
+
+    monkeypatch.setattr(Family, "k", k)
+    grid = Grid(1e-3, math.pi - 1e-3, 2001)
+    for level in range(5):
+        excited_state(fam, 2.0, level, "decreasing", grid)
+    assert sorted(calls) == [(grid.x.tobytes(), 2.0 + p) for p in range(1, 6)]

@@ -5,11 +5,12 @@ fresh family and on one whose memos earlier calls have filled."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladder_oracle
-from shapeinv.errors import ShapeInvError
+from shapeinv.errors import GridTooCoarseError, ShapeInvError
 from shapeinv.families import PRESET_NAMES, preset_params
 from shapeinv.numerics import Grid
 from shapeinv.spectra import (excited_state, resolve_direction,
@@ -124,3 +125,42 @@ def test_the_sweep_builds_states_in_both_directions():
                 excited_state(fam, 3.0, kk, spec.direction, grid), want)
         built.add(spec.direction.value)
     assert built == {"decreasing", "increasing"}
+
+
+def _outcome_with_fields(build, fam, m, k, direction, grid):
+    try:
+        return build(fam, m, k, direction, grid)
+    except ShapeInvError as exc:
+        return (type(exc), str(exc), getattr(exc, "h", None),
+                getattr(exc, "w_max", None))
+
+
+@pytest.mark.parametrize("n", [64, 501, 2001])
+@pytest.mark.parametrize("m", [2.0, 3.5])
+def test_typea_grids_toward_the_poles_match_the_plain_chain(n, m):
+    # TypeA's W has poles at 0 and pi; grids reaching toward them fail the
+    # whole-grid bound h * max|W| <= 0.5, and then the support check
+    # decides: it passes (states built) or refuses with the same h, w_max
+    bound_failed_built = refused = 0
+    for eps in (1e-4, 1e-3, 1e-2, 0.1):
+        grid = Grid(eps, math.pi - eps, n)
+        fam = preset_params("TypeA")
+        for k in range(5):
+            want = _outcome_with_fields(ladder_oracle.excited_state,
+                                        preset_params("TypeA"), m, k,
+                                        "decreasing", grid)
+            got = _outcome_with_fields(excited_state, fam, m, k,
+                                       "decreasing", grid)
+            if isinstance(want, tuple):
+                assert got == want
+                refused += want[0] is GridTooCoarseError
+                continue
+            _assert_same_outcome(got, want)
+            h = float(grid.x[1] - grid.x[0])
+            bound_failed_built += any(
+                h * np.abs(fam.k(grid.x, m + k - i)).max() > 0.5
+                for i in range(k))
+    if n == 2001:
+        assert bound_failed_built >= 4
+    else:
+        assert refused >= 4
