@@ -241,8 +241,11 @@ class TridiagonalSym(Record):
         `_ShiftRecord` collects such counts cheaply (doubling up from the
         lower Gershgorin bound, safeguarded Newton steps on det(T - sigma I),
         a bracket around the Newton limit), and `_sturm_count` runs only at a
-        node they leave open. The result is the same double as splitting
-        every node with its own count.
+        node they leave open. Each count holds on a whole rounding cell: the
+        shifts s with fl(d_i - s) = fl(d_i - sigma) on every row, which run
+        the pass on the same doubles, so a midpoint inside a counted cell
+        is settled too. The result is the same double as splitting every
+        node with its own count.
         """
         if not 1 <= k <= self.n:
             raise ValueError("k must be between 1 and the matrix size")
@@ -253,7 +256,8 @@ class TridiagonalSym(Record):
         pad = 2.0 * _EPS * max(abs(lo), abs(hi), 1.0)
         d, e2 = self._sturm_rows()
         pivmin = self._pivmin()
-        known = _ShiftRecord(d, e2, pivmin, k, _EPS * max(abs(lo), abs(hi)) + pivmin)
+        known = _ShiftRecord(self.diag, d, e2, pivmin, k,
+                             _EPS * max(abs(lo), abs(hi)) + pivmin)
         known.double_up(lo, hi + pad)
         los, his = [], []
         for i in range(k):
@@ -342,44 +346,84 @@ def _newton_pass(d, e2, pivmin, sigma):
     return count, s
 
 
+# the exponent field of a double: masked out of |x| it leaves the leading
+# power of two of a normal x, and 0 for zeros and subnormals
+_EXPONENT_BITS = 0x7FF0000000000000
+
+
 class _ShiftRecord:
     """What the Sturm counts taken so far say about each of the k levels.
 
-    For level i, `lower[i]` is the largest shift counted at most i and
-    `upper[i]` the smallest counted above i, with their counts in
-    `lower_count` and `upper_count`. By monotonicity of the count, level i's
+    A pass at sigma reads sigma only through the rows' fl(d_i - sigma), so
+    its count holds on the whole cell of shifts s with fl(d_i - s) =
+    fl(d_i - sigma) on every row (`cell`). For level i, `lower[i]` is the
+    largest shift known to count at most i and `upper[i]` the smallest
+    known to count above i, with their counts in `lower_count` and
+    `upper_count`: the high end of a cell counted at most i, the low end
+    of one counted above. By monotonicity of the count, level i's
     bisection goes right at any midpoint <= lower[i] and left at any
     midpoint >= upper[i]."""
 
-    # Newton stops once a step is below NEWTON_RTOL |x| or the noise; the
-    # bracket around its limit starts at x +- HALO * noise, widening fourfold.
-    # On the finite-difference matrices the limit lands 0.02 to 0.2 noise
-    # units from the level's count step.
+    # Newton stops once a step is below NEWTON_RTOL |x| or the noise, or
+    # lands in the cell of its last pass; the bracket around its limit
+    # starts at x +- HALO * noise, widening fourfold. On the
+    # finite-difference matrices the limit lands 0.02 to 0.2 noise units
+    # from the level's count step.
     NEWTON_RTOL = 1e-7
     NEWTON_STEPS = 40
     HALO = 0.0625
 
-    def __init__(self, d, e2, pivmin, k, noise):
-        """noise: eps times the Gershgorin magnitude, plus pivmin: about
-        the width within which rounding decides a shift's count."""
-        self.d, self.e2, self.pivmin, self.k = d, e2, pivmin, k
+    def __init__(self, diag, d, e2, pivmin, k, noise):
+        """diag: the diagonal as an array, d and e2 the rows as floats;
+        noise: eps times the Gershgorin magnitude, plus pivmin: about the
+        width within which rounding decides a shift's count."""
+        self.diag, self.d, self.e2, self.pivmin, self.k = diag, d, e2, pivmin, k
         self.noise = noise
         self.lower = [-math.inf] * k
         self.lower_count = [-1] * k
         self.upper = [math.inf] * k
         self.upper_count = [len(d) + 1] * k
 
-    def note(self, sigma, count):
+    def cell(self, sigma):
+        """(lo, hi) around sigma with fl(d_i - s) = fl(d_i - sigma) on every
+        row for each double s in [lo, hi], so every such s counts as sigma.
+
+        Row i keeps r_i = fl(d_i - sigma) while d_i - s stays within half an
+        ulp of r_i. The candidate ends, the tightest of those bounds moved an
+        eighth of the way in toward sigma, are verified by subtracting them
+        from the diagonal: fl(d_i - s) is monotone in s, so two ends that
+        give the row values bit for bit certify every shift between them.
+        An end that fails is replaced by sigma."""
+        diag = self.diag
+        r = diag - sigma
+        # sigma plus row i's rounding error, and half an ulp of |r_i|
+        # (a quarter of the gap below a power of two; the check catches it)
+        t = diag - r
+        half = (r.view(np.int64) & _EXPONENT_BITS).view(float)
+        half *= 0.5 * _EPS
+        lo = float((t - half).max())
+        hi = float((t + half).min())
+        lo = min(math.nextafter(lo, math.inf), sigma)
+        hi = max(math.nextafter(hi, -math.inf), sigma)
+        rows = r.tobytes()
+        if lo < sigma and (diag - lo).tobytes() != rows:
+            lo = sigma
+        if hi > sigma and (diag - hi).tobytes() != rows:
+            hi = sigma
+        return lo, hi
+
+    def note(self, lo, hi, count):
+        """Record that every shift in [lo, hi] counts `count`."""
         for j in range(min(count, self.k)):
-            if sigma < self.upper[j]:
-                self.upper[j], self.upper_count[j] = sigma, count
+            if lo < self.upper[j]:
+                self.upper[j], self.upper_count[j] = lo, count
         for j in range(count, self.k):
-            if sigma > self.lower[j]:
-                self.lower[j], self.lower_count[j] = sigma, count
+            if hi > self.lower[j]:
+                self.lower[j], self.lower_count[j] = hi, count
 
     def count(self, sigma):
         c = _sturm_count(self.d, self.e2, self.pivmin, sigma)
-        self.note(sigma, c)
+        self.note(*self.cell(sigma), c)
         return c
 
     def double_up(self, lo, top):
@@ -396,14 +440,22 @@ class _ShiftRecord:
     def polish(self, i):
         """Safeguarded Newton on det(T - sigma I) inside level i's isolating
         bracket, then counts around the limit, widened until they bracket the
-        level. Every pass is recorded; none decides a node by itself."""
+        level. Every pass is recorded; none decides a node by itself.
+
+        A step into the cell of the pass it came from would only repeat
+        that count, so Newton stops there, before the safeguard: the cell
+        lies outside the updated bracket, which would bisect instead."""
         x = 0.5 * (self.lower[i] + self.upper[i])
         older = old = self.upper[i] - self.lower[i]
         for _ in range(self.NEWTON_STEPS):
             c, s = _newton_pass(self.d, self.e2, self.pivmin, x)
-            self.note(x, c)
+            lo, hi = self.cell(x)
+            self.note(lo, hi, c)
             a, b = self.lower[i], self.upper[i]
             nx = x - 1.0 / s if s else math.nan
+            if lo <= nx <= hi:
+                x = nx
+                break
             if not a < nx < b or abs(nx - x) > 0.5 * older:
                 nx = 0.5 * (a + b)
                 if not a < nx < b:
