@@ -562,43 +562,48 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
                           "of 1/c")
 
 
-def build_parser() -> _Parser:
+# subcommand: (help, handler, its own arguments before the shared ones)
+_COMMANDS = {
+    "families": ("list the built-in presets", cmd_families,
+                 ((("name",), dict(nargs="?", help="show a single preset")),)),
+    "eval": ("sample W, V and Vtilde on a grid", cmd_eval, ()),
+    "spectrum": ("bound-state energies", cmd_spectrum,
+                 ((("--mode",), dict(choices=("analytic", "numeric", "both"),
+                                     default="analytic")),)),
+    "verify": ("run the residual check suites", cmd_verify,
+               ((("--suite",), dict(choices=("riccati", "shape", "adjoint",
+                                             "ladder", "all"),
+                                    default="all")),)),
+    "wavefunction": ("one normalized bound state", cmd_wavefunction,
+                     ((("--k",), dict(type=int, default=0,
+                                      help="level index")),)),
+}
+
+
+def build_parser(argv=None) -> _Parser:
+    """The CLI's parser. Every subcommand is listed, but only the one argv
+    invokes, its first non-option word, gets its options: argparse reads no
+    other subparser. With argv None or no subcommand named, all are built."""
     parser = _Parser(prog="shapeinv",
                      description="Exactly solvable quantum ladders from "
                                  "first-order Riccati data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("families", help="list the built-in presets")
-    p.add_argument("name", nargs="?", help="show a single preset")
-    _add_shared(p)
-    p.set_defaults(handler=cmd_families)
-
-    p = sub.add_parser("eval", help="sample W, V and Vtilde on a grid")
-    _add_shared(p)
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("spectrum", help="bound-state energies")
-    p.add_argument("--mode", choices=("analytic", "numeric", "both"),
-                   default="analytic")
-    _add_shared(p)
-    p.set_defaults(handler=cmd_spectrum)
-
-    p = sub.add_parser("verify", help="run the residual check suites")
-    p.add_argument("--suite",
-                   choices=("riccati", "shape", "adjoint", "ladder", "all"),
-                   default="all")
-    _add_shared(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("wavefunction", help="one normalized bound state")
-    p.add_argument("--k", type=int, default=0, help="level index")
-    _add_shared(p)
-    p.set_defaults(handler=cmd_wavefunction)
+    words = [a for a in argv or () if not a.startswith("-")]
+    invoked = words[0] if words else None
+    for name, (help_text, handler, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if invoked not in _COMMANDS or name == invoked:
+            for args, kwargs in own:
+                p.add_argument(*args, **kwargs)
+            _add_shared(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -53,6 +53,41 @@ def test_families_unknown_preset():
 
 
 # ---------------------------------------------------------------------------
+# usage: help texts and argument errors, pinned byte for byte
+
+def _main_in_process(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_usage_outputs_are_pinned(monkeypatch, capsys):
+    # --help for the program and each subcommand, no arguments, an unknown
+    # subcommand and unknown or invalid options, at a fixed 80 columns;
+    # the parser builds only the invoked subcommand's options
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads(read_golden("cli_usage.json"))
+    assert len(cases) == 11
+    for case in cases:
+        got = _main_in_process(case["argv"], capsys)
+        assert got == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_parser_builds_only_the_invoked_subcommand():
+    def options(parser, name):
+        sub = next(a for a in parser._subparsers._group_actions
+                   if a.dest == "command").choices[name]
+        return {opt for a in sub._actions for opt in a.option_strings}
+
+    lazy = cli.build_parser(["spectrum", "--mode", "both"])
+    assert "--mode" in options(lazy, "spectrum")
+    assert options(lazy, "eval") == {"-h", "--help"}
+    full = cli.build_parser()
+    assert "--family" in options(full, "eval")
+    assert options(full, "spectrum") == options(lazy, "spectrum")
+
+
+# ---------------------------------------------------------------------------
 # eval
 
 def test_eval_golden_stdout():
