@@ -428,9 +428,8 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
         adjoint = True
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    xs = wf.x
-    out = _ladder_values(wf.values, xs, float(xs[1] - xs[0]), family,
-                         float(m), adjoint, float(np.abs(wf.values).max()))
+    out = _ladder_values(wf.values, wf.x, wf.h, family, float(m), adjoint,
+                         float(np.abs(wf.values).max()))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
@@ -447,7 +446,7 @@ def excited_state(family: Family, m, k: int, direction, grid,
     once per chain parameter and grid (Family._chain_W).
     """
     gobj, xs = _as_grid(grid)
-    h = float(xs[1] - xs[0])
+    h = gobj.h
     m = float(m)
     k = int(k)
     if k < 0:
@@ -488,7 +487,7 @@ def ground_state(family: Family, m, direction, grid,
                                   anchor=float(xs[xs.size // 2]))
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
-    h = float(xs[1] - xs[0])
+    h = gobj.h
     psi = fix_sign(_unit_norm(_state_seed(family, xs, h, m, sign), h))
     return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 

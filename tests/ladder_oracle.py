@@ -1,10 +1,12 @@
 """The ladder chain of `spectra.excited_state` as it stood before the family
-kept its pole-free cell and the chain reused its peaks and |psi|, kept as a
-test oracle.
+kept its pole-free cell and its W samples and the chain reused its peaks
+and |psi|, kept as a test oracle.
 
 Every pass is the plain one: the seed's cell comes from `natural_domain` on
-each call, each ladder step takes the max of its input state, and
-normalization, the sign fix and the node count each take their own |psi|.
+each call, every step reads W through `Family.k` and checks it, the
+coarseness gate always masks the state's support, each ladder step takes
+the max of its input state, and normalization, the sign fix and the node
+count each take their own |psi|. The grid spacing is the Grid's h.
 The library's chain must give the same states bit for bit and refuse the
 same levels with the same errors.
 """
@@ -70,16 +72,16 @@ def _W_samples(family, xs: np.ndarray, p: float) -> np.ndarray:
     return W
 
 
-def _normalized(psi: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """psi over its norm on the grid xs, with the sign fixed."""
-    nrm = math.sqrt(max(integrate(psi * psi, float(xs[1] - xs[0])), 0.0))
+def _normalized(psi: np.ndarray, h: float) -> np.ndarray:
+    """psi over its norm on a grid of step h, with the sign fixed."""
+    nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
     if nrm == 0.0:
         raise NormalizationError("state vanished on the grid")
     return fix_sign(psi / nrm)
 
 
-def _state_seed(family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
-    h = xs[1] - xs[0]
+def _state_seed(family, xs: np.ndarray, h: float, p: float,
+                sign: int) -> np.ndarray:
     W = _W_samples(family, xs, p)
     s = sign * cumulative_simpson_values(W, h)
     s -= s[xs.size // 2]
@@ -87,9 +89,8 @@ def _state_seed(family, xs: np.ndarray, p: float, sign: int) -> np.ndarray:
     return np.exp(s)
 
 
-def _ladder_values(psi: np.ndarray, xs: np.ndarray, family, p: float,
-                   adjoint: bool) -> np.ndarray:
-    h = float(xs[1] - xs[0])
+def _ladder_values(psi: np.ndarray, xs: np.ndarray, h: float, family,
+                   p: float, adjoint: bool) -> np.ndarray:
     W = _W_samples(family, xs, p)
     peak = float(np.max(np.abs(psi)))
     if peak > 0.0:
@@ -115,15 +116,15 @@ def excited_state(family, m, k: int, direction, grid,
                           spectra._energy_shift(family, d))
     _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
                                anchor=float(xs[xs.size // 2]))
-    psi = _state_seed(family, xs, step.seed_parameter, step.seed_sign)
+    psi = _state_seed(family, xs, gobj.h, step.seed_parameter, step.seed_sign)
     for p in step.operator_parameters:
-        psi = _ladder_values(psi, xs, family, p, step.adjoint)
+        psi = _ladder_values(psi, xs, gobj.h, family, p, step.adjoint)
         peak = float(np.max(np.abs(psi)))
         if peak == 0.0:
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
         psi = psi / peak
-    psi = _normalized(psi, xs)
+    psi = _normalized(psi, gobj.h)
     nodes = count_nodes(psi[1:-1])
     if nodes != k:
         raise VerificationError(

@@ -156,7 +156,7 @@ def test_typea_grids_toward_the_poles_match_the_plain_chain(n, m):
                 refused += want[0] is GridTooCoarseError
                 continue
             _assert_same_outcome(got, want)
-            h = float(grid.x[1] - grid.x[0])
+            h = grid.h
             bound_failed_built += any(
                 h * np.abs(fam.k(grid.x, m + k - i)).max() > 0.5
                 for i in range(k))

@@ -263,6 +263,19 @@ def test_excited_state_trig_chain():
     assert wf.node_count() == 1
 
 
+@pytest.mark.parametrize("A", [0.0, 1e9, 1e11, 1e12])
+def test_states_are_normalized_with_the_grids_spacing(A):
+    # far from the origin the nodes are quantized to the ulp of A, so
+    # x[1] - x[0] is not the Grid's h; the chain must normalize with the h
+    # that WaveFunction.norm() uses (the first node gap read 0.99648 at 1e12)
+    fam = preset_params("TypeD", b=1, A=A)
+    for k in (0, 2):
+        wf = excited_state(fam, 1, k, "increasing", Grid(A - 8, A + 8, 2001))
+        assert abs(wf.norm() - 1.0) <= 1e-12
+    wf = ground_state(fam, 1, "increasing", Grid(A - 8, A + 8, 2001))
+    assert abs(wf.norm() - 1.0) <= 1e-12
+
+
 def test_excited_state_accepts_plain_arrays():
     xs = np.linspace(-8.0, 8.0, 2001)
     wf = excited_state(typed(), 1.0, 1, "increasing", xs)
