@@ -131,8 +131,9 @@ class Family:
         # built once: the Riccati solution y = k1 (whose row of the
         # closed-form table is basis()), the companion z = k0, and the
         # memos of k's (k0, k1) samples, k_prime's (k0', k1') samples, the
-        # pole-free cell and the ladder chain's W table; not fields, so they stay out of ==, hash, repr
-        # and replace(), and the memos belong to this instance
+        # pole-free cell and the ladder chain's W table; not fields, so they
+        # stay out of ==, hash, repr and replace(), and the memos belong to
+        # this instance
         p = self.params
         y = general_solution(p.sign.a, p.A, p.B)
         object.__setattr__(self, "_y", y)

@@ -389,11 +389,11 @@ class _ShiftRecord:
         row for each double s in [lo, hi], so every such s counts as sigma.
 
         Row i keeps r_i = fl(d_i - sigma) while d_i - s stays within half an
-        ulp of r_i. The candidate ends, the tightest of those bounds moved an
-        eighth of the way in toward sigma, are verified by subtracting them
-        from the diagonal: fl(d_i - s) is monotone in s, so two ends that
-        give the row values bit for bit certify every shift between them.
-        An end that fails is replaced by sigma."""
+        ulp of r_i. The candidate ends, the tightest of those bounds moved
+        one ulp inward (off the rounding ties), are verified by subtracting
+        them from the diagonal: fl(d_i - s) is monotone in s, so two ends
+        that give the row values bit for bit certify every shift between
+        them. An end that fails is replaced by sigma."""
         diag = self.diag
         r = diag - sigma
         # sigma plus row i's rounding error, and half an ulp of |r_i|

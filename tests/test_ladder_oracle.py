@@ -52,10 +52,12 @@ def _grid(fam, name, consts, m, n):
 
 
 def _outcome(build, fam, m, k, direction, grid):
+    """The state, or the refusal with GridTooCoarseError's h and w_max."""
     try:
         wf = build(fam, m, k, direction, grid)
     except ShapeInvError as exc:
-        return type(exc), str(exc)
+        return (type(exc), str(exc), getattr(exc, "h", None),
+                getattr(exc, "w_max", None))
     return wf
 
 
@@ -127,14 +129,6 @@ def test_the_sweep_builds_states_in_both_directions():
     assert built == {"decreasing", "increasing"}
 
 
-def _outcome_with_fields(build, fam, m, k, direction, grid):
-    try:
-        return build(fam, m, k, direction, grid)
-    except ShapeInvError as exc:
-        return (type(exc), str(exc), getattr(exc, "h", None),
-                getattr(exc, "w_max", None))
-
-
 @pytest.mark.parametrize("n", [64, 501, 2001])
 @pytest.mark.parametrize("m", [2.0, 3.5])
 def test_typea_grids_toward_the_poles_match_the_plain_chain(n, m):
@@ -146,19 +140,16 @@ def test_typea_grids_toward_the_poles_match_the_plain_chain(n, m):
         grid = Grid(eps, math.pi - eps, n)
         fam = preset_params("TypeA")
         for k in range(5):
-            want = _outcome_with_fields(ladder_oracle.excited_state,
-                                        preset_params("TypeA"), m, k,
-                                        "decreasing", grid)
-            got = _outcome_with_fields(excited_state, fam, m, k,
-                                       "decreasing", grid)
+            want = _outcome(ladder_oracle.excited_state,
+                            preset_params("TypeA"), m, k, "decreasing", grid)
+            got = _outcome(excited_state, fam, m, k, "decreasing", grid)
             if isinstance(want, tuple):
                 assert got == want
                 refused += want[0] is GridTooCoarseError
                 continue
             _assert_same_outcome(got, want)
-            h = grid.h
             bound_failed_built += any(
-                h * np.abs(fam.k(grid.x, m + k - i)).max() > 0.5
+                grid.h * np.abs(fam.k(grid.x, m + k - i)).max() > 0.5
                 for i in range(k))
     if n == 2001:
         assert bound_failed_built >= 4
