@@ -194,8 +194,8 @@ class Family:
         return k0p, self.k1_prime(arr)
 
     def _samples(self, memo, parts, x):
-        """parts(x), a (m-free, m-linear) pair; for the last array, remembered
-        in memo by shape and bytes."""
+        """parts(x): an (m-free, m-linear) sample pair, or the W table of
+        _chain_W; for the last array, remembered in memo by shape and bytes."""
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
             return parts(arr)
@@ -220,40 +220,27 @@ class Family:
         """(W, max|W|) with W = k(x, m) read-only, for the ladder chain.
 
         W must be finite on every sample, else PoleError. The pair is kept
-        per m (and the sign of a zero m) for the last 1-d grid of at most
-        _K_MEMO_MAX_POINTS points, compared by shape and bytes on each read,
-        so one grid reads each chain parameter through k once.
+        per m (and the sign of a zero m) for the last array, held like the
+        sample memos, so one grid reads each chain parameter through k once.
         """
         arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
-            return self._finite_W(arr, m)
-        table = self._w_table
-        key = (arr.shape, arr.tobytes())
-        for held, by_m in table.items():
-            if held == key:
-                break
-        else:
-            by_m = {}
-            table.clear()
-            table[key] = by_m
+        # the last array's {m: pair} table, or a fresh one the memo bypasses
+        by_m = self._samples(self._w_table, lambda _: {}, arr)
         m = float(m)
         # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
         m_key = (m, math.copysign(1.0, m))
         pair = by_m.get(m_key)
         if pair is None:
-            pair = self._finite_W(arr, m)
+            W = np.asarray(self.k(arr, m), dtype=float)
+            w_max = float(np.abs(W).max())
+            if not math.isfinite(w_max):   # nan or inf on some sample
+                raise PoleError(
+                    "superpotential is not finite on the working grid")
+            W.flags.writeable = False
             if len(by_m) >= _W_TABLE_MAX_PARAMETERS:
                 del by_m[next(iter(by_m))]
-            by_m[m_key] = pair
+            pair = by_m[m_key] = (W, w_max)
         return pair
-
-    def _finite_W(self, arr, m):
-        W = np.asarray(self.k(arr, m), dtype=float)
-        w_max = float(np.abs(W).max())
-        if not math.isfinite(w_max):   # nan or inf on some sample
-            raise PoleError("superpotential is not finite on the working grid")
-        W.flags.writeable = False
-        return W, w_max
 
     def _k_coefficients(self, m):
         """(gamma, beta, kappa) with k(., m) = gamma f + beta h + kappa over
