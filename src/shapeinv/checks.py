@@ -71,9 +71,7 @@ def _family_window(family: families.Family, n_pts: int, rng,
     """Uniform samples in a pole-free cell near A, margin away from the ends."""
     for shift in (0.37, 1.11, -0.53, 0.73):
         anchor = family.params.A + shift
-        poles = family.singularities(1.0, (anchor - half, anchor + half))
-        lo = max([p for p in poles if p <= anchor], default=anchor - half)
-        hi = min([p for p in poles if p > anchor], default=anchor + half)
+        lo, hi = family.natural_domain(1.0, anchor, (anchor - half, anchor + half))
         if hi - lo > 10.0 * margin:
             return rng.uniform(lo + margin, hi - margin, n_pts)
     raise RuntimeError("no usable pole-free sampling cell near the anchor")

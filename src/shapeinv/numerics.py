@@ -1,10 +1,11 @@
 """Independent finite-difference machinery for checking analytic results.
 
 Everything here works on plain sample arrays: a three-point Dirichlet
-discretization of -psi'' + V psi, a Sturm-sequence bisection eigensolver with
-inverse iteration, five-point derivative stencils, and composite Simpson
-quadrature. None of it knows about superpotentials, so agreement with the
-closed-form machinery is a genuine cross-check.
+discretization of -psi'' + V psi, a Sturm-sequence bisection eigensolver whose
+pivots also give the eigenvectors (a twisted factorization), five-point
+derivative stencils, and composite Simpson quadrature. None of it knows about
+superpotentials, so agreement with the closed-form machinery is a genuine
+cross-check.
 """
 
 from __future__ import annotations
@@ -286,24 +287,62 @@ class TridiagonalSym(Record):
             his.append(b)
         return 0.5 * (np.array(los) + np.array(his))
 
-    def eigenvector(self, lam: float, prev: Sequence[np.ndarray] = (),
-                    seed: int = 0) -> np.ndarray:
-        """Two steps of inverse iteration at shift lam, orthogonalized
-        against prev."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.n)
-        v /= np.linalg.norm(v)
-        fact = _factor_shifted(self.diag, self.offdiag, lam)
-        for _ in range(2):
-            v = _solve_factored(fact, v)
+    def eigenvector(self, lam: float, prev: Sequence[np.ndarray] = ()) -> np.ndarray:
+        """Unit eigenvector at the eigenvalue lam, orthogonalized against the
+        orthonormal vectors in prev, from a twisted factorization of T - lam I.
+
+        The top-down pivots D+ and bottom-up pivots D- of LDL^T(T - lam I)
+        are `_sturm_count`'s Riccati variable, clamped the same way. They
+        meet at a twist row r with gamma_r = D+_r + D-_r - (d_r - lam); the
+        vector is z_r = 1, z_i = -e_i z_(i+1) / D+_i above r and
+        z_i = -e_(i-1) z_(i-1) / D-_i below it. Rows are taken in increasing
+        |gamma_r|, the first being the most accurate; a row is passed over
+        when the projection on prev leaves under `_FRESH` of its vector, as
+        at a repeated eigenvalue of a split matrix.
+        """
+        d, e2 = self._sturm_rows()
+        pivmin = self._pivmin()
+        lam = float(lam)
+        plus = _pivots(d, e2, pivmin, lam)
+        minus = _pivots(d[::-1], [0.0] + e2[:0:-1], pivmin, lam)[::-1]
+        gamma = np.array(plus) + np.array(minus) - (self.diag - lam)
+        e = self.offdiag.tolist()
+        n = len(d)
+        for r in np.argsort(np.abs(gamma), kind="stable").tolist():
+            z = [0.0] * n
+            z[r] = zi = 1.0
+            for i in range(r - 1, -1, -1):
+                zi = -e[i] / plus[i] * zi
+                z[i] = zi
+            zi = 1.0
+            for i in range(r + 1, n):
+                zi = -e[i - 1] / minus[i] * zi
+                z[i] = zi
+            v = np.array(z)
+            whole = np.linalg.norm(v)
             for p in prev:
                 v = v - (p @ v) * p
             nrm = np.linalg.norm(v)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                v = rng.standard_normal(self.n)
-                nrm = np.linalg.norm(v)
-            v = v / nrm
-        return v
+            if nrm > _FRESH * whole:
+                return v / nrm
+        raise ValueError("no twist row gives a vector independent of prev")
+
+
+# the share of a twisted vector that must survive the projection on the
+# earlier vectors; one Gram-Schmidt pass leaves it orthogonal to about eps / share
+_FRESH = 1e-3
+
+
+def _pivots(d, e2, pivmin, sigma):
+    """The pivots of `_sturm_count`'s pass at sigma, clamped as it clamps."""
+    out = []
+    q = 1.0
+    for di, ei in zip(d, e2):
+        q = (di - sigma) - ei / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        out.append(q)
+    return out
 
 
 def _sturm_count(d, e2, pivmin, sigma):
@@ -476,58 +515,6 @@ class _ShiftRecord:
             dx *= 4.0
 
 
-def _factor_shifted(diag, off, shift):
-    """LU factorization of (T - shift I) with partial pivoting and fill-in."""
-    dd = (np.asarray(diag, dtype=float) - shift).tolist()
-    dl = np.asarray(off, dtype=float).tolist()
-    du = list(dl)
-    n = len(dd)
-    du2 = [0.0] * max(n - 2, 0)
-    piv = [0] * max(n - 1, 0)
-    scale = max(max(abs(x) for x in dd), max((abs(x) for x in dl), default=0.0), 1.0)
-    guard = _EPS * scale
-    for i in range(n - 1):
-        if abs(dd[i]) >= abs(dl[i]):
-            if abs(dd[i]) < guard:
-                dd[i] = guard if dd[i] >= 0.0 else -guard
-            fact = dl[i] / dd[i]
-            dl[i] = fact
-            dd[i + 1] -= fact * du[i]
-        else:
-            piv[i] = 1
-            fact = dd[i] / dl[i]
-            dd[i] = dl[i]
-            dl[i] = fact
-            tmp = dd[i + 1]
-            dd[i + 1] = du[i] - fact * tmp
-            du[i] = tmp
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du[i + 1]
-    if abs(dd[n - 1]) < guard:
-        dd[n - 1] = guard if dd[n - 1] >= 0.0 else -guard
-    return dd, dl, du, du2, piv
-
-
-def _solve_factored(fact, b):
-    dd, dl, du, du2, piv = fact
-    n = len(dd)
-    x = np.asarray(b, dtype=float).tolist()
-    for i in range(n - 1):
-        if piv[i]:
-            tmp = x[i]
-            x[i] = x[i + 1]
-            x[i + 1] = tmp - dl[i] * x[i]
-        else:
-            x[i + 1] -= dl[i] * x[i]
-    x[n - 1] /= dd[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / dd[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / dd[i]
-    return np.asarray(x)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian discretization
 
@@ -566,25 +553,26 @@ def hamiltonian_matrix(V: Union[Callable, Sequence, np.ndarray],
     return _dirichlet_matrix(interior, grid.h)
 
 
-def eigen_lowest(mat: TridiagonalSym, kmax: int, h: float = 1.0, seed: int = 0):
+def eigen_lowest(mat: TridiagonalSym, kmax: int, h: float = 1.0):
     """Lowest kmax eigenpairs, ascending, as a list of (value, vector).
 
-    Vectors come from two rounds of inverse iteration, orthogonalized against
-    the earlier ones, normalized so h * sum(v^2) = 1, and sign-fixed so the
-    first significant lobe is positive.
+    Vectors come from the twisted factorization at each eigenvalue
+    (`TridiagonalSym.eigenvector`), orthogonalized against the earlier ones,
+    normalized so h * sum(v^2) = 1, and sign-fixed so the first significant
+    lobe is positive.
     """
     evals = mat.eigenvalues_lowest(kmax)
-    return [(float(e), v) for e, v in zip(evals, _eigenvectors(mat, evals, h, seed))]
+    return [(float(e), v) for e, v in zip(evals, _eigenvectors(mat, evals, h))]
 
 
-def _eigenvectors(mat: TridiagonalSym, evals, h: float, seed: int) -> list:
+def _eigenvectors(mat: TridiagonalSym, evals, h: float) -> list:
     """eigen_lowest's vectors for the ascending eigenvalues evals: level j
-    starts from seed + j and is orthogonalized against levels 0..j-1."""
+    is orthogonalized against levels 0..j-1."""
     out = []
     done = []
     scale = 1.0 / math.sqrt(h)
     for j in range(len(evals)):
-        v = mat.eigenvector(evals[j], prev=done, seed=seed + j)
+        v = mat.eigenvector(evals[j], prev=done)
         done.append(v)
         out.append(fix_sign(v) * scale)
     return out
@@ -661,25 +649,23 @@ class NumericSpectrum(Record):
 
     energies and error_estimate (the Richardson estimate per level, or None)
     are computed on construction. wavefunctions, shape (grid.n, k),
-    normalized and sign fixed, come from inverse iteration on the interior
-    matrix when first read, and are then kept. Copies and unpickled spectra
+    normalized and sign fixed, come from the twisted factorization of the
+    interior matrix at each energy when first read, and are then kept. Copies and unpickled spectra
     start without them and build the same vectors on their first read.
     """
 
     _fields = ("grid", "energies", "wavefunctions", "error_estimate")
 
     def __init__(self, grid: Grid, energies: np.ndarray, matrix: TridiagonalSym,
-                 error_estimate: Optional[np.ndarray], seed: int = 0):
+                 error_estimate: Optional[np.ndarray]):
         self.__dict__.update(grid=grid, energies=energies,
-                             error_estimate=error_estimate, _matrix=matrix,
-                             _seed=seed)
+                             error_estimate=error_estimate, _matrix=matrix)
 
     @property
     def wavefunctions(self) -> np.ndarray:
         psi = self.__dict__.get("_psi")
         if psi is None:
-            vecs = _eigenvectors(self._matrix, self.energies, self.grid.h,
-                                 self._seed)
+            vecs = _eigenvectors(self._matrix, self.energies, self.grid.h)
             psi = np.zeros((self.grid.n, len(vecs)))
             for j, vec in enumerate(vecs):
                 psi[1:-1, j] = vec
@@ -688,7 +674,7 @@ class NumericSpectrum(Record):
 
     def __reduce__(self):
         return NumericSpectrum, (self.grid, self.energies, self._matrix,
-                                 self.error_estimate, self._seed)
+                                 self.error_estimate)
 
     def __len__(self) -> int:
         return int(self.energies.size)
@@ -702,13 +688,12 @@ class NumericSpectrum(Record):
 
 
 def spectrum_numeric(V: Union[Callable, Sequence, np.ndarray], grid: Grid,
-                     kmax: int, richardson: bool = True,
-                     seed: int = 0) -> NumericSpectrum:
+                     kmax: int, richardson: bool = True) -> NumericSpectrum:
     """Lowest kmax Dirichlet eigenpairs of -d2/dx2 + V on the grid.
 
     Wavefunctions carry the boundary zeros and are normalized so that
-    h * sum(psi^2) = 1; they are the vectors of eigen_lowest(T, kmax, h,
-    seed), built on their first read. A half-resolution re-run provides a
+    h * sum(psi^2) = 1; they are the vectors of eigen_lowest(T, kmax, h),
+    built on their first read. A half-resolution re-run provides a
     Richardson error estimate per energy whenever the coarse potential is
     recoverable (callable V, or sampled V on an odd node count).
     """
@@ -731,7 +716,7 @@ def spectrum_numeric(V: Union[Callable, Sequence, np.ndarray], grid: Grid,
                 r = (grid.n - 1) / (n2 - 1)
                 err = np.full(kmax, np.nan)
                 err[:kk] = np.abs(evals[:kk] - e2) / (r * r - 1.0)
-    return NumericSpectrum(grid, evals, T, err, seed)
+    return NumericSpectrum(grid, evals, T, err)
 
 
 def _coarse_samples(V, Vv, grid: Grid):

@@ -298,8 +298,8 @@ class ChainStep(Record):
 
 
 def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
-           last: Optional[int] = None) -> Iterator[ChainStep]:
-    """The steps of levels 0, 1, 2, ... of H(m), through `last` if given.
+           last: Optional[int] = None) -> Iterator[float]:
+    """The energies of levels 0, 1, 2, ... of H(m), through `last` if given.
 
     Energies are d -+ a running sum of the R values along the orbit, each
     sign-checked as it is added. The first level whose spacing is undefined
@@ -318,8 +318,7 @@ def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
                     f"spacing R({m + k:g}) = {spacing:g} is not negative; "
                     f"the decreasing chain has no level {named}")
             total += spacing
-            yield ChainStep(k, d - total, m + k + 1.0, +1,
-                            tuple(m + k - i for i in range(k)), False)
+            yield d - total
         else:
             if k > 0:
                 spacing = _spacing(family, m - k)
@@ -328,16 +327,30 @@ def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
                         f"spacing R({m - k:g}) = {spacing:g} is not positive; "
                         f"the increasing chain has no level {named}")
                 total += spacing
-            yield ChainStep(k, d + total, m - k, -1,
-                            tuple(m - k + 1.0 + i for i in range(k)), True)
+            yield d + total
         k += 1
+
+
+def _seed(m: float, k: int, direction: ChainDirection) -> tuple:
+    """(parameter, sign) of level k's chain seed exp(sign int W(., p))."""
+    if direction is ChainDirection.DecreasingL:
+        return m + k + 1.0, +1
+    return m - k, -1
+
+
+def _step(m: float, k: int, direction: ChainDirection,
+          energy: float) -> ChainStep:
+    """Level k's chain: its seed and the k ladder parameters back to m."""
+    p, sign = _seed(m, k, direction)
+    ops = (m + k - i if sign > 0 else m - k + 1.0 + i for i in range(k))
+    return ChainStep(k, energy, p, sign, tuple(ops), sign < 0)
 
 
 def _level(family: Family, m: float, k: int, direction: ChainDirection,
            d: float) -> ChainStep:
-    for step in _orbit(family, m, direction, d, last=k):
+    for energy in _orbit(family, m, direction, d, last=k):
         pass
-    return step
+    return _step(m, k, direction, energy)
 
 
 def _energy_shift(family: Family, d) -> float:
@@ -366,8 +379,8 @@ def partner_energies(family: Family, m, n_levels: int, direction,
     d_val = _energy_shift(family, d)
     walk = _orbit(family, float(m), direction, d_val)
     if direction is ChainDirection.DecreasingL:
-        return [d_val] + [s.energy for s in islice(walk, max(n_levels - 1, 0))]
-    return [s.energy for s in islice(walk, 1, n_levels + 1)]
+        return [d_val] + list(islice(walk, max(n_levels - 1, 0)))
+    return list(islice(walk, 1, n_levels + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +527,9 @@ def build_chain(family: Family, m, n_levels: int, direction,
     m = float(m)
     direction = _coerce_direction(direction)
     d_val = _energy_shift(family, d)
-    steps = tuple(islice(_orbit(family, m, direction, d_val),
-                         max(int(n_levels), 0)))
+    steps = tuple(_step(m, k, direction, energy) for k, energy in
+                  enumerate(islice(_orbit(family, m, direction, d_val),
+                                   max(int(n_levels), 0))))
     return SpectralChain(family=family, m=m, d=d_val, direction=direction,
                          steps=steps)
 
@@ -525,13 +539,13 @@ def max_level(family: Family, m, direction, anchor: Optional[float] = None,
     """Highest valid level index, or None when nothing fails below `limit`."""
     if anchor is None:
         anchor = _default_anchor(family)
-    walk = _orbit(family, float(m), _coerce_direction(direction),
-                  family.params.d)
+    m = float(m)
+    direction = _coerce_direction(direction)
+    walk = _orbit(family, m, direction, family.params.d)
     for k in range(int(limit)):
         try:
-            step = next(walk)
-            _require_seed_normalizable(family, step.seed_parameter,
-                                       step.seed_sign, anchor)
+            next(walk)
+            _require_seed_normalizable(family, *_seed(m, k, direction), anchor)
         except (OrbitError, NormalizationError):
             return k - 1
     return None
@@ -605,14 +619,14 @@ def spectrum_analytic(family: Family, m, kmax: int, direction=None,
     reason = None
     for k in range(kmax + 1):
         try:
-            step = next(walk)
+            energy = next(walk)
             if screen_seeds:
-                _require_seed_normalizable(family, step.seed_parameter,
-                                           step.seed_sign, anchor)
+                _require_seed_normalizable(family, *_seed(m, k, direction),
+                                           anchor)
         except (OrbitError, NormalizationError) as exc:
             reason = str(exc)
             break
-        levels.append((k, step.energy))
+        levels.append((k, energy))
     if direction is ChainDirection.DecreasingL:
         partner = [(0, d_val)] + [(k + 1, e) for k, e in levels]
     else:

@@ -2,6 +2,7 @@
 eigensolver, and the Dirichlet spectrum driver."""
 
 import copy
+import inspect
 import json
 import math
 import pickle
@@ -255,6 +256,51 @@ def test_wilkinson_near_degenerate_pair():
     assert np.all(np.diff(got) > 0.0)
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
     assert got[-1] - got[-2] == pytest.approx(want[-1] - want[-2], abs=2e-14)
+
+
+@pytest.mark.parametrize("d, e", [
+    (np.zeros(5), np.zeros(4)),
+    (np.array([1.0, 2.0, 1.0, 3.0]), np.zeros(3)),
+    (np.zeros(4), np.array([1.0, 0.0, 1.0])),
+    (np.abs(np.arange(21) - 10.0), np.ones(20)),    # W21+
+], ids=["zero", "diagonal", "two-blocks", "W21+"])
+def test_eigenvectors_orthonormal_on_split_and_wilkinson(d, e):
+    # repeated eigenvalues of a split matrix give the same twisted vector at
+    # the best twist row; the next rows in |gamma| order span the rest
+    mat = TridiagonalSym(diag=d, offdiag=e)
+    pairs = eigen_lowest(mat, mat.n)
+    vecs = np.array([v for _, v in pairs])
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(mat.n))) <= 1e-12
+    for lam, v in pairs:
+        assert np.linalg.norm(mat.matvec(v) - lam * v) <= 1e-12 * max(1.0, np.max(d))
+
+
+def test_eigenvector_needs_a_direction_outside_prev():
+    mat = TridiagonalSym(diag=np.array([2.0, 2.0]), offdiag=np.array([-1.0]))
+    basis = [v for _, v in eigen_lowest(mat, 2)]
+    with pytest.raises(ValueError, match="independent of prev"):
+        mat.eigenvector(1.0, prev=basis)
+
+
+@pytest.mark.parametrize("n", [1001, 2001, 4001])
+@pytest.mark.parametrize("name", ["oscillator", "trig", "hyperbolic"])
+def test_config_eigenvectors_match_lapack(name, n):
+    linalg = pytest.importorskip("scipy.linalg")
+    (mat, _), k = _config_matrices(name, n)
+    pairs = eigen_lowest(mat, k)
+    _, want = linalg.eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
+                                      select_range=(0, k - 1))
+    for j, (_, v) in enumerate(pairs):
+        assert 1.0 - abs(v @ want[:, j]) <= 1e-13
+    again = eigen_lowest(mat, k)
+    assert [v.tobytes() for _, v in again] == [v.tobytes() for _, v in pairs]
+
+
+@pytest.mark.parametrize("fn", [TridiagonalSym.eigenvector, eigen_lowest,
+                                numerics._eigenvectors, NumericSpectrum,
+                                spectrum_numeric])
+def test_eigenvectors_take_no_seed(fn):
+    assert "seed" not in inspect.signature(fn).parameters
 
 
 def _config_problem(name):
@@ -613,15 +659,15 @@ def test_spectrum_iteration_protocol():
 # ---------------------------------------------------------------------------
 # wavefunctions built on first read
 
-def _eager_wavefunctions(mat, grid, k, seed=0):
+def _eager_wavefunctions(mat, grid, k):
     """The vectors spectrum_numeric built before they became lazy: every
-    level at once, seeds seed + j, each orthogonalized against the earlier
-    raw vectors, then sign-fixed and scaled by 1/sqrt(h)."""
+    level at once, each orthogonalized against the earlier raw vectors,
+    then sign-fixed and scaled by 1/sqrt(h)."""
     evals = mat.eigenvalues_lowest(k)
     psi = np.zeros((grid.n, k))
     done = []
     for j in range(k):
-        v = mat.eigenvector(evals[j], prev=done, seed=seed + j)
+        v = mat.eigenvector(evals[j], prev=done)
         done.append(v)
         psi[1:-1, j] = fix_sign(v) * (1.0 / math.sqrt(grid.h))
     return evals, psi

@@ -122,6 +122,38 @@ def test_build_chain_bookkeeping():
     assert inc.steps[2].adjoint
 
 
+@pytest.mark.parametrize("fam, m, direction", [
+    (typed(), 1.0, "increasing"), (preset_params("TypeA"), 2.0, "decreasing")])
+def test_energy_walks_build_no_chain_step(monkeypatch, fam, m, direction):
+    # the orbit walk yields energies alone; a level's k ladder parameters are
+    # built only where a ChainStep is returned, so walking K levels is O(K)
+    want, total = [], 0.0
+    for k in range(41):
+        if direction == "decreasing":
+            total += fam.R(m + k)
+            want.append(fam.params.d - total)
+        else:
+            total += fam.R(m - k) if k else 0.0
+            want.append(fam.params.d + total)
+    built = []
+    original = spectra.ChainStep
+
+    def counted(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(spectra, "ChainStep", counted)
+    assert spectrum_analytic(fam, m, 40, direction).energies.tolist() == want
+    assert max_level(fam, m, direction) is None
+    partner = partner_energies(fam, m, 40, direction)
+    assert partner == ([fam.params.d] + want[:39] if direction == "decreasing"
+                       else want[1:41])
+    assert built == []
+    assert [energy_level(fam, m, k, direction) for k in (0, 7, 40)] \
+        == [want[0], want[7], want[40]]
+    assert built == [0, 7, 40]
+
+
 # ---------------------------------------------------------------------------
 # normalizability screening
 
