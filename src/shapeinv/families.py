@@ -19,7 +19,8 @@ import numpy as np
 
 from ._record import Record
 from .errors import FamilyError, PoleError
-from .riccati import INFINITY, ExtendedReal, as_extended, general_solution, solve_z
+from .riccati import (INFINITY, ExtendedReal, _held, as_extended,
+                      general_solution, solve_z)
 
 __all__ = [
     "SignClass", "positive_a", "zero_a", "negative_a",
@@ -102,20 +103,19 @@ class FamilyParams(Record):
         self.__dict__.update(sign=sign, A=A, B=B, b=b, D=D, q=q, t=t, d=d)
 
 
-# The memos behind Family.k and Family.k_prime each hold the last sample
-# array of at most this many points (larger arrays are evaluated directly).
-_K_MEMO_MAX_POINTS = 1 << 16
-
 # the whole line, cut only by poles: the window of a pole-free cell
 _WHOLE_LINE = (-np.inf, np.inf)
 
-# The ladder chain's W table (Family._chain_W) holds one grid, and on it the
+# The ladder chain's W table (Family._chain_table) holds one grid, and on it the
 # samples of at most this many chain parameters: a level-k state reads k + 1
 # of them, so levels 0-14 on one grid share every read.
 _W_TABLE_MAX_PARAMETERS = 16
 
-# the per-instance sample, cell and W tables, emptied in copies
-_MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table")
+# the per-instance memos, emptied in copies: the sample pairs, the
+# pole-free cell and the W table held here, and spectra's orbit sums and
+# seed verdicts
+_MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table",
+          "_orbit_memo", "_verdict_memo")
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,9 @@ class Family:
         # built once: the Riccati solution y = k1 (whose row of the
         # closed-form table is basis()), the companion z = k0, and the
         # memos of k's (k0, k1) samples, k_prime's (k0', k1') samples, the
-        # pole-free cell and the ladder chain's W table; not fields, so they
-        # stay out of ==, hash, repr and replace(), and the memos belong to
-        # this instance
+        # pole-free cell, the ladder chain's W table, and spectra's orbit
+        # sums and seed verdicts; not fields, so they stay out of ==, hash,
+        # repr and replace(), and the memos belong to this instance
         p = self.params
         y = general_solution(p.sign.a, p.A, p.B)
         object.__setattr__(self, "_y", y)
@@ -193,54 +193,48 @@ class Family:
         k0p = self.k0_prime(arr) if self.kind is FamilyKind.AFFINE else None
         return k0p, self.k1_prime(arr)
 
-    def _samples(self, memo, parts, x):
-        """parts(x): an (m-free, m-linear) sample pair, or the W table of
-        _chain_W; for the last array, remembered in memo by shape and bytes."""
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0 or arr.size > _K_MEMO_MAX_POINTS:
-            return parts(arr)
-        key = (arr.shape, arr.tobytes())
-        # the memo's one entry is compared, not looked up: a hit hashes nothing
-        for held, out in memo.items():
-            if held == key:
-                return out
-        out = parts(arr)
-        memo.clear()
-        memo[key] = out
-        return out
-
     def k(self, x, m):
         m = self._require_m(m)
-        k0, k1 = self._samples(self._k_memo, self._k_parts, x)
+        # the (m-free, m-linear) pair, held for the last array
+        k0, k1 = _held(self._k_memo, self._k_parts, x)
         if self.kind is FamilyKind.AFFINE:
             return k0 + m * k1
         return self.params.q / m + m * k1
 
-    def _chain_W(self, x, m):
-        """(W, max|W|) with W = k(x, m) read-only, for the ladder chain.
+    def _chain_table(self, x):
+        """The ladder chain's reader m -> (W, max|W|) on x, with W = k(x, m)
+        read-only.
 
-        W must be finite on every sample, else PoleError. The pair is kept
-        per m (and the sign of a zero m) for the last array, held like the
-        sample memos, so one grid reads each chain parameter through k once.
+        W must be finite on every sample, else PoleError. The pairs are kept
+        per m (and the sign of a zero m) in a table for the last array, held
+        like the sample memos, so one grid reads each chain parameter
+        through k once, and a reader fetched once serves a whole chain.
         """
         arr = np.asarray(x, dtype=float)
         # the last array's {m: pair} table, or a fresh one the memo bypasses
-        by_m = self._samples(self._w_table, lambda _: {}, arr)
-        m = float(m)
-        # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
-        m_key = (m, math.copysign(1.0, m))
-        pair = by_m.get(m_key)
-        if pair is None:
-            W = np.asarray(self.k(arr, m), dtype=float)
-            w_max = float(np.abs(W).max())
-            if not math.isfinite(w_max):   # nan or inf on some sample
-                raise PoleError(
-                    "superpotential is not finite on the working grid")
-            W.flags.writeable = False
-            if len(by_m) >= _W_TABLE_MAX_PARAMETERS:
-                del by_m[next(iter(by_m))]
-            pair = by_m[m_key] = (W, w_max)
-        return pair
+        by_m = _held(self._w_table, lambda _: {}, arr)
+
+        def read(m):
+            m = float(m)
+            # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
+            m_key = (m, math.copysign(1.0, m))
+            pair = by_m.get(m_key)
+            if pair is None:
+                W = np.asarray(self.k(arr, m), dtype=float)
+                w_max = float(np.abs(W).max())
+                if not math.isfinite(w_max):   # nan or inf on some sample
+                    raise PoleError(
+                        "superpotential is not finite on the working grid")
+                W.flags.writeable = False
+                if len(by_m) >= _W_TABLE_MAX_PARAMETERS:
+                    del by_m[next(iter(by_m))]
+                pair = by_m[m_key] = (W, w_max)
+            return pair
+        return read
+
+    def _chain_W(self, x, m):
+        """(W, max|W|) for one chain parameter: _chain_table(x)(m)."""
+        return self._chain_table(x)(m)
 
     def _k_coefficients(self, m):
         """(gamma, beta, kappa) with k(., m) = gamma f + beta h + kappa over
@@ -256,7 +250,7 @@ class Family:
 
     def k_prime(self, x, m):
         m = self._require_m(m)
-        k0p, k1p = self._samples(self._k_prime_memo, self._k_prime_parts, x)
+        k0p, k1p = _held(self._k_prime_memo, self._k_prime_parts, x)
         if self.kind is FamilyKind.AFFINE:
             return k0p + m * k1p
         return m * k1p

@@ -71,6 +71,38 @@ def _ret(vals, scalar):
     return float(vals) if scalar else vals
 
 
+# Every memo of the package that is keyed by a sample array (a row's
+# primitives here, a Family's samples and W table) holds the last array it
+# saw, through _held; 0-d arrays and arrays above this many points are
+# evaluated directly.
+_MEMO_MAX_POINTS = 1 << 16
+
+
+def _held(memo: dict, compute, x):
+    """compute(arr) for arr = x as a float array; for the last array, kept
+    in memo (one entry) by its shape and bytes. A compute that raises leaves
+    the memo as it was."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0 or arr.size > _MEMO_MAX_POINTS:
+        return compute(arr)
+    key = (arr.shape, arr.tobytes())
+    # the memo's one entry is compared, not looked up: a hit hashes nothing
+    for held, out in memo.items():
+        if held == key:
+            return out
+    out = compute(arr)
+    memo.clear()
+    memo[key] = out
+    return out
+
+
+def _read_only(*parts) -> tuple:
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # the closed-form table: one row per sign class and finite B or B = infinity.
 # Each row holds the pair (f, h) that every family is built from, their
@@ -91,6 +123,13 @@ def _ret(vals, scalar):
 # trigonometric rows have poles every pi/c and no infinite end. The rows list
 # their own poles and carry the constants of _Form, so no other module
 # branches on the sign class or the B form again.
+#
+# A row computes its x-dependent primitives (a numerator and denominator,
+# or the tanh/sech and tan/cos pairs) in one pass per array, which also
+# refuses the poles: _parts holds the pass for the last array (_held), read
+# only, and f, h, f', h', z and z' read it. A pass that raises PoleError is
+# not held. The outputs are fresh arrays, computed from the primitives by
+# the same operations whether the pass was held or not.
 
 _MAX_LOCATIONS = 8
 
@@ -102,6 +141,13 @@ def _check_regular(x, den):
         bad = np.unique(np.asarray(x, dtype=float)[hit])[:_MAX_LOCATIONS].tolist()
         raise PoleError(f"closed form evaluated at a singular point (x = {bad[:3]})",
                         locations=bad)
+
+
+def _checked(x, *parts) -> tuple:
+    """parts, read-only, once the last of them (a denominator) is known not
+    to vanish on x."""
+    _check_regular(x, parts[-1])
+    return _read_only(*parts)
 
 
 def _newton(r, den, dden):
@@ -126,9 +172,15 @@ class _Form:
 
     def __init__(self, c: float, A: float, B):
         self.c, self.A, self.B = c, A, B
+        self._memo = {}
 
     def _theta(self, x):
         return self.c * (np.asarray(x, dtype=float) - self.A)
+
+    def _parts(self, x) -> tuple:
+        """The row's primitives at x, from _pass (a float array in, a
+        read-only tuple out), held for the last array."""
+        return _held(self._memo, self._pass, x)
 
     def companion(self, b, D):
         """(alpha, beta) with z = alpha f + beta h."""
@@ -150,6 +202,18 @@ class _PosFinite(_Form):
         super().__init__(c, A, B)
         self.kappa = B * B - 1.0
         self.f_is_constant = abs(B) == 1.0
+        # f and h have denominators of their own, which need not vanish on
+        # the same doubles: _parts holds f's, _h_parts_at h's
+        self._h_memo = {}
+
+    def _pass(self, arr):
+        return _checked(arr, *self._f_parts(self._theta(arr)))
+
+    def _h_pass(self, arr):
+        return _checked(arr, *self._h_parts(self._theta(arr)))
+
+    def _h_parts_at(self, x):
+        return _held(self._h_memo, self._h_pass, x)
 
     def _f_parts(self, th):
         B = self.B
@@ -173,13 +237,11 @@ class _PosFinite(_Form):
         return -e, v
 
     def f(self, x):
-        u, v = self._f_parts(self._theta(x))
-        _check_regular(x, v)
+        u, v = self._parts(x)
         return u / v
 
     def h(self, x):
-        u, v = self._h_parts(self._theta(x))
-        _check_regular(x, v)
+        u, v = self._h_parts_at(x)
         return u / v
 
     def df(self, x):
@@ -230,27 +292,30 @@ class _PosLimit(_Form):
 
     basis_name = "limit"
 
+    def _pass(self, arr):
+        th = self._theta(arr)
+        return _read_only(np.tanh(th), _sech(th))
+
     def f(self, x):
-        return np.tanh(self._theta(x))
+        return self._parts(x)[0].copy()
 
     def h(self, x):
-        return _sech(self._theta(x))
+        return self._parts(x)[1].copy()
 
     def df(self, x):
-        return self.c * _sech(self._theta(x)) ** 2
+        return self.c * self._parts(x)[1] ** 2
 
     def dh(self, x):
-        th = self._theta(x)
-        return -self.c * np.tanh(th) * _sech(th)
+        tanh, sech = self._parts(x)
+        return -self.c * tanh * sech
 
     def z(self, x, b, D):
-        th = self._theta(x)
-        return (b / self.c) * np.tanh(th) + D * _sech(th)
+        tanh, sech = self._parts(x)
+        return (b / self.c) * tanh + D * sech
 
     def dz(self, x, b, D):
-        th = self._theta(x)
-        sech = _sech(th)
-        return b * sech * sech - self.c * D * sech * np.tanh(th)
+        tanh, sech = self._parts(x)
+        return b * sech * sech - self.c * D * sech * tanh
 
     def end(self, sigma):
         return float(sigma), 0.0, 0.0
@@ -267,11 +332,9 @@ class _ZeroFinite(_Form):
     def companion(self, b, D):
         return D, b
 
-    def _tv(self, x):
-        t = np.asarray(x, dtype=float) - self.A
-        v = 1.0 + self.B * t
-        _check_regular(x, v)
-        return t, v
+    def _pass(self, arr):
+        t = arr - self.A
+        return _checked(arr, t, 1.0 + self.B * t)
 
     def _h(self, t, v):
         return 0.5 * t * ((2.0 + self.B * t) / v)
@@ -281,25 +344,25 @@ class _ZeroFinite(_Form):
         return b * (0.5 * t * (2.0 + self.B * t)) + D
 
     def f(self, x):
-        return 1.0 / self._tv(x)[1]
+        return 1.0 / self._parts(x)[1]
 
     def h(self, x):
-        return self._h(*self._tv(x))
+        return self._h(*self._parts(x))
 
     def df(self, x):
-        v = self._tv(x)[1]
+        v = self._parts(x)[1]
         return -self.B / (v * v)
 
     def dh(self, x):
-        t, v = self._tv(x)
+        t, v = self._parts(x)
         return 1.0 - self.B * self._h(t, v) / v
 
     def z(self, x, b, D):
-        t, v = self._tv(x)
+        t, v = self._parts(x)
         return self._zu(t, b, D) / v
 
     def dz(self, x, b, D):
-        t, v = self._tv(x)
+        t, v = self._parts(x)
         return b - self.B * self._zu(t, b, D) / (v * v)
 
     def poles(self, lo, hi):
@@ -324,30 +387,29 @@ class _ZeroLimit(_Form):
     def companion(self, b, D):
         return D, b
 
-    def _t(self, x):
-        t = np.asarray(x, dtype=float) - self.A
-        _check_regular(x, t)
-        return t
+    def _pass(self, arr):
+        return _checked(arr, arr - self.A)
 
     def f(self, x):
-        return 1.0 / self._t(x)
+        return 1.0 / self._parts(x)[0]
 
     def h(self, x):
+        # h = t/2 is regular at the pole, so it does not read the pass
         return 0.5 * (np.asarray(x, dtype=float) - self.A)
 
     def df(self, x):
-        t = self._t(x)
+        t = self._parts(x)[0]
         return -1.0 / (t * t)
 
     def dh(self, x):
         return np.full_like(np.asarray(x, dtype=float), 0.5)
 
     def z(self, x, b, D):
-        t = self._t(x)
+        t = self._parts(x)[0]
         return 0.5 * b * t + D / t
 
     def dz(self, x, b, D):
-        t = self._t(x)
+        t = self._parts(x)[0]
         return 0.5 * b - D / (t * t)
 
     def poles(self, lo, hi):
@@ -393,26 +455,24 @@ class _NegFinite(_Periodic):
         return (self.B * math.cos(th) - math.sin(th),
                 -self.c * (self.B * math.sin(th) + math.cos(th)))
 
-    def _uv(self, x):
-        th = self._theta(x)
+    def _pass(self, arr):
+        th = self._theta(arr)
         sn, cs = np.sin(th), np.cos(th)
-        v = self.B * cs - sn
-        _check_regular(x, v)
-        return self.B * sn + cs, v
+        return _checked(arr, self.B * sn + cs, self.B * cs - sn)
 
     def f(self, x):
-        u, v = self._uv(x)
+        u, v = self._parts(x)
         return u / v
 
     def h(self, x):
-        return -1.0 / self._uv(x)[1]
+        return -1.0 / self._parts(x)[1]
 
     def df(self, x):
-        v = self._uv(x)[1]
+        v = self._parts(x)[1]
         return self.c * self.kappa / (v * v)
 
     def dh(self, x):
-        u, v = self._uv(x)
+        u, v = self._parts(x)
         return -self.c * u / (v * v)
 
     def _zu(self, u, b, D):
@@ -420,11 +480,11 @@ class _NegFinite(_Periodic):
         return (b / self.c) * u - D
 
     def z(self, x, b, D):
-        u, v = self._uv(x)
+        u, v = self._parts(x)
         return self._zu(u, b, D) / v
 
     def dz(self, x, b, D):
-        u, v = self._uv(x)
+        u, v = self._parts(x)
         return b + self.c * u * self._zu(u, b, D) / (v * v)
 
     def residues(self, x0):
@@ -444,33 +504,31 @@ class _NegLimit(_Periodic):
     def _den(self, th):
         return math.cos(th), -self.c * math.sin(th)
 
-    def _tc(self, x):
-        th = self._theta(x)
-        cs = np.cos(th)
-        _check_regular(x, cs)
-        return th, cs
+    def _pass(self, arr):
+        th = self._theta(arr)
+        return _checked(arr, np.tan(th), np.cos(th))
 
     def f(self, x):
-        return np.tan(self._tc(x)[0])
+        return self._parts(x)[0].copy()
 
     def h(self, x):
-        return 1.0 / self._tc(x)[1]
+        return 1.0 / self._parts(x)[1]
 
     def df(self, x):
         return self.c * self.h(x) ** 2
 
     def dh(self, x):
-        th, cs = self._tc(x)
-        return self.c * np.tan(th) * (1.0 / cs)
+        tan, cs = self._parts(x)
+        return self.c * tan * (1.0 / cs)
 
     def z(self, x, b, D):
-        th, cs = self._tc(x)
-        return (b / self.c) * np.tan(th) + D / cs
+        tan, cs = self._parts(x)
+        return (b / self.c) * tan + D / cs
 
     def dz(self, x, b, D):
-        th, cs = self._tc(x)
+        tan, cs = self._parts(x)
         sec = 1.0 / cs
-        return b * sec * sec + self.c * D * sec * np.tan(th)
+        return b * sec * sec + self.c * D * sec * tan
 
     def residues(self, x0):
         # res h = -1/(c sin(theta0)), with sin(theta0) = +-1

@@ -204,14 +204,28 @@ def _seed_end_verdicts(family: Family, p: float, sign: int, cell) -> tuple:
     return tuple(out)
 
 
+# Family._verdict_memo holds the (left, right) verdicts of at most this many
+# (p, sign, cell) keys, the oldest dropped first: a request screens its
+# levels' seeds on one or two cells.
+_VERDICT_MEMO_MAX = 64
+
+
 def _divergent_end(family: Family, p: float, sign: int,
                    anchor: float) -> Optional[str]:
     """None when the seed exp(sign int W(., p)) is square integrable on the
     pole-free cell around anchor, else its divergent end: the left one when
     both diverge. The verdict depends on the cell alone, which the family
-    keeps for the last anchor."""
-    left, right = _seed_end_verdicts(family, p, sign,
-                                     family._pole_free_cell(anchor))
+    keeps for the last anchor, and is held per (p, sign, cell)."""
+    cell = family._pole_free_cell(anchor)
+    memo = family._verdict_memo
+    key = (p, sign, cell)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = _seed_end_verdicts(family, p, sign, cell)
+        if len(memo) >= _VERDICT_MEMO_MAX:
+            del memo[next(iter(memo))]
+        memo[key] = verdict
+    left, right = verdict
     if left and right:
         return None
     return "right" if left else "left"
@@ -297,6 +311,25 @@ class ChainStep(Record):
                              adjoint=adjoint)
 
 
+# Family._orbit_memo holds the running R sums of at most this many orbits
+# (m, direction), the oldest dropped first, each through at most
+# _ORBIT_MEMO_LEVELS levels; deeper levels are summed anew on every walk.
+_ORBIT_MEMO_MAX = 4
+_ORBIT_MEMO_LEVELS = 1 << 12
+
+
+def _orbit_sums(family: Family, m: float, direction: ChainDirection) -> list:
+    """The held running sums of the orbit, sums[k] for level k."""
+    memo = family._orbit_memo
+    key = (m, direction)
+    sums = memo.get(key)
+    if sums is None:
+        if len(memo) >= _ORBIT_MEMO_MAX:
+            del memo[next(iter(memo))]
+        sums = memo[key] = []
+    return sums
+
+
 def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
            last: Optional[int] = None) -> Iterator[float]:
     """The energies of levels 0, 1, 2, ... of H(m), through `last` if given.
@@ -304,30 +337,36 @@ def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
     Energies are d -+ a running sum of the R values along the orbit, each
     sign-checked as it is added. The first level whose spacing is undefined
     or of the wrong sign raises OrbitError, naming that level, or `last` when
-    a single level was asked for.
+    a single level was asked for. The sums do not depend on d and are held
+    per (m, direction), so a request walks its orbit once; a failure is not
+    held, and every walk that reaches it raises it anew.
     """
     decreasing = direction is ChainDirection.DecreasingL
+    sums = _orbit_sums(family, m, direction)
     total = 0.0
     k = 0
     while last is None or k <= last:
-        named = k if last is None else last
-        if decreasing:
-            spacing = _spacing(family, m + k)
-            if not spacing < 0.0:
-                raise OrbitError(
-                    f"spacing R({m + k:g}) = {spacing:g} is not negative; "
-                    f"the decreasing chain has no level {named}")
-            total += spacing
-            yield d - total
+        if k < len(sums):
+            total = sums[k]
         else:
-            if k > 0:
+            named = k if last is None else last
+            if decreasing:
+                spacing = _spacing(family, m + k)
+                if not spacing < 0.0:
+                    raise OrbitError(
+                        f"spacing R({m + k:g}) = {spacing:g} is not negative; "
+                        f"the decreasing chain has no level {named}")
+                total += spacing
+            elif k > 0:
                 spacing = _spacing(family, m - k)
                 if not spacing > 0.0:
                     raise OrbitError(
                         f"spacing R({m - k:g}) = {spacing:g} is not positive; "
                         f"the increasing chain has no level {named}")
                 total += spacing
-            yield d + total
+            if k == len(sums) < _ORBIT_MEMO_LEVELS:
+                sums.append(total)
+        yield d - total if decreasing else d + total
         k += 1
 
 
@@ -395,23 +434,21 @@ def _unit_norm(psi: np.ndarray, h: float) -> np.ndarray:
     return psi
 
 
-def _state_seed(family: Family, xs: np.ndarray, h: float, p: float,
-                sign: int) -> np.ndarray:
-    W, _ = family._chain_W(xs, p)
+def _state_seed(W: np.ndarray, h: float, sign: int) -> np.ndarray:
+    """exp(sign int W) on the grid of W's samples, with a peak of 1."""
     # int W anchored to the grid midpoint; the shift to a max of 0 before
     # exponentiating only changes the constant that normalization absorbs
     s = cumulative_simpson_values(W, h)
     if sign < 0:
         np.negative(s, out=s)
-    s -= s[xs.size // 2]
+    s -= s[W.size // 2]
     s -= s.max()
     return np.exp(s, out=s)
 
 
-def _ladder_values(psi: np.ndarray, xs: np.ndarray, h: float, family: Family,
-                   p: float, adjoint: bool, peak: float) -> np.ndarray:
-    """(+-d/dx + W(., p)) psi, where peak = max|psi|."""
-    W, w_all = family._chain_W(xs, p)
+def _ladder_values(psi: np.ndarray, h: float, W: np.ndarray, w_all: float,
+                   adjoint: bool, peak: float) -> np.ndarray:
+    """(+-d/dx + W) psi, where w_all = max|W| and peak = max|psi|."""
     # coarseness gate on the state's support only: a potential blowing up
     # where psi has died off should not block the ladder. The max over the
     # support is at most w_all, the max over the grid, so when h * w_all
@@ -441,8 +478,8 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
         adjoint = True
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    out = _ladder_values(wf.values, wf.x, wf.h, family, float(m), adjoint,
-                         float(np.abs(wf.values).max()))
+    out = _ladder_values(wf.values, wf.h, *family._chain_W(wf.x, float(m)),
+                         adjoint, float(np.abs(wf.values).max()))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
@@ -455,8 +492,9 @@ def excited_state(family: Family, m, k: int, direction, grid,
     verified against k on the grid interior.
 
     Each state entering a ladder step has a peak of exactly 1: the seed is
-    exp(s - max s), and every step divides by its own peak. W(., p) is read
-    once per chain parameter and grid (Family._chain_W).
+    exp(s - max s), and every step divides by its own peak. The state
+    fetches the grid's W table once, which reads W(., p) once per chain
+    parameter and grid (Family._chain_table).
     """
     gobj, xs = _as_grid(grid)
     h = gobj.h
@@ -468,9 +506,10 @@ def excited_state(family: Family, m, k: int, direction, grid,
                   _energy_shift(family, d))
     _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
                                anchor=float(xs[xs.size // 2]))
-    psi = _state_seed(family, xs, h, step.seed_parameter, step.seed_sign)
+    W_at = family._chain_table(xs)
+    psi = _state_seed(W_at(step.seed_parameter)[0], h, step.seed_sign)
     for p in step.operator_parameters:
-        psi = _ladder_values(psi, xs, h, family, p, step.adjoint, 1.0)
+        psi = _ladder_values(psi, h, *W_at(p), step.adjoint, 1.0)
         peak = float(np.abs(psi).max())
         if peak == 0.0:
             raise OrbitError(
@@ -501,7 +540,8 @@ def ground_state(family: Family, m, direction, grid,
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
     h = gobj.h
-    psi = fix_sign(_unit_norm(_state_seed(family, xs, h, m, sign), h))
+    psi = fix_sign(_unit_norm(_state_seed(family._chain_W(xs, m)[0], h,
+                                          sign), h))
     return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 
 

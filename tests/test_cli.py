@@ -191,12 +191,17 @@ def test_numeric_precheck_calls_check_normalizable_once(monkeypatch, capsys):
 
 
 def test_spectrum_builds_no_eigenvector():
-    # spectrum prints energies and error bars only: no inverse iteration,
-    # so a fresh process never loads numpy.random either
+    # spectrum prints energies and error bars only: a fresh process counts
+    # every eigenvector call, and never loads numpy.random either
     code = ("import sys; from shapeinv.cli import main; "
+            "from shapeinv.numerics import TridiagonalSym; calls = []; "
+            "real = TridiagonalSym.eigenvector; "
+            "TridiagonalSym.eigenvector = "
+            "lambda *a, **kw: calls.append(1) or real(*a, **kw); "
             f"rc = main(['spectrum', '--config', {str(DATA / 'trig.json')!r}, "
             "'--mode', 'both', '--format', 'json']); "
             "assert rc == 0, rc; "
+            "assert calls == [], len(calls); "
             "assert 'numpy.random' not in sys.modules")
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])

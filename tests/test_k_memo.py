@@ -1,8 +1,9 @@
 """The memos of a Family: the (k0, k1) samples behind Family.k, the
 (k0', k1') samples behind Family.k_prime, the pole-free cell of the
-seed verdicts and the ladder chain's W table. Outputs stay bit-identical to a fresh evaluation, whatever
-the call history, and each memo stays private to its instance and holds
-one entry."""
+seed verdicts, the ladder chain's W table, and the orbit sums and seed
+verdicts held for spectra. Outputs stay bit-identical to a fresh
+evaluation, whatever the call history, each memo stays private to its
+instance, the sample memos hold one entry and the others a stated few."""
 
 import copy
 import dataclasses
@@ -10,16 +11,18 @@ import math
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapeinv import families, spectra
-from shapeinv.errors import PoleError, ShapeInvError
+from shapeinv import families, riccati, spectra
+from shapeinv.errors import OrbitError, PoleError, ShapeInvError
 from shapeinv.families import (Family, FamilyKind, FamilyParams, negative_a,
                                positive_a, preset_params, zero_a)
 from shapeinv.numerics import Grid
 from shapeinv.riccati import INFINITY, ExtendedReal
-from shapeinv.spectra import (check_normalizable, excited_state,
+from shapeinv.spectra import (build_chain, check_normalizable, energy_level,
+                              excited_state, max_level, partner_energies,
                               spectrum_analytic)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -137,17 +140,19 @@ def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
     held = dict(fam._k_memo)
     # scalars, 0-d arrays and arrays above the point bound are evaluated
     # directly and leave the memo alone
-    big = np.linspace(lo, hi, families._K_MEMO_MAX_POINTS + 1)
+    big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
     for x in (float(lo), np.array(hi), big):
         _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
     assert list(fam._k_memo) == list(held)
 
 
-MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table")
+MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table",
+         "_orbit_memo", "_verdict_memo")
 
 
 def test_copies_start_with_an_empty_memo():
-    # each of the four memos
+    # each of the six memos
+    assert families._MEMOS == MEMOS
     fam = _fresh(CONFIGS[0])
     before = (repr(fam), hash(fam))
     xs = _samples(fam, np.linspace(0.0, 1.0, 50), "plain")
@@ -155,6 +160,8 @@ def test_copies_start_with_an_empty_memo():
     fam.k_prime(xs, 2.0)
     fam._pole_free_cell(fam.params.A + 0.37)
     fam._chain_W(xs, 2.0)
+    spectra.energy_level(fam, 2.0, 0, "increasing")
+    check_normalizable(fam, 2.0, "increasing", anchor=fam.params.A + 0.37)
     assert all(len(getattr(fam, memo)) == 1 for memo in MEMOS)
     assert (repr(fam), hash(fam)) == before and fam == _fresh(fam)
     back = pickle.loads(pickle.dumps(fam))
@@ -283,7 +290,7 @@ def test_k_prime_memo_holds_the_last_array(cfg, sizes, m):
     assert list(fam._k_prime_memo) == keys[-1:]
     assert fam._k_memo == {}
     held = dict(fam._k_prime_memo)
-    big = np.linspace(lo, hi, families._K_MEMO_MAX_POINTS + 1)
+    big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
     for x in (float(lo), np.array(hi), big):
         _assert_same(fam.k_prime(x, m), _fresh(fam).k_prime(x, m))
     assert list(fam._k_prime_memo) == list(held)
@@ -389,7 +396,7 @@ def test_w_table_is_bounded_and_read_only():
     fam._chain_W(y, 2.0)
     (key, by_m), = fam._w_table.items()
     assert key == (y.shape, y.tobytes()) and len(by_m) == 1
-    big = np.linspace(lo, hi, families._K_MEMO_MAX_POINTS + 1)
+    big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
     for arg in (float(lo), np.array(hi), big):
         W, _ = fam._chain_W(arg, 3.0)
         _assert_same(W, np.asarray(_fresh(fam).k(arg, 3.0)))
@@ -431,3 +438,123 @@ def test_chain_reads_each_parameter_once_per_grid(monkeypatch):
     for level in range(5):
         excited_state(fam, 2.0, level, "decreasing", grid)
     assert sorted(calls) == [(grid.x.tobytes(), 2.0 + p) for p in range(1, 6)]
+
+
+# ---------------------------------------------------------------------------
+# the orbit sums and seed verdicts held for spectra
+
+# (preset, constants, m, direction, the first level the orbit refuses)
+ORBIT_CASES = (
+    # R(m + k) = c^2 (2k + 1 - 5.4): negative through level 2
+    ("HyperbolicTanh", dict(c=1.1, b=-1.21 * 5.2), 2.5, "decreasing", 3),
+    # R(m - k) = c^2 (7 - 2k): positive through level 3
+    ("HyperbolicTanh", dict(c=0.9), 3.0, "increasing", 4),
+    # level 1 needs R(0), where the inverse-power ansatz is undefined
+    ("TypeF", dict(q=-3.0), 1.0, "increasing", 1),
+)
+
+
+def _cold_level(fam, m, k, direction):
+    """Level k from a walk on a fresh family: its energy or its refusal."""
+    try:
+        for energy in spectra._orbit(_fresh(fam), m,
+                                     spectra._coerce_direction(direction),
+                                     fam.params.d, last=k):
+            pass
+    except OrbitError as exc:
+        return "OrbitError: " + str(exc)
+    return energy
+
+
+def _warm_level(fam, m, k, direction):
+    try:
+        return energy_level(fam, m, k, direction)
+    except OrbitError as exc:
+        return "OrbitError: " + str(exc)
+
+
+@pytest.mark.parametrize("name, consts, m, direction, fails", ORBIT_CASES)
+def test_held_orbit_equals_a_fresh_walk_past_its_failure(name, consts, m,
+                                                         direction, fails):
+    fam = preset_params(name, **consts)
+    spec = spectrum_analytic(fam, m, fails + 4, direction, screen_seeds=False)
+    assert len(spec.levels) == fails and spec.truncated
+    assert "OrbitError: " + spec.truncation_reason == _cold_level(
+        fam, m, fails, direction)
+    # levels below, at and past the refusal, in an order that revisits them
+    for k in (fails + 2, 0, fails, fails + 3, fails - 1, fails + 2, fails):
+        got = _warm_level(fam, m, k, direction)
+        want = _cold_level(fam, m, k, direction)
+        assert got == want
+        assert isinstance(got, str) == (k >= fails)
+        # a single level's refusal names the level asked for
+        if isinstance(got, str) and "undefined" not in got:
+            assert got.endswith(f"chain has no level {k}")
+    cold = _fresh(fam)
+    assert build_chain(fam, m, fails, direction) == build_chain(
+        cold, m, fails, direction)
+    # an increasing partner drops level 0, so it reads levels 1..n
+    n = fails - 1 if direction == "increasing" else fails
+    assert partner_energies(fam, m, n, direction) == partner_energies(
+        cold, m, n, direction)
+    assert max_level(fam, m, direction) == max_level(cold, m, direction)
+    # a refusal is not held: the sums stop below the failing level
+    sums, = fam._orbit_memo.values()
+    assert len(sums) == fails
+
+
+def test_held_orbit_is_bounded():
+    # deeper levels than the held ones are summed again, to the same doubles
+    fam = preset_params("TypeD", b=1.0, d=0.3)      # the oscillator
+    depth = spectra._ORBIT_MEMO_LEVELS + 40
+    want, total = [], 0.0
+    for k in range(depth + 1):
+        total += fam.R(1.5 - k) if k else 0.0
+        want.append(fam.params.d + total)
+    assert spectrum_analytic(fam, 1.5, depth, "increasing",
+                             screen_seeds=False).energies.tolist() == want
+    sums, = fam._orbit_memo.values()
+    assert len(sums) == spectra._ORBIT_MEMO_LEVELS
+    assert [energy_level(fam, 1.5, k, "increasing")
+            for k in (depth, 3, depth - 1)] == [want[depth], want[3],
+                                                want[depth - 1]]
+    for m in range(2 * spectra._ORBIT_MEMO_MAX):
+        energy_level(fam, 2.0 + m, 1, "increasing")
+    assert len(fam._orbit_memo) == spectra._ORBIT_MEMO_MAX
+    assert next(iter(fam._orbit_memo))[0] == 2.0 + spectra._ORBIT_MEMO_MAX
+
+
+@pytest.mark.parametrize("name, consts, m", [
+    ("TypeA", dict(c=1.2, A=0.1, b=0.2), 2.0),
+    ("TypeB_real", dict(c=1.1, A=0.2, b=0.1, D=-1.2), 2.5),
+    ("TypeF", dict(A=0.1, q=-4.0), 2.2),
+    ("HyperbolicTanh", dict(c=0.9, b=0.1), 4.3)])
+def test_a_request_screens_each_seed_once(monkeypatch, name, consts, m):
+    # spectrum_analytic, then the states of levels 0-4: one verdict per
+    # distinct (p, sign, cell), whatever screens it again
+    fam = preset_params(name, **consts)
+    c = consts.get("c", 1.0)
+    anchor = consts.get("A", 0.0) + 0.6180339887498949 / c
+    half = 1.5 * (m + 5.0) ** 2 / 4.0 if name == "TypeF" else 8.0 / c
+    lo, hi = fam.natural_domain(m, anchor, (anchor - half, anchor + half))
+    lo = lo + 0.05 if lo > anchor - half else lo
+    hi = hi - 0.05 if hi < anchor + half else hi
+    grid = Grid(lo, hi, 4001 if name == "TypeF" else 2001)
+    want = _spectrum_and_states(_fresh(fam), m, grid)
+    calls = []
+    real = spectra._seed_end_verdicts
+
+    def counting(family, p, sign, cell):
+        calls.append((p, sign, cell))
+        return real(family, p, sign, cell)
+
+    monkeypatch.setattr(spectra, "_seed_end_verdicts", counting)
+    spec = spectrum_analytic(fam, m, 6, anchor=anchor)
+    states = [excited_state(fam, m, k, spec.direction, grid).values.tobytes()
+              for k, _ in spec.levels[:5]]
+    assert len(states) == min(len(spec.levels), 5) >= 3
+    assert calls and len(calls) == len(set(calls))
+    assert len(fam._verdict_memo) == len(calls)
+    # the held verdicts leave every output as a fresh family's
+    calls.clear()
+    assert _spectrum_and_states(fam, m, grid) == want
