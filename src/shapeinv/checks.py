@@ -120,8 +120,8 @@ def check_riccati_residuals(n_draws: int = 200, n_pts: int = 400,
         dz = z.derivative(xs)
         res_z = y * z.evaluate(xs) + dz - b
         worst_z = max(worst_z, float(np.max(np.abs(res_z))))
-        alpha, beta = (D, b) if sol.kind == "zero" else (b / sol.c, D)
         form = sol.form
+        alpha, beta = form.companion(b, D)
         comb = alpha * form.df(xs) + beta * form.dh(xs)
         res_dz = np.abs(dz - comb) / np.maximum(1.0, np.abs(comb))
         worst_dz = max(worst_dz, float(np.max(res_dz)))

@@ -19,12 +19,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import families, numerics, partners, riccati, spectra
+from ._record import Record
 from .errors import (BoundaryConditionError, FamilyError, GridTooCoarseError,
                      NormalizationError, OrbitError, PoleError, ShapeInvError,
                      VerificationError)
@@ -63,30 +63,32 @@ def _default_family() -> dict:
     return families.family_to_json(families.preset_params("TypeD", b=1.0))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    family: dict = field(default_factory=_default_family)
-    m: float = 1.0
-    direction: str = "auto"
-    grid: object = "auto"  # "auto" or {"xmin", "xmax", "n"}
-    kmax: int = 4
-    d: float = 0.0
-    tol: float = 1e-2
-    output_path: Optional[str] = None
-    output_format: str = "csv"
-    pole_margin: float = 1e-3
+class RunConfig(Record):
+    _fields = ("family", "m", "direction", "grid", "kmax", "d", "tol",
+               "output_path", "output_format", "pole_margin")
 
-    def __post_init__(self):
+    def __init__(self, family: Optional[dict] = None, m: float = 1.0,
+                 direction: str = "auto", grid="auto", kmax: int = 4,
+                 d: float = 0.0, tol: float = 1e-2,
+                 output_path: Optional[str] = None,
+                 output_format: str = "csv", pole_margin: float = 1e-3):
         # defaults, config files and flags all end up here; family constants
-        # are checked by the descriptor parser
-        for name in ("m", "d", "tol", "pole_margin"):
-            _require_finite(name, getattr(self, name))
-        if self.grid != "auto":
+        # are checked by the descriptor parser. grid is "auto" or
+        # {"xmin", "xmax", "n"}
+        for name, value in (("m", m), ("d", d), ("tol", tol),
+                            ("pole_margin", pole_margin)):
+            _require_finite(name, value)
+        if grid != "auto":
             for key in ("xmin", "xmax"):
-                _require_finite(f"grid {key}", self.grid[key])
-            if self.grid["n"] > _MAX_N:
-                raise ValueError(f"grid n = {self.grid['n']} is too large: "
+                _require_finite(f"grid {key}", grid[key])
+            if grid["n"] > _MAX_N:
+                raise ValueError(f"grid n = {grid['n']} is too large: "
                                  f"need n <= {_MAX_N}")
+        self.__dict__.update(
+            family=_default_family() if family is None else family, m=m,
+            direction=direction, grid=grid, kmax=kmax, d=d, tol=tol,
+            output_path=output_path, output_format=output_format,
+            pole_margin=pole_margin)
 
     def to_json(self) -> dict:
         return {
@@ -147,16 +149,19 @@ def _require_finite(name: str, value) -> None:
 
 
 def _as_float(name: str, value) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer literal beyond the double range
-        raise ValueError(f"{name} must be a finite number, got an integer "
-                         "beyond the double range") from None
+    # a config file's number is taken as it is, never coerced from a bool or
+    # a string; the bound is False for nan, inf and integers beyond the
+    # double range alike
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _as_int(name: str, value) -> int:
-    if isinstance(value, float):
-        _require_finite(name, value)
+    _as_float(name, value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -226,28 +231,18 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = RunConfig.from_json(json.load(fh))
-    updates = {}
-    if getattr(args, "family", None) is not None:
-        updates["family"] = _parse_family_flag(args.family)
-    if getattr(args, "m", None) is not None:
-        updates["m"] = args.m
-    if getattr(args, "direction", None) is not None:
-        updates["direction"] = args.direction
-    if getattr(args, "grid", None) is not None:
-        updates["grid"] = _parse_grid_flag(args.grid)
-    if getattr(args, "kmax", None) is not None:
-        updates["kmax"] = args.kmax
-    if getattr(args, "d", None) is not None:
-        updates["d"] = args.d
-    if getattr(args, "tol", None) is not None:
-        updates["tol"] = args.tol
-    if getattr(args, "out", None) is not None:
-        updates["output_path"] = args.out
-    if getattr(args, "format", None) is not None:
-        updates["output_format"] = args.format
-    if getattr(args, "pole_margin", None) is not None:
-        updates["pole_margin"] = args.pole_margin
-    return replace(cfg, **updates) if updates else cfg
+    values = dict(zip(cfg._fields, cfg._values()))
+    # each flag given overrides a field; two are parsed from their text
+    parse = {"family": _parse_family_flag, "grid": _parse_grid_flag}
+    for flag, name in (("family", "family"), ("m", "m"),
+                       ("direction", "direction"), ("grid", "grid"),
+                       ("kmax", "kmax"), ("d", "d"), ("tol", "tol"),
+                       ("out", "output_path"), ("format", "output_format"),
+                       ("pole_margin", "pole_margin")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            values[name] = parse[flag](value) if flag in parse else value
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------

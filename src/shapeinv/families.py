@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ._record import Record
 from .errors import FamilyError, PoleError
-from .riccati import (INFINITY, ExtendedReal, _held, as_extended,
-                      general_solution, solve_z)
+from .riccati import (INFINITY, ExtendedReal, _entry, _held, _read_only,
+                      as_extended, general_solution, solve_z)
 
 __all__ = [
     "SignClass", "positive_a", "zero_a", "negative_a",
@@ -106,44 +105,36 @@ class FamilyParams(Record):
 # the whole line, cut only by poles: the window of a pole-free cell
 _WHOLE_LINE = (-np.inf, np.inf)
 
-# The ladder chain's W table (Family._chain_table) holds one grid, and on it the
-# samples of at most this many chain parameters: a level-k state reads k + 1
-# of them, so levels 0-14 on one grid share every read.
+# A Family's two memos: _samples, the entry for the last sample array, holds
+# the (k0, k1) and (k0', k1') pairs and W per chain parameter for at most this
+# many parameters (a level-k state reads k + 1); _memo holds at most _MEMO_MAX
+# scalar results of a request under tagged keys, the oldest dropped first.
 _W_TABLE_MAX_PARAMETERS = 16
-
-# the per-instance memos, emptied in copies: the sample pairs, the
-# pole-free cell and the W table held here, and spectra's orbit sums and
-# seed verdicts
-_MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table",
-          "_orbit_memo", "_verdict_memo")
+_MEMO_MAX = 64
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A superpotential family: k(x, m) plus the spectral symbol L(m)."""
 
-    params: FamilyParams
-    kind: FamilyKind
+    _fields = ("params", "kind")
 
-    def __post_init__(self):
-        if self.kind is FamilyKind.INVERSE_POWER and self.params.q == 0.0:
+    def __init__(self, params: FamilyParams, kind: FamilyKind):
+        if kind is FamilyKind.INVERSE_POWER and params.q == 0.0:
             raise FamilyError("inverse-power ansatz requires q != 0")
         # built once: the Riccati solution y = k1 (whose row of the
-        # closed-form table is basis()), the companion z = k0, and the
-        # memos of k's (k0, k1) samples, k_prime's (k0', k1') samples, the
-        # pole-free cell, the ladder chain's W table, and spectra's orbit
-        # sums and seed verdicts; not fields, so they stay out of ==, hash,
-        # repr and replace(), and the memos belong to this instance
-        p = self.params
-        y = general_solution(p.sign.a, p.A, p.B)
-        object.__setattr__(self, "_y", y)
-        object.__setattr__(self, "_z", solve_z(p.b, y, p.D))
-        for memo in _MEMOS:
-            object.__setattr__(self, memo, {})
+        # closed-form table is basis()), the companion z = k0, and the two
+        # memos; not fields, so they stay out of ==, hash and repr
+        y = general_solution(params.sign.a, params.A, params.B)
+        self.__dict__.update(params=params, kind=kind, _y=y,
+                             _z=solve_z(params.b, y, params.D),
+                             _samples={}, _memo={})
 
-    def __getstate__(self):
-        # copies and unpickled instances start with empty memos
-        return {**self.__dict__, **{memo: {} for memo in _MEMOS}}
+    def _remember(self, key: tuple, value):
+        """value, held under key in the scalar memo."""
+        if len(self._memo) >= _MEMO_MAX:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = value
+        return value
 
     # -- structural helpers -------------------------------------------------
 
@@ -187,40 +178,42 @@ class Family:
     def _k_parts(self, arr):
         # k0 is not part of the inverse-power ansatz and is never evaluated there
         k0 = self.k0(arr) if self.kind is FamilyKind.AFFINE else None
-        return k0, self.k1(arr)
+        return _read_only(k0, self.k1(arr))
 
     def _k_prime_parts(self, arr):
         k0p = self.k0_prime(arr) if self.kind is FamilyKind.AFFINE else None
-        return k0p, self.k1_prime(arr)
+        return _read_only(k0p, self.k1_prime(arr))
 
-    def k(self, x, m):
-        m = self._require_m(m)
-        # the (m-free, m-linear) pair, held for the last array
-        k0, k1 = _held(self._k_memo, self._k_parts, x)
+    def _k_from(self, pair, m: float):
+        k0, k1 = pair   # the (m-free, m-linear) samples
         if self.kind is FamilyKind.AFFINE:
             return k0 + m * k1
         return self.params.q / m + m * k1
 
+    def k(self, x, m):
+        m = self._require_m(m)
+        return self._k_from(_held(self._samples, "k", self._k_parts, x), m)
+
     def _chain_table(self, x):
         """The ladder chain's reader m -> (W, max|W|) on x, with W = k(x, m)
-        read-only.
+        read-only and finite on every sample, else PoleError.
 
-        W must be finite on every sample, else PoleError. The pairs are kept
-        per m (and the sign of a zero m) in a table for the last array, held
-        like the sample memos, so one grid reads each chain parameter
-        through k once, and a reader fetched once serves a whole chain.
-        """
+        The array's sample entry keeps the pairs per m (and the sign of a
+        zero m), each read once from the entry's (k0, k1) pair; a reader
+        fetched once serves a whole chain."""
         arr = np.asarray(x, dtype=float)
-        # the last array's {m: pair} table, or a fresh one the memo bypasses
-        by_m = _held(self._w_table, lambda _: {}, arr)
+        entry = _entry(self._samples, arr)
+        by_m = entry.setdefault("W", {})
 
         def read(m):
-            m = float(m)
+            m = self._require_m(m)
             # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
             m_key = (m, math.copysign(1.0, m))
             pair = by_m.get(m_key)
             if pair is None:
-                W = np.asarray(self.k(arr, m), dtype=float)
+                if "k" not in entry:
+                    entry["k"] = self._k_parts(arr)
+                W = np.asarray(self._k_from(entry["k"], m), dtype=float)
                 w_max = float(np.abs(W).max())
                 if not math.isfinite(w_max):   # nan or inf on some sample
                     raise PoleError(
@@ -231,10 +224,6 @@ class Family:
                 pair = by_m[m_key] = (W, w_max)
             return pair
         return read
-
-    def _chain_W(self, x, m):
-        """(W, max|W|) for one chain parameter: _chain_table(x)(m)."""
-        return self._chain_table(x)(m)
 
     def _k_coefficients(self, m):
         """(gamma, beta, kappa) with k(., m) = gamma f + beta h + kappa over
@@ -250,7 +239,7 @@ class Family:
 
     def k_prime(self, x, m):
         m = self._require_m(m)
-        k0p, k1p = _held(self._k_prime_memo, self._k_prime_parts, x)
+        k0p, k1p = _held(self._samples, "k'", self._k_prime_parts, x)
         if self.kind is FamilyKind.AFFINE:
             return k0p + m * k1p
         return m * k1p
@@ -302,14 +291,12 @@ class Family:
 
     def _pole_free_cell(self, anchor):
         """natural_domain on the whole line: the poles next to anchor, or an
-        infinite end. It does not depend on m; the last anchor's is kept."""
-        memo = self._cell_memo
-        anchor = float(anchor)
-        cell = memo.get(anchor)
+        infinite end. It does not depend on m, and is held per anchor."""
+        key = ("cell", float(anchor))
+        cell = self._memo.get(key)
         if cell is None:
-            cell = self.natural_domain(1.0, anchor, _WHOLE_LINE)
-            memo.clear()
-            memo[anchor] = cell
+            cell = self._remember(
+                key, self.natural_domain(1.0, key[1], _WHOLE_LINE))
         return cell
 
 

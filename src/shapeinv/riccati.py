@@ -71,28 +71,35 @@ def _ret(vals, scalar):
     return float(vals) if scalar else vals
 
 
-# Every memo of the package that is keyed by a sample array (a row's
-# primitives here, a Family's samples and W table) holds the last array it
-# saw, through _held; 0-d arrays and arrays above this many points are
-# evaluated directly.
+# A memo keyed by a sample array (a row's, or a Family's _samples) holds
+# one entry, the dict of results for the last array it saw; 0-d arrays and
+# arrays above this many points get a dict that no memo keeps.
 _MEMO_MAX_POINTS = 1 << 16
 
 
-def _held(memo: dict, compute, x):
-    """compute(arr) for arr = x as a float array; for the last array, kept
-    in memo (one entry) by its shape and bytes. A compute that raises leaves
-    the memo as it was."""
-    arr = np.asarray(x, dtype=float)
+def _entry(memo: dict, arr: np.ndarray) -> dict:
+    """The dict of results that memo holds for arr, a float array, keyed by
+    its shape and bytes; a new array replaces the last one's."""
     if arr.ndim == 0 or arr.size > _MEMO_MAX_POINTS:
-        return compute(arr)
+        return {}
     key = (arr.shape, arr.tobytes())
     # the memo's one entry is compared, not looked up: a hit hashes nothing
-    for held, out in memo.items():
+    for held, entry in memo.items():
         if held == key:
-            return out
-    out = compute(arr)
+            return entry
     memo.clear()
-    memo[key] = out
+    entry = memo[key] = {}
+    return entry
+
+
+def _held(memo: dict, tag: str, compute, x):
+    """compute(arr) for arr = x as a float array, kept under tag in memo's
+    entry for arr. A compute that raises keeps nothing."""
+    arr = np.asarray(x, dtype=float)
+    entry = _entry(memo, arr)
+    out = entry.get(tag)
+    if out is None:
+        out = entry[tag] = compute(arr)
     return out
 
 
@@ -126,10 +133,11 @@ def _read_only(*parts) -> tuple:
 #
 # A row computes its x-dependent primitives (a numerator and denominator,
 # or the tanh/sech and tan/cos pairs) in one pass per array, which also
-# refuses the poles: _parts holds the pass for the last array (_held), read
-# only, and f, h, f', h', z and z' read it. A pass that raises PoleError is
-# not held. The outputs are fresh arrays, computed from the primitives by
-# the same operations whether the pass was held or not.
+# refuses the poles: _parts holds the pass for the last array in the row's
+# one memo (_held), read only, and f, h, f', h', z and z' read it. A pass
+# that raises PoleError is not held. The outputs are fresh arrays, computed
+# from the primitives by the same operations whether the pass was held or
+# not.
 
 _MAX_LOCATIONS = 8
 
@@ -180,7 +188,7 @@ class _Form:
     def _parts(self, x) -> tuple:
         """The row's primitives at x, from _pass (a float array in, a
         read-only tuple out), held for the last array."""
-        return _held(self._memo, self._pass, x)
+        return _held(self._memo, "pass", self._pass, x)
 
     def companion(self, b, D):
         """(alpha, beta) with z = alpha f + beta h."""
@@ -202,9 +210,6 @@ class _PosFinite(_Form):
         super().__init__(c, A, B)
         self.kappa = B * B - 1.0
         self.f_is_constant = abs(B) == 1.0
-        # f and h have denominators of their own, which need not vanish on
-        # the same doubles: _parts holds f's, _h_parts_at h's
-        self._h_memo = {}
 
     def _pass(self, arr):
         return _checked(arr, *self._f_parts(self._theta(arr)))
@@ -213,7 +218,8 @@ class _PosFinite(_Form):
         return _checked(arr, *self._h_parts(self._theta(arr)))
 
     def _h_parts_at(self, x):
-        return _held(self._h_memo, self._h_pass, x)
+        # h's denominator need not vanish where f's does: a pass of its own
+        return _held(self._memo, "h pass", self._h_pass, x)
 
     def _f_parts(self, th):
         B = self.B

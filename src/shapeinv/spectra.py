@@ -204,27 +204,19 @@ def _seed_end_verdicts(family: Family, p: float, sign: int, cell) -> tuple:
     return tuple(out)
 
 
-# Family._verdict_memo holds the (left, right) verdicts of at most this many
-# (p, sign, cell) keys, the oldest dropped first: a request screens its
-# levels' seeds on one or two cells.
-_VERDICT_MEMO_MAX = 64
-
-
 def _divergent_end(family: Family, p: float, sign: int,
                    anchor: float) -> Optional[str]:
     """None when the seed exp(sign int W(., p)) is square integrable on the
     pole-free cell around anchor, else its divergent end: the left one when
-    both diverge. The verdict depends on the cell alone, which the family
-    keeps for the last anchor, and is held per (p, sign, cell)."""
+    both diverge. The verdict depends on the cell alone, and the family's
+    scalar memo holds both: the cell per anchor, and the verdict per
+    (p, sign, cell), so a request screens each seed once."""
     cell = family._pole_free_cell(anchor)
-    memo = family._verdict_memo
-    key = (p, sign, cell)
-    verdict = memo.get(key)
+    key = ("seed", p, sign, cell)
+    verdict = family._memo.get(key)
     if verdict is None:
-        verdict = _seed_end_verdicts(family, p, sign, cell)
-        if len(memo) >= _VERDICT_MEMO_MAX:
-            del memo[next(iter(memo))]
-        memo[key] = verdict
+        verdict = family._remember(
+            key, _seed_end_verdicts(family, p, sign, cell))
     left, right = verdict
     if left and right:
         return None
@@ -311,23 +303,9 @@ class ChainStep(Record):
                              adjoint=adjoint)
 
 
-# Family._orbit_memo holds the running R sums of at most this many orbits
-# (m, direction), the oldest dropped first, each through at most
-# _ORBIT_MEMO_LEVELS levels; deeper levels are summed anew on every walk.
-_ORBIT_MEMO_MAX = 4
+# The running R sums of an orbit are held through at most this many levels;
+# deeper levels are summed anew on every walk.
 _ORBIT_MEMO_LEVELS = 1 << 12
-
-
-def _orbit_sums(family: Family, m: float, direction: ChainDirection) -> list:
-    """The held running sums of the orbit, sums[k] for level k."""
-    memo = family._orbit_memo
-    key = (m, direction)
-    sums = memo.get(key)
-    if sums is None:
-        if len(memo) >= _ORBIT_MEMO_MAX:
-            del memo[next(iter(memo))]
-        sums = memo[key] = []
-    return sums
 
 
 def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
@@ -338,11 +316,15 @@ def _orbit(family: Family, m: float, direction: ChainDirection, d: float,
     sign-checked as it is added. The first level whose spacing is undefined
     or of the wrong sign raises OrbitError, naming that level, or `last` when
     a single level was asked for. The sums do not depend on d and are held
-    per (m, direction), so a request walks its orbit once; a failure is not
-    held, and every walk that reaches it raises it anew.
+    in the family's scalar memo per (m, direction), so a request walks its
+    orbit once; a failure is not held, and every walk that reaches it raises
+    it anew.
     """
     decreasing = direction is ChainDirection.DecreasingL
-    sums = _orbit_sums(family, m, direction)
+    key = ("orbit", m, direction)
+    sums = family._memo.get(key)
+    if sums is None:
+        sums = family._remember(key, [])
     total = 0.0
     k = 0
     while last is None or k <= last:
@@ -478,7 +460,7 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
         adjoint = True
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    out = _ladder_values(wf.values, wf.h, *family._chain_W(wf.x, float(m)),
+    out = _ladder_values(wf.values, wf.h, *family._chain_table(wf.x)(m),
                          adjoint, float(np.abs(wf.values).max()))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
@@ -540,7 +522,7 @@ def ground_state(family: Family, m, direction, grid,
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
     h = gobj.h
-    psi = fix_sign(_unit_norm(_state_seed(family._chain_W(xs, m)[0], h,
+    psi = fix_sign(_unit_norm(_state_seed(family._chain_table(xs)(m)[0], h,
                                           sign), h))
     return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 

@@ -405,6 +405,48 @@ def test_non_finite_config_values_are_config_errors(tmp_path, doc, field):
     assert f"{field} must be a finite number" in diag["message"]
 
 
+@pytest.mark.parametrize("doc, message", [
+    # a bool or a string is refused, never coerced to a number
+    ({"kmax": True}, "kmax must be a finite number, got True"),
+    ({"m": "2.5"}, "m must be a finite number, got '2.5'"),
+    ({"d": False}, "d must be a finite number, got False"),
+    ({"tol": "0.1"}, "tol must be a finite number, got '0.1'"),
+    ({"tol": None}, "tol must be a finite number, got None"),
+    ({"pole_margin": True}, "pole_margin must be a finite number, got True"),
+    ({"grid": {"xmin": "-8", "xmax": 8, "n": 1001}},
+     "grid xmin must be a finite number, got '-8'"),
+    ({"grid": {"xmin": -8, "xmax": True, "n": 1001}},
+     "grid xmax must be a finite number, got True"),
+    ({"grid": {"xmin": -8, "xmax": 8, "n": "1001"}},
+     "grid n must be a finite number, got '1001'"),
+    # a count is an integer, not truncated to one
+    ({"kmax": 2.7}, "kmax must be an integer, got 2.7"),
+    ({"grid": {"xmin": -8, "xmax": 8, "n": 1001.9}},
+     "grid n must be an integer, got 1001.9"),
+])
+def test_coerced_config_values_are_config_errors(tmp_path, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli("spectrum", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert stderr_diag(err) == {"error": "config", "message": message}
+
+
+def test_integral_config_numbers_are_accepted(tmp_path):
+    # JSON integers and integral floats stay accepted, as the same values
+    cfg = tmp_path / "ok.json"
+    cfg.write_text(json.dumps({"m": 2, "kmax": 3.0, "tol": 1,
+                               "grid": {"xmin": -8, "xmax": 8.0,
+                                        "n": 1001.0}}))
+    code, out, err = run_cli("spectrum", "--config", str(cfg),
+                             "--dump-config")
+    assert code == 0 and err == ""
+    dumped = json.loads(out)
+    assert (dumped["m"], dumped["kmax"], dumped["tol"]) == (2.0, 3, 1.0)
+    assert dumped["grid"] == {"xmin": -8.0, "xmax": 8.0, "n": 1001}
+    assert type(dumped["kmax"]) is int and type(dumped["grid"]["n"]) is int
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--mode", "numeric", "--grid=-8,8,1000000000000"],
     ["eval", "--grid=-8,8,1000000000000"],

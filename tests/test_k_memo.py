@@ -1,12 +1,12 @@
-"""The memos of a Family: the (k0, k1) samples behind Family.k, the
-(k0', k1') samples behind Family.k_prime, the pole-free cell of the
-seed verdicts, the ladder chain's W table, and the orbit sums and seed
-verdicts held for spectra. Outputs stay bit-identical to a fresh
-evaluation, whatever the call history, each memo stays private to its
-instance, the sample memos hold one entry and the others a stated few."""
+"""The two memos of a Family: `_samples`, the entry for the last sample
+array (the (k0, k1) pair behind Family.k, the (k0', k1') pair behind
+Family.k_prime, and the ladder chain's W per chain parameter), and `_memo`,
+the scalar results of a request (pole-free cells, seed verdicts, orbit
+sums). Outputs stay bit-identical to a fresh family's, whatever the call
+history; refusals are raised again and never held; each memo stays private
+to its instance and within its bound."""
 
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -19,10 +19,11 @@ from shapeinv import families, riccati, spectra
 from shapeinv.errors import OrbitError, PoleError, ShapeInvError
 from shapeinv.families import (Family, FamilyKind, FamilyParams, negative_a,
                                positive_a, preset_params, zero_a)
-from shapeinv.numerics import Grid
+from shapeinv.numerics import Grid, GridFunction
 from shapeinv.riccati import INFINITY, ExtendedReal
-from shapeinv.spectra import (build_chain, check_normalizable, energy_level,
-                              excited_state, max_level, partner_energies,
+from shapeinv.spectra import (WaveFunction, build_chain, check_normalizable,
+                              energy_level, excited_state, ground_state,
+                              ladder_apply, max_level, partner_energies,
                               spectrum_analytic)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
@@ -94,20 +95,77 @@ fractions = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40)
 params_m = st.one_of(st.floats(-6.0, -0.25), st.floats(0.25, 6.0),
                      st.integers(1, 6))
 
+ROW_METHODS = ("f", "h", "df", "dh", "z", "dz")
+ARRAY_CALLS = ("k", "k_prime") + ROW_METHODS
+GRID_CALLS = ("excited_state", "ground_state", "ladder_apply",
+              "spectrum_analytic", "check_normalizable", "energy_level")
+DIRECTIONS = ("decreasing", "increasing")
+
+
+def _outcome(call):
+    """What a call gives, in comparable form: arrays by their bytes, records
+    by their fields, and a refusal by its type and message."""
+    try:
+        out = call()
+    except ShapeInvError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, WaveFunction):
+        return out.k, out.energy, out.normalized, out.values.tobytes()
+    if isinstance(out, spectra.SpectrumResult):
+        return (out.direction, out.levels, out.partner_levels,
+                out.truncation_reason)
+    if isinstance(out, (float, spectra.NormalizabilityReport)):
+        return out
+    return type(out), out.dtype, out.shape, out.tobytes()
+
+
+def _call(fam, name, x, grid, m, level, direction):
+    """One public call on fam: on the sample array x, or on the grid."""
+    if name in ROW_METHODS:
+        method = getattr(fam.basis(), name)
+        x = np.asarray(x, dtype=float)
+        return method(x, 0.7, -0.4) if name in ("z", "dz") else method(x)
+    if name in ("k", "k_prime"):
+        return getattr(fam, name)(x, m)
+    if name == "excited_state":
+        return excited_state(fam, m, level, direction, grid)
+    if name == "ground_state":
+        return ground_state(fam, m, direction, grid)
+    if name == "ladder_apply":
+        mid = 0.5 * (grid.x0 + grid.x1)
+        bump = GridFunction(grid, np.exp(-(grid.x - mid) ** 2))
+        return ladder_apply(fam, m, ("plus", "minus")[level % 2],
+                            WaveFunction(bump, 0, 0.0, False))
+    if name == "spectrum_analytic":
+        return spectrum_analytic(fam, m, level)
+    if name == "check_normalizable":
+        return check_normalizable(fam, m, direction)
+    return energy_level(fam, m, level, direction)
+
 
 @SEEDED
 @given(cfg=st.integers(0, len(CONFIGS) - 1),
-       calls=st.lists(st.tuples(st.integers(0, 2), params_m),
+       calls=st.lists(st.tuples(st.sampled_from(ARRAY_CALLS + GRID_CALLS),
+                                st.integers(0, 2), params_m,
+                                st.integers(0, 3), st.sampled_from(DIRECTIONS)),
                       min_size=1, max_size=12),
        arrays=st.lists(st.tuples(fractions, st.sampled_from(FORMS)),
                        min_size=3, max_size=3))
 def test_warm_memo_matches_fresh_family(cfg, calls, arrays):
+    # every public call on a family, warm from the calls before it, gives
+    # the bits a fresh family gives
     fam = _fresh(CONFIGS[cfg])
     inputs = [_samples(fam, f, form) for f, form in arrays]
-    for which, m in calls:
-        x = inputs[which]
-        _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
-    assert len(fam._k_memo) <= 1
+    lo, hi = _cell(fam)
+    grids = [Grid(lo, hi, 101), Grid(lo, hi, 161), Grid(lo, hi, 101)]
+    for name, which, m, level, direction in calls:
+        args = (inputs[which], grids[which], m, level, direction)
+        with np.errstate(all="ignore"):
+            got = _outcome(lambda: _call(fam, name, *args))
+            want = _outcome(lambda: _call(_fresh(fam), name, *args))
+        assert got == want
+    assert len(fam._samples) <= 1
+    assert len(fam._memo) <= families._MEMO_MAX
 
 
 @SEEDED
@@ -136,41 +194,45 @@ def test_memo_is_bounded_first_in_first_out(cfg, sizes, m):
         x = np.linspace(lo + (hi - lo) * i / 64.0, hi, size + 1)
         fam.k(x, m)
         keys.append((x.shape, x.tobytes()))
-    assert list(fam._k_memo) == keys[-1:]
-    held = dict(fam._k_memo)
+    assert list(fam._samples) == keys[-1:]
+    held = dict(fam._samples)
     # scalars, 0-d arrays and arrays above the point bound are evaluated
     # directly and leave the memo alone
     big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
     for x in (float(lo), np.array(hi), big):
         _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
-    assert list(fam._k_memo) == list(held)
+    assert list(fam._samples) == list(held)
+    # the held pair is read-only
+    (entry,) = fam._samples.values()
+    assert all(not part.flags.writeable for part in entry["k"]
+               if part is not None)
 
 
-MEMOS = ("_k_memo", "_k_prime_memo", "_cell_memo", "_w_table",
-         "_orbit_memo", "_verdict_memo")
+# a Family's attributes beyond its two fields: the closed forms it is built
+# from and its two memos
+DERIVED = {"_y", "_z", "_samples", "_memo"}
 
 
 def test_copies_start_with_an_empty_memo():
-    # each of the six memos
-    assert families._MEMOS == MEMOS
     fam = _fresh(CONFIGS[0])
+    assert set(vars(fam)) == {"params", "kind"} | DERIVED
     before = (repr(fam), hash(fam))
     xs = _samples(fam, np.linspace(0.0, 1.0, 50), "plain")
     fam.k(xs, 2.0)
     fam.k_prime(xs, 2.0)
-    fam._pole_free_cell(fam.params.A + 0.37)
-    fam._chain_W(xs, 2.0)
     spectra.energy_level(fam, 2.0, 0, "increasing")
     check_normalizable(fam, 2.0, "increasing", anchor=fam.params.A + 0.37)
-    assert all(len(getattr(fam, memo)) == 1 for memo in MEMOS)
+    assert len(fam._samples) == 1
+    # the cell, the seed verdict and the orbit sums
+    assert sorted(key[0] for key in fam._memo) == ["cell", "orbit", "seed"]
     assert (repr(fam), hash(fam)) == before and fam == _fresh(fam)
     back = pickle.loads(pickle.dumps(fam))
-    for other in (dataclasses.replace(fam), copy.copy(fam), copy.deepcopy(fam),
-                  back):
+    for other in (copy.copy(fam), copy.deepcopy(fam), back):
         assert other == fam and hash(other) == hash(fam)
         assert repr(other) == repr(fam)
-        assert all(getattr(other, memo) == {} for memo in MEMOS)
-    assert all(len(getattr(fam, memo)) == 1 for memo in MEMOS)
+        assert other._samples == {} and other._memo == {}
+        assert set(vars(other)) == set(vars(fam))
+    assert len(fam._samples) == 1 and len(fam._memo) == 3
 
 
 def _spectrum_and_states(fam, m, grid):
@@ -210,7 +272,7 @@ def test_spectra_equal_with_and_without_a_warm_memo(name, m, u):
     want = _spectrum_and_states(cold, m, grid)
     warm = preset_params(name, **consts)
     _spectrum_and_states(warm, m, grid)
-    assert warm._k_memo
+    assert warm._samples and warm._memo
     assert _spectrum_and_states(warm, m, grid) == want
 
 
@@ -259,7 +321,7 @@ def test_warm_k_prime_memo_matches_fresh_family(cfg, calls, arrays):
             _assert_same(fam.k(x, m), _fresh(fam).k(x, m))
         _assert_same(fam.k_prime(x, m), _fresh(fam).k_prime(x, m))
         _assert_same(fam.k_prime(x, m), _k_prime_direct(_fresh(fam), x, m))
-    assert len(fam._k_memo) <= 1 and len(fam._k_prime_memo) <= 1
+    assert len(fam._samples) <= 1
 
 
 @SEEDED
@@ -287,19 +349,24 @@ def test_k_prime_memo_holds_the_last_array(cfg, sizes, m):
         x = np.linspace(lo + (hi - lo) * i / 64.0, hi, size + 1)
         fam.k_prime(x, m)
         keys.append((x.shape, x.tobytes()))
-    assert list(fam._k_prime_memo) == keys[-1:]
-    assert fam._k_memo == {}
-    held = dict(fam._k_prime_memo)
+    assert list(fam._samples) == keys[-1:]
+    # the entry holds the (k0', k1') pair alone
+    (entry,) = fam._samples.values()
+    assert list(entry) == ["k'"]
     big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
     for x in (float(lo), np.array(hi), big):
         _assert_same(fam.k_prime(x, m), _fresh(fam).k_prime(x, m))
-    assert list(fam._k_prime_memo) == list(held)
+    assert list(fam._samples) == keys[-1:] and list(entry) == ["k'"]
 
 
 # ---------------------------------------------------------------------------
-# the pole-free cell memo of the seed verdicts
+# the pole-free cells of the seed verdicts, in the scalar memo
 
 WHOLE_LINE = (-math.inf, math.inf)
+
+
+def _cells(fam):
+    return [key for key in fam._memo if key[0] == "cell"]
 
 
 @SEEDED
@@ -307,28 +374,36 @@ WHOLE_LINE = (-math.inf, math.inf)
        offsets=st.lists(st.sampled_from((0.37, 0.41, -0.29, 2.9, 7.3)),
                         min_size=1, max_size=8))
 def test_cell_memo_matches_natural_domain_and_holds_one_anchor(cfg, offsets):
+    # one held cell per anchor, however often it is screened
     fam = _fresh(CONFIGS[cfg])
+    seen = []
     for off in offsets:
         anchor = fam.params.A + off
         try:
             want = _fresh(fam).natural_domain(1.0, anchor, WHOLE_LINE)
         except PoleError:
             continue
-        assert fam._pole_free_cell(anchor) == want
-        assert list(fam._cell_memo) == [anchor]
+        report = check_normalizable(fam, 2.0, "increasing", anchor=anchor)
+        assert report == check_normalizable(_fresh(fam), 2.0, "increasing",
+                                            anchor=anchor)
+        assert fam._memo["cell", anchor] == want
+        seen += [anchor] if anchor not in seen else []
+        assert _cells(fam) == [("cell", a) for a in seen]
 
 
 def test_cell_memo_does_not_keep_a_pole_refusal():
     fam = preset_params("TypeA")      # poles of cot at the multiples of pi
-    fam._pole_free_cell(1.0)
+    check_normalizable(fam, 2.0, "decreasing", anchor=1.0)
     for _ in range(2):
         try:
-            fam._pole_free_cell(math.pi)
+            check_normalizable(fam, 2.0, "decreasing", anchor=math.pi)
         except PoleError as exc:
             assert exc.locations == [math.pi]
         else:
             raise AssertionError("an anchor on a pole must be refused")
-    assert list(fam._cell_memo) == [1.0]
+    # anchor 1.0's cell and seed verdict, and nothing of the refusal
+    assert _cells(fam) == [("cell", 1.0)]
+    assert sorted(key[0] for key in fam._memo) == ["cell", "seed"]
 
 
 def test_seed_verdicts_share_one_cell_per_anchor(monkeypatch):
@@ -376,35 +451,48 @@ def test_w_table_sees_a_grid_mutated_in_place():
                                   range(4))
 
 
+def _ladder(fam, m, x):
+    """ladder_apply of W(., m) to a narrow bump sampled on x: the chain's
+    read of W."""
+    bump = GridFunction(Grid(float(x[0]), float(x[-1]), x.size),
+                        np.exp(-((x - x.mean()) / 0.1) ** 2))
+    return ladder_apply(fam, m, "plus", WaveFunction(bump, 0, 0.0, False))
+
+
+def _w_table(fam, x):
+    """The W table of the sample entry, which must be x's."""
+    (key, entry), = fam._samples.items()
+    assert key == (x.shape, x.tobytes())
+    return entry["W"]
+
+
 def test_w_table_is_bounded_and_read_only():
     fam = preset_params("TypeA")
     lo, hi = 0.1, math.pi - 0.1
     x = np.linspace(lo, hi, 501)
     cap = families._W_TABLE_MAX_PARAMETERS
     for p in range(1, 2 * cap + 1):
-        W, w_max = fam._chain_W(x, float(p))
-        assert not W.flags.writeable
-        _assert_same(W, _fresh(fam).k(x, float(p)))
-        assert w_max == float(np.max(np.abs(W)))
-    (key, by_m), = fam._w_table.items()
-    assert key == (x.shape, x.tobytes())
+        _assert_same(_ladder(fam, float(p), x).values,
+                     _ladder(_fresh(fam), float(p), x).values)
+    by_m = _w_table(fam, x)
     assert len(by_m) == cap
     assert sorted(m for m, _ in by_m) == list(range(cap + 1, 2 * cap + 1))
-    assert all(not W.flags.writeable for W, _ in by_m.values())
-    # a new grid replaces the old one; scalars, 0-d and large arrays pass by
+    for (m, _), (W, w_max) in by_m.items():
+        assert not W.flags.writeable
+        _assert_same(W, _fresh(fam).k(x, m))
+        assert w_max == float(np.max(np.abs(W)))
+    # a new grid replaces the old one; large arrays pass by
     y = np.linspace(lo, hi, 601)
-    fam._chain_W(y, 2.0)
-    (key, by_m), = fam._w_table.items()
-    assert key == (y.shape, y.tobytes()) and len(by_m) == 1
+    _ladder(fam, 2.0, y)
+    assert len(_w_table(fam, y)) == 1
     big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
-    for arg in (float(lo), np.array(hi), big):
-        W, _ = fam._chain_W(arg, 3.0)
-        _assert_same(W, np.asarray(_fresh(fam).k(arg, 3.0)))
-    assert list(fam._w_table) == [(y.shape, y.tobytes())]
+    _assert_same(_ladder(fam, 3.0, big).values,
+                 _ladder(_fresh(fam), 3.0, big).values)
+    assert len(_w_table(fam, y)) == 1
     # zero and minus zero are kept apart
-    fam._chain_W(y, 0.0)
-    fam._chain_W(y, -0.0)
-    assert len(fam._w_table[key]) == 3
+    _ladder(fam, 0.0, y)
+    _ladder(fam, -0.0, y)
+    assert len(_w_table(fam, y)) == 3
 
 
 def test_w_table_refuses_a_non_finite_w_every_time():
@@ -414,30 +502,38 @@ def test_w_table_refuses_a_non_finite_w_every_time():
     for _ in range(2):
         try:
             with np.errstate(over="ignore"):
-                fam._chain_W(x, 1e308)
+                _ladder(fam, 1e308, x)
         except PoleError as exc:
             assert str(exc) == ("superpotential is not finite on the "
                                 "working grid")
         else:
             raise AssertionError("a W with a pole on the grid is refused")
-    assert fam._w_table[(x.shape, x.tobytes())] == {}
+    assert _w_table(fam, x) == {}
 
 
 def test_chain_reads_each_parameter_once_per_grid(monkeypatch):
-    # levels 0-4 of a decreasing TypeA chain use parameters m + 1 .. m + 5
+    # levels 0-4 of a decreasing TypeA chain use parameters m + 1 .. m + 5,
+    # and the grid's (k0, k1) pair is evaluated once for all of them
     fam = preset_params("TypeA")
-    calls = []
-    real = Family.k
+    reads, pairs = [], []
+    real_from, real_k1 = Family._k_from, Family.k1
 
-    def k(self, x, m):
-        calls.append((np.asarray(x).tobytes(), float(m)))
-        return real(self, x, m)
+    def k_from(self, pair, m):
+        reads.append((pair[1].tobytes(), m))
+        return real_from(self, pair, m)
 
-    monkeypatch.setattr(Family, "k", k)
+    def k1(self, x):
+        pairs.append(np.asarray(x).tobytes())
+        return real_k1(self, x)
+
+    monkeypatch.setattr(Family, "_k_from", k_from)
+    monkeypatch.setattr(Family, "k1", k1)
     grid = Grid(1e-3, math.pi - 1e-3, 2001)
     for level in range(5):
         excited_state(fam, 2.0, level, "decreasing", grid)
-    assert sorted(calls) == [(grid.x.tobytes(), 2.0 + p) for p in range(1, 6)]
+    k1_bytes = real_k1(fam, grid.x).tobytes()
+    assert sorted(reads) == [(k1_bytes, 2.0 + p) for p in range(1, 6)]
+    assert pairs == [grid.x.tobytes()]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +595,14 @@ def test_held_orbit_equals_a_fresh_walk_past_its_failure(name, consts, m,
         cold, m, n, direction)
     assert max_level(fam, m, direction) == max_level(cold, m, direction)
     # a refusal is not held: the sums stop below the failing level
-    sums, = fam._orbit_memo.values()
+    (sums,) = _orbits(fam).values()
     assert len(sums) == fails
+
+
+def _orbits(fam):
+    """The held orbit sums, by (m, direction)."""
+    return {key[1:]: sums for key, sums in fam._memo.items()
+            if key[0] == "orbit"}
 
 
 def test_held_orbit_is_bounded():
@@ -513,15 +615,20 @@ def test_held_orbit_is_bounded():
         want.append(fam.params.d + total)
     assert spectrum_analytic(fam, 1.5, depth, "increasing",
                              screen_seeds=False).energies.tolist() == want
-    sums, = fam._orbit_memo.values()
+    (sums,) = _orbits(fam).values()
     assert len(sums) == spectra._ORBIT_MEMO_LEVELS
     assert [energy_level(fam, 1.5, k, "increasing")
             for k in (depth, 3, depth - 1)] == [want[depth], want[3],
                                                 want[depth - 1]]
-    for m in range(2 * spectra._ORBIT_MEMO_MAX):
+    # the scalar memo drops its oldest entries beyond its bound, and a
+    # dropped orbit is walked again to the same doubles
+    cap = families._MEMO_MAX
+    for m in range(2 * cap):
         energy_level(fam, 2.0 + m, 1, "increasing")
-    assert len(fam._orbit_memo) == spectra._ORBIT_MEMO_MAX
-    assert next(iter(fam._orbit_memo))[0] == 2.0 + spectra._ORBIT_MEMO_MAX
+    assert len(fam._memo) == cap
+    assert list(_orbits(fam)) == [(2.0 + m, spectra.ChainDirection.IncreasingL)
+                                  for m in range(cap, 2 * cap)]
+    assert energy_level(fam, 1.5, depth, "increasing") == want[depth]
 
 
 @pytest.mark.parametrize("name, consts, m", [
@@ -554,7 +661,7 @@ def test_a_request_screens_each_seed_once(monkeypatch, name, consts, m):
               for k, _ in spec.levels[:5]]
     assert len(states) == min(len(spec.levels), 5) >= 3
     assert calls and len(calls) == len(set(calls))
-    assert len(fam._verdict_memo) == len(calls)
+    assert len([key for key in fam._memo if key[0] == "seed"]) == len(calls)
     # the held verdicts leave every output as a fresh family's
     calls.clear()
     assert _spectrum_and_states(fam, m, grid) == want

@@ -5,8 +5,9 @@ Every class in CASES was a @dataclass(frozen=True). Built on the shared
 ==, hash and repr over the same fields (the repr strings below are the
 dataclass version's), FrozenInstanceError on assigning or deleting any
 attribute, copies and pickles that round-trip, and the refusals of the old
-__post_init__ with their exception types and messages. Only Family and
-RunConfig stay dataclasses, for their dataclasses.replace callers.
+__post_init__ with their exception types and messages. No class of the
+package is a dataclass any more; Family and RunConfig, the last two, are
+Records too.
 """
 
 import copy
@@ -25,7 +26,8 @@ import numpy as np
 import pytest
 
 import shapeinv
-from shapeinv import checks, families, numerics, partners, riccati, spectra
+from shapeinv import (checks, cli, families, numerics, partners, riccati,
+                      spectra)
 from shapeinv.errors import FamilyError
 
 _GRID = (-1.0, 2.0, 17)
@@ -80,6 +82,12 @@ CASES = {
         ("sign", "A", "B", "b", "D", "q", "t", "d"),
         "FamilyParams(sign=SignClass(kind='zero', c=0.0), A=0.0, "
         "B=ExtendedReal(0.0), b=0.0, D=0.0, q=1.0, t=0.0, d=0.0)"),
+    "Family": (
+        lambda: families.preset_params("TypeF", q=-2.0, A=0.5),
+        ("params", "kind"),
+        "Family(params=FamilyParams(sign=SignClass(kind='zero', c=0.0), "
+        "A=0.5, B=ExtendedReal(inf), b=0.0, D=0.0, q=-2.0, t=0.0, d=0.0), "
+        "kind=<FamilyKind.INVERSE_POWER: 'inverse'>)"),
     "_PresetDef": (
         lambda: families._PresetDef(families.FamilyKind.AFFINE, "neg",
                                     riccati.ExtendedReal(0.0), True,
@@ -164,6 +172,16 @@ CASES = {
         "levels=((0, 5.0), (1, 12.0), (2, 21.0)), partner_levels=((0, 0.0), "
         "(1, 5.0), (2, 12.0), (3, 21.0)), truncated=False, "
         "truncation_reason=None)"),
+    "RunConfig": (
+        lambda: cli.RunConfig(m=2.5, grid={"xmin": -8.0, "xmax": 8.0,
+                                           "n": 101}, kmax=3),
+        ("family", "m", "direction", "grid", "kmax", "d", "tol",
+         "output_path", "output_format", "pole_margin"),
+        "RunConfig(family={'kind': 'affine', 'sign': 'zero', 'c': 0.0, "
+        "'A': 0.0, 'B': 0.0, 'b': 1.0, 'D': 0.0, 'q': 1.0, 't': 0.0, "
+        "'d': 0.0}, m=2.5, direction='auto', grid={'xmin': -8.0, "
+        "'xmax': 8.0, 'n': 101}, kmax=3, d=0.0, tol=0.01, output_path=None, "
+        "output_format='csv', pole_margin=0.001)"),
     "CheckResult": (
         lambda: checks.CheckResult("x", True, 0.5, 1.0, "d", {"n": 3}),
         ("name", "passed", "max_residual", "tolerance", "detail", "grid"),
@@ -174,7 +192,7 @@ CASES = {
 # fields holding an array or a dict make the dataclass unhashable, and ==
 # between distinct arrays ambiguous
 UNHASHABLE = {"GridFunction", "TridiagonalSym", "NumericSpectrum",
-              "PotentialRecord", "WaveFunction", "CheckResult"}
+              "PotentialRecord", "WaveFunction", "RunConfig", "CheckResult"}
 
 
 def _field_values(obj, fields):
@@ -289,6 +307,16 @@ REFUSALS = {
     "FamilyParams-B": (lambda: families.FamilyParams(families.SignClass("pos", 1.0),
                                                      B=math.nan),
                        ValueError, "ExtendedReal cannot hold NaN"),
+    "Family-q": (lambda: families.Family(
+                     families.FamilyParams(families.SignClass("zero"), q=0.0),
+                     families.FamilyKind.INVERSE_POWER),
+                 FamilyError, "inverse-power ansatz requires q != 0"),
+    "RunConfig-m": (lambda: cli.RunConfig(m=math.nan),
+                    ValueError, "m must be a finite number, got nan"),
+    "RunConfig-n": (lambda: cli.RunConfig(grid={"xmin": 0.0, "xmax": 1.0,
+                                                "n": 10 ** 7}),
+                    ValueError, "grid n = 10000000 is too large: "
+                                "need n <= 1000001"),
     "Grid-nonfinite": (lambda: numerics.Grid(0.0, math.inf, 20),
                        ValueError, "grid endpoints must be finite"),
     "Grid-order": (lambda: numerics.Grid(1.0, 0.0, 20),
@@ -327,14 +355,14 @@ def _shapeinv_classes():
                 yield f"{info.name}.{name}", obj
 
 
-def test_only_family_and_run_config_are_dataclasses():
+def test_no_class_is_a_dataclass():
     classes = dict(_shapeinv_classes())
     assert {"families.Family", "cli.RunConfig", "numerics.Grid"} <= set(classes)
     assert {name for name, cls in classes.items()
-            if dataclasses.is_dataclass(cls)} == {"families.Family", "cli.RunConfig"}
+            if dataclasses.is_dataclass(cls)} == set()
 
 
-def test_cli_import_builds_at_most_two_dataclasses():
+def test_cli_import_builds_no_dataclass():
     code = ("import dataclasses, sys; before = set(sys.modules); "
             "import shapeinv.cli; "
             "built = [f'{m}.{n}' for m in set(sys.modules) - before "
@@ -349,4 +377,4 @@ def test_cli_import_builds_at_most_two_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['shapeinv.cli.RunConfig', 'shapeinv.families.Family']"
+    assert proc.stdout.strip() == "[]"

@@ -1,8 +1,9 @@
 """The primitive pass of each row of the closed-form table: a row computes
-its x-dependent primitives once for the last array it saw, and f, h, f',
-h', z and z' read them. Outputs stay bit-identical to a fresh row's, the
-held primitives are read-only, a pole refusal is never held, and copies of
-a solution start with an empty memo."""
+its x-dependent primitives once for the last array it saw, held in the
+row's one memo, and f, h, f', h', z and z' read them. Outputs stay
+bit-identical to a fresh row's, the held primitives are read-only, a pole
+refusal is never held, and copies of a solution start with an empty
+memo."""
 
 import copy
 import math
@@ -47,9 +48,12 @@ def _samples(sol, fractions):
     return lo + pad + (hi - lo - 2.0 * pad) * np.asarray(fractions, dtype=float)
 
 
-def _memos(form):
-    # the pos finite row holds f's and h's denominators apart
-    return [form._memo] + ([form._h_memo] if hasattr(form, "_h_memo") else [])
+def _held_parts(form):
+    """Every primitive the row's memo holds: the pos finite row's entry
+    keeps f's pass and h's apart, since their denominators need not vanish
+    on the same doubles."""
+    return [part for entry in form._memo.values() for parts in entry.values()
+            for part in parts]
 
 
 def _assert_same(got, want):
@@ -81,11 +85,9 @@ def test_every_output_equals_a_fresh_rows(row, consts, arrays, calls):
         _assert_same(got, _call(_solution(row, c, A, B).form, name, x, b, D))
         # a fresh array, never a held one
         assert got.flags.writeable
-        for memo in _memos(warm.form):
-            for parts in memo.values():
-                assert not any(np.shares_memory(got, p) for p in parts)
-    for memo in _memos(warm.form):
-        assert len(memo) <= 1
+        assert not any(np.shares_memory(got, p)
+                       for p in _held_parts(warm.form))
+    assert len(warm.form._memo) <= 1
     # the public evaluators read the same pass
     x = inputs[calls[-1][0]]
     fresh = _solution(row, c, A, B)
@@ -120,8 +122,7 @@ def test_held_primitives_are_read_only(row, consts, f):
     x = _samples(sol, f)
     for name in METHODS:
         _call(sol.form, name, x, b, D)
-    held = [part for memo in _memos(sol.form) for parts in memo.values()
-            for part in parts]
+    held = _held_parts(sol.form)
     # the a = 0, B = infinity row's h and h' never read the pass
     assert held
     for part in held:
@@ -148,7 +149,6 @@ def test_a_pole_refusal_is_raised_again_and_holds_nothing(case, A, f, name):
     regular = _samples(sol, f)
     for other in METHODS:
         _call(sol.form, other, regular, 0.7, -0.4)
-    before = [dict(memo) for memo in _memos(sol.form)]
     x = np.concatenate((regular, [A + offset]))
     refusals = []
     for _ in range(2):
@@ -157,7 +157,11 @@ def test_a_pole_refusal_is_raised_again_and_holds_nothing(case, A, f, name):
         refusals.append((str(info.value), info.value.locations))
     assert refusals[0] == refusals[1]
     assert refusals[0][1] == [A + offset]
-    assert [dict(memo) for memo in _memos(sol.form)] == before
+    assert _held_parts(sol.form) == []
+    # the regular array is computed again, to the same bits
+    _assert_same(_call(sol.form, name, regular, 0.7, -0.4),
+                 _call(_solution(row, 1.3, A, B).form, name, regular, 0.7,
+                       -0.4))
 
 
 @SEEDED
@@ -168,13 +172,13 @@ def test_scalars_and_large_arrays_bypass_the_memo(row, consts, f, name):
     x = _samples(sol, f)
     for other in METHODS:
         _call(sol.form, other, x, b, D)
-    held = [list(memo) for memo in _memos(sol.form)]
+    held = list(sol.form._memo)
     lo, hi = float(x.min()), float(x.max())
     big = np.linspace(lo, hi, riccati._MEMO_MAX_POINTS + 1)
     for arg in (lo, np.array(hi), big):
         _assert_same(_call(sol.form, name, arg, b, D),
                      _call(_solution(row, c, A, B).form, name, arg, b, D))
-    assert [list(memo) for memo in _memos(sol.form)] == held
+    assert list(sol.form._memo) == held
 
 
 def test_copies_of_a_solution_start_with_an_empty_memo():
@@ -183,16 +187,16 @@ def test_copies_of_a_solution_start_with_an_empty_memo():
         z = riccati.solve_z(0.7, sol, -0.3)
         x = _samples(sol, np.linspace(0.0, 1.0, 33))
         want = [_call(sol.form, name, x, 0.7, -0.3) for name in METHODS]
-        assert all(len(memo) == 1 for memo in _memos(sol.form))
+        assert len(sol.form._memo) == 1
         for other in (copy.copy(sol), copy.deepcopy(sol),
                       pickle.loads(pickle.dumps(sol)),
                       copy.deepcopy(z).y, pickle.loads(pickle.dumps(z)).y):
             assert other == sol and hash(other) == hash(sol)
             assert other.form is not sol.form
-            assert all(memo == {} for memo in _memos(other.form))
+            assert other.form._memo == {}
             for name, value in zip(METHODS, want):
                 _assert_same(_call(other.form, name, x, 0.7, -0.3), value)
-        assert all(len(memo) == 1 for memo in _memos(sol.form))
+        assert len(sol.form._memo) == 1
 
 
 def test_one_pass_serves_a_family_evaluation(monkeypatch):
