@@ -132,6 +132,10 @@ class RunConfig(Record):
             if not isinstance(out, dict) or set(out) - {"path", "format"}:
                 raise ValueError("config output must be {path, format}")
             if "path" in out:
+                # open() would take a bool or an integer as a file descriptor
+                if not isinstance(out["path"], (str, type(None))):
+                    raise ValueError("output path must be a string or null, "
+                                     f"got {out['path']!r}")
                 kwargs["output_path"] = out["path"]
             if "format" in out:
                 kwargs["output_format"] = _check_format(out["format"])

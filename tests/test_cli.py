@@ -419,6 +419,10 @@ def test_non_finite_config_values_are_config_errors(tmp_path, doc, field):
      "grid xmax must be a finite number, got True"),
     ({"grid": {"xmin": -8, "xmax": 8, "n": "1001"}},
      "grid n must be a finite number, got '1001'"),
+    # open() would read a bool or an integer as a file descriptor
+    ({"output": {"path": True}}, "output path must be a string or null, "
+                                 "got True"),
+    ({"output": {"path": 2}}, "output path must be a string or null, got 2"),
     # a count is an integer, not truncated to one
     ({"kmax": 2.7}, "kmax must be an integer, got 2.7"),
     ({"grid": {"xmin": -8, "xmax": 8, "n": 1001.9}},
