@@ -18,8 +18,8 @@ import numpy as np
 
 from ._record import Record
 from .errors import FamilyError, PoleError
-from .riccati import (INFINITY, ExtendedReal, _entry, _held, _read_only,
-                      as_extended, general_solution, solve_z)
+from .riccati import (INFINITY, ExtendedReal, _entry, _held, as_extended,
+                      general_solution, solve_z)
 
 __all__ = [
     "SignClass", "positive_a", "zero_a", "negative_a",
@@ -106,9 +106,9 @@ class FamilyParams(Record):
 _WHOLE_LINE = (-np.inf, np.inf)
 
 # A Family's two memos: _samples, the entry for the last sample array, holds
-# the (k0, k1) and (k0', k1') pairs and W per chain parameter for at most this
-# many parameters (a level-k state reads k + 1); _memo holds at most _MEMO_MAX
-# scalar results of a request under tagged keys, the oldest dropped first.
+# the (k0, k1) and (k0', k1') pairs and read-only W per chain parameter, for
+# at most this many parameters (a level-k state reads k + 1); _memo holds at
+# most _MEMO_MAX scalar results of a request, the oldest dropped first.
 _W_TABLE_MAX_PARAMETERS = 16
 _MEMO_MAX = 64
 
@@ -178,11 +178,11 @@ class Family(Record):
     def _k_parts(self, arr):
         # k0 is not part of the inverse-power ansatz and is never evaluated there
         k0 = self.k0(arr) if self.kind is FamilyKind.AFFINE else None
-        return _read_only(k0, self.k1(arr))
+        return k0, self.k1(arr)
 
     def _k_prime_parts(self, arr):
         k0p = self.k0_prime(arr) if self.kind is FamilyKind.AFFINE else None
-        return _read_only(k0p, self.k1_prime(arr))
+        return k0p, self.k1_prime(arr)
 
     def _k_from(self, pair, m: float):
         k0, k1 = pair   # the (m-free, m-linear) samples
@@ -206,11 +206,12 @@ class Family(Record):
         by_m = entry.setdefault("W", {})
 
         def read(m):
-            m = self._require_m(m)
+            m = float(m)
             # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
             m_key = (m, math.copysign(1.0, m))
             pair = by_m.get(m_key)
             if pair is None:
+                self._require_m(m)
                 if "k" not in entry:
                     entry["k"] = self._k_parts(arr)
                 W = np.asarray(self._k_from(entry["k"], m), dtype=float)

@@ -208,9 +208,8 @@ def _divergent_end(family: Family, p: float, sign: int,
                    anchor: float) -> Optional[str]:
     """None when the seed exp(sign int W(., p)) is square integrable on the
     pole-free cell around anchor, else its divergent end: the left one when
-    both diverge. The verdict depends on the cell alone, and the family's
-    scalar memo holds both: the cell per anchor, and the verdict per
-    (p, sign, cell), so a request screens each seed once."""
+    both diverge. The verdict depends on the cell alone; the family's scalar
+    memo holds the cell per anchor and the verdict per (p, sign, cell)."""
     cell = family._pole_free_cell(anchor)
     key = ("seed", p, sign, cell)
     verdict = family._memo.get(key)
