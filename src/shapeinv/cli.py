@@ -43,6 +43,11 @@ _DEFAULT_N = 2001
 # the most grid nodes a run may ask for: a few 8 MB sample arrays, refused
 # before any of them is allocated
 _MAX_N = 1_000_001
+# the highest level index a run may ask for: spectrum keeps one level per k,
+# and the default oscillator's tower never truncates. On a 2-vCPU Xeon host
+# the analytic spectrum takes about 0.14 s and 17 MB above a kmax = 4 run at
+# this bound; kmax = 400,000 took 740 MB
+_MAX_KMAX = 10_000
 
 
 def _diag(slug: str, message: str, **extra) -> None:
@@ -84,6 +89,9 @@ class RunConfig(Record):
             if grid["n"] > _MAX_N:
                 raise ValueError(f"grid n = {grid['n']} is too large: "
                                  f"need n <= {_MAX_N}")
+        if not 0 <= kmax <= _MAX_KMAX:
+            raise ValueError(f"kmax = {kmax} is out of range: "
+                             f"need 0 <= kmax <= {_MAX_KMAX}")
         self.__dict__.update(
             family=_default_family() if family is None else family, m=m,
             direction=direction, grid=grid, kmax=kmax, d=d, tol=tol,

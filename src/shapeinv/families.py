@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._quad import cumulative_simpson_values
 from ._record import Record
 from .errors import FamilyError, PoleError
 from .riccati import (INFINITY, ExtendedReal, _entry, _held, as_extended,
@@ -106,11 +107,25 @@ class FamilyParams(Record):
 _WHOLE_LINE = (-np.inf, np.inf)
 
 # A Family's two memos: _samples, the entry for the last sample array, holds
-# the (k0, k1) and (k0', k1') pairs and read-only W per chain parameter, for
-# at most this many parameters (a level-k state reads k + 1); _memo holds at
-# most _MEMO_MAX scalar results of a request, the oldest dropped first.
+# the (k0, k1) and (k0', k1') pairs, the grid's integrals of k0 and k1, and
+# read-only W per chain parameter, for at most this many parameters (a
+# level-k state reads k); _memo holds at most _MEMO_MAX scalar results of a
+# request, the oldest dropped first.
 _W_TABLE_MAX_PARAMETERS = 16
 _MEMO_MAX = 64
+
+
+def _midpoint_integral(values: np.ndarray, h: float, mid: int) -> np.ndarray:
+    """The cumulative Simpson integral of samples of step h, zero at sample
+    mid; a sample that is not finite raises PoleError."""
+    out = cumulative_simpson_values(values, h)
+    # every sample enters a step, and a non-finite step stays in every
+    # later partial sum, so the last one is finite iff all samples are
+    # (and the sum did not overflow)
+    if not math.isfinite(out[-1]):
+        raise PoleError("superpotential is not finite on the working grid")
+    out -= out[mid]
+    return out
 
 
 class Family(Record):
@@ -194,16 +209,48 @@ class Family(Record):
         m = self._require_m(m)
         return self._k_from(_held(self._samples, "k", self._k_parts, x), m)
 
-    def _chain_table(self, x):
-        """The ladder chain's reader m -> (W, max|W|) on x, with W = k(x, m)
-        read-only and finite on every sample, else PoleError.
+    def _chain_table(self, x, h: float):
+        """The ladder chain's two readers on x, a uniform grid of step h:
+        m -> int k(., m) for the seeds, and m -> (W, max|W|) for the ladder
+        steps, with W = k(x, m) read-only and finite on every sample, else
+        PoleError.
 
-        The array's sample entry keeps the pairs per m (and the sign of a
-        zero m), each read once from the entry's (k0, k1) pair; a reader
-        fetched once serves a whole chain."""
+        int k(., m) is a fresh array, zero at the grid midpoint: I0 + m I1,
+        or (q/m) I0 + m I1 for the inverse-power ansatz, whose m-free part
+        is the constant q/m. I1 and I0 are the cumulative Simpson integrals
+        of the k1 and k0 samples (I0 = x - x_mid for the inverse-power
+        ansatz), each anchored at the midpoint; a k0 or k1 sample that is
+        not finite raises PoleError.
+
+        h is the step of the Grid whose nodes x are, so it follows from x,
+        and the array's sample entry keeps I0 and I1 alongside the W pairs
+        per m (and the sign of a zero m), all read from the entry's (k0, k1)
+        pair; readers fetched once serve a whole chain."""
         arr = np.asarray(x, dtype=float)
         entry = _entry(self._samples, arr)
         by_m = entry.setdefault("W", {})
+
+        def parts():
+            if "k" not in entry:
+                entry["k"] = self._k_parts(arr)
+            return entry["k"]
+
+        def integral(m):
+            m = self._require_m(m)
+            held = entry.get("int k")
+            if held is None:
+                k0, k1 = parts()
+                mid = arr.size // 2
+                I0 = (arr - arr[mid] if k0 is None
+                      else _midpoint_integral(k0, h, mid))
+                held = entry["int k"] = (I0, _midpoint_integral(k1, h, mid))
+            I0, I1 = held
+            out = m * I1
+            if self.kind is FamilyKind.AFFINE:
+                out += I0
+            else:
+                out += (self.params.q / m) * I0
+            return out
 
         def read(m):
             m = float(m)
@@ -212,9 +259,7 @@ class Family(Record):
             pair = by_m.get(m_key)
             if pair is None:
                 self._require_m(m)
-                if "k" not in entry:
-                    entry["k"] = self._k_parts(arr)
-                W = np.asarray(self._k_from(entry["k"], m), dtype=float)
+                W = np.asarray(self._k_from(parts(), m), dtype=float)
                 w_max = float(np.abs(W).max())
                 if not math.isfinite(w_max):   # nan or inf on some sample
                     raise PoleError(
@@ -224,7 +269,7 @@ class Family(Record):
                     del by_m[next(iter(by_m))]
                 pair = by_m[m_key] = (W, w_max)
             return pair
-        return read
+        return integral, read
 
     def _k_coefficients(self, m):
         """(gamma, beta, kappa) with k(., m) = gamma f + beta h + kappa over

@@ -31,7 +31,6 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ._quad import cumulative_simpson_values
 from ._record import Record
 from .errors import (FamilyError, GridTooCoarseError, NormalizationError,
                      OrbitError, PoleError, VerificationError)
@@ -415,15 +414,18 @@ def _unit_norm(psi: np.ndarray, h: float) -> np.ndarray:
     return psi
 
 
-def _state_seed(W: np.ndarray, h: float, sign: int) -> np.ndarray:
-    """exp(sign int W) on the grid of W's samples, with a peak of 1."""
-    # int W anchored to the grid midpoint; the shift to a max of 0 before
-    # exponentiating only changes the constant that normalization absorbs
-    s = cumulative_simpson_values(W, h)
+def _state_seed(s: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign s) for s = int W, in place, with a peak of 1."""
+    # the shift to a max of 0 before exponentiating only changes the
+    # constant that normalization absorbs. A sum that overflowed toward +inf
+    # (or to nan) leaves no finite max and is refused like a non-finite W;
+    # toward -inf the seed is exactly 0 there
     if sign < 0:
         np.negative(s, out=s)
-    s -= s[W.size // 2]
-    s -= s.max()
+    top = float(s.max())
+    if not math.isfinite(top):
+        raise PoleError("superpotential is not finite on the working grid")
+    s -= top
     return np.exp(s, out=s)
 
 
@@ -459,8 +461,9 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
         adjoint = True
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
-    out = _ladder_values(wf.values, wf.h, *family._chain_table(wf.x)(m),
-                         adjoint, float(np.abs(wf.values).max()))
+    W_at = family._chain_table(wf.x, wf.h)[1]
+    out = _ladder_values(wf.values, wf.h, *W_at(m), adjoint,
+                         float(np.abs(wf.values).max()))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
@@ -474,8 +477,9 @@ def excited_state(family: Family, m, k: int, direction, grid,
 
     Each state entering a ladder step has a peak of exactly 1: the seed is
     exp(s - max s), and every step divides by its own peak. The state
-    fetches the grid's W table once, which reads W(., p) once per chain
-    parameter and grid (Family._chain_table).
+    fetches the grid's chain readers once (Family._chain_table): the seed
+    reads the grid's held integrals of k0 and k1, and the ladder reads
+    W(., p) once per ladder parameter and grid.
     """
     gobj, xs = _as_grid(grid)
     h = gobj.h
@@ -487,8 +491,8 @@ def excited_state(family: Family, m, k: int, direction, grid,
                   _energy_shift(family, d))
     _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
                                anchor=float(xs[xs.size // 2]))
-    W_at = family._chain_table(xs)
-    psi = _state_seed(W_at(step.seed_parameter)[0], h, step.seed_sign)
+    integral, W_at = family._chain_table(xs, h)
+    psi = _state_seed(integral(step.seed_parameter), step.seed_sign)
     for p in step.operator_parameters:
         psi = _ladder_values(psi, h, *W_at(p), step.adjoint, 1.0)
         peak = float(np.abs(psi).max())
@@ -521,8 +525,8 @@ def ground_state(family: Family, m, direction, grid,
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
     h = gobj.h
-    psi = fix_sign(_unit_norm(_state_seed(family._chain_table(xs)(m)[0], h,
-                                          sign), h))
+    integral = family._chain_table(xs, h)[0]
+    psi = fix_sign(_unit_norm(_state_seed(integral(m), sign), h))
     return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
 
 

@@ -1,14 +1,18 @@
 """The ladder chain of `spectra.excited_state` as it stood before the family
-kept its pole-free cell and its W samples and the chain reused its peaks
-and |psi|, kept as a test oracle.
+kept its pole-free cell, its W samples and its grid integrals and the chain
+reused its peaks and |psi|, kept as a test oracle.
 
 Every pass is the plain one: the seed's cell comes from `natural_domain` on
-each call, every step reads W through `Family.k` and checks it, the
-coarseness gate always masks the state's support, each ladder step takes
-the max of its input state, and normalization, the sign fix and the node
-count each take their own |psi|. The grid spacing is the Grid's h.
-The library's chain must give the same states bit for bit and refuse the
-same levels with the same errors.
+each call, the seed integrates k0 and k1 afresh, every step reads W through
+`Family.k` and checks it, the coarseness gate always masks the state's
+support, each ladder step takes the max of its input state, and
+normalization, the sign fix and the node count each take their own |psi|.
+The grid spacing is the Grid's h. The seed is exp(sign (I0 + p I1)) with
+I0 and I1 the cumulative Simpson integrals of k0 and k1 from the grid
+midpoint (I0 = x - x_mid and q/p for its weight on the inverse-power
+ansatz), the affine split of int W(., p). The library's chain must give
+the same states bit for bit and refuse the same levels with the same
+errors.
 """
 
 import math
@@ -20,6 +24,7 @@ from shapeinv import spectra
 from shapeinv._quad import cumulative_simpson_values
 from shapeinv.errors import (GridTooCoarseError, NormalizationError,
                              OrbitError, PoleError, VerificationError)
+from shapeinv.families import FamilyKind
 from shapeinv.numerics import GridFunction, derivative, integrate
 
 _WHOLE_LINE = (-math.inf, math.inf)
@@ -66,10 +71,7 @@ def _require_seed_normalizable(family, p: float, sign: int, anchor: float):
 
 
 def _W_samples(family, xs: np.ndarray, p: float) -> np.ndarray:
-    W = np.asarray(family.k(xs, p), dtype=float)
-    if not np.all(np.isfinite(W)):
-        raise PoleError("superpotential is not finite on the working grid")
-    return W
+    return _finite(family.k(xs, p))
 
 
 def _normalized(psi: np.ndarray, h: float) -> np.ndarray:
@@ -80,13 +82,33 @@ def _normalized(psi: np.ndarray, h: float) -> np.ndarray:
     return fix_sign(psi / nrm)
 
 
+def _finite(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise PoleError("superpotential is not finite on the working grid")
+    return values
+
+
+def _integral_from_midpoint(values: np.ndarray, h: float) -> np.ndarray:
+    acc = cumulative_simpson_values(values, h)
+    return acc - acc[values.size // 2]
+
+
 def _state_seed(family, xs: np.ndarray, h: float, p: float,
                 sign: int) -> np.ndarray:
-    W = _W_samples(family, xs, p)
-    s = sign * cumulative_simpson_values(W, h)
-    s -= s[xs.size // 2]
-    s -= np.max(s)
-    return np.exp(s)
+    mid = xs.size // 2
+    if family.kind is FamilyKind.AFFINE:
+        I0 = _integral_from_midpoint(_finite(family.k0(xs)), h)
+        I1 = _integral_from_midpoint(_finite(family.k1(xs)), h)
+        s = I0 + p * I1
+    else:
+        I1 = _integral_from_midpoint(_finite(family.k1(xs)), h)
+        s = (family.params.q / p) * (xs - xs[mid]) + p * I1
+    s = sign * s
+    top = np.max(s)
+    if not np.isfinite(top):
+        raise PoleError("superpotential is not finite on the working grid")
+    return np.exp(s - top)
 
 
 def _ladder_values(psi: np.ndarray, xs: np.ndarray, h: float, family,

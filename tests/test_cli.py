@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import DATA, GOLDEN, run_cli, stderr_diag
@@ -677,6 +678,89 @@ def test_grid_too_coarse_diagnostic_carries_h_and_w_max():
     assert diag["error"] == "grid-too-coarse"
     assert diag["h"] == pytest.approx(16.0 / 63.0)
     assert diag["h"] * diag["w_max"] > 0.5
+
+
+def _boundary_cases():
+    """Seeded argv cases at the CLI's input bounds, as (id, argv, config
+    document or None, exit code, diagnostic slug or None on success)."""
+    rng = np.random.default_rng(19)
+
+    def draw(lo, hi):   # log-uniform integer in [lo, hi]
+        return int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+
+    over, n_over = cli._MAX_KMAX + 1, cli._MAX_N + 1
+    cases = []
+    for i in range(3):
+        k = draw(over, 10 ** 12)
+        cases.append((f"kmax-flag-high-{i}", ["spectrum", "--kmax", str(k)],
+                      None, 1, "config"))
+    for i in range(2):
+        cases.append((f"kmax-file-high-{i}", ["eval"],
+                      {"kmax": draw(over, 10 ** 12)}, 1, "config"))
+    for i in range(2):
+        k = -draw(1, 10 ** 9)
+        cases.append((f"kmax-flag-low-{i}", ["spectrum", "--kmax", str(k)],
+                      None, 1, "config"))
+    cases.append(("kmax-file-low", ["spectrum"], {"kmax": -draw(1, 10 ** 9)},
+                  1, "config"))
+    for k in (0, cli._MAX_KMAX):
+        cases.append((f"kmax-flag-edge-{k}", ["spectrum", "--kmax", str(k)],
+                      None, 0, None))
+    cases.append(("kmax-file-inside", ["spectrum"],
+                  {"kmax": int(rng.integers(1, 9))}, 0, None))
+    for i in range(2):
+        n = draw(n_over, 10 ** 15)
+        cases.append((f"n-flag-high-{i}", ["eval", f"--grid=-8,8,{n}"],
+                      None, 1, "config"))
+    cases.append(("n-file-high", ["spectrum", "--mode", "numeric"],
+                  {"grid": {"xmin": -8, "xmax": 8, "n": draw(n_over, 10 ** 15)}},
+                  1, "config"))
+    for flag in ("--m", "--tol"):
+        for value in rng.choice(["nan", "inf", "-inf"], size=2, replace=False):
+            # "--m -inf" would read -inf as an option: a usage error
+            cases.append((f"{flag[2:]}-flag-{value}",
+                          ["spectrum", "--mode", "both", f"{flag}={value}"],
+                          None, 1, "config"))
+    cases.append(("m-file-nan", ["spectrum"], {"m": math.nan}, 1, "config"))
+    cases.append(("tol-file-inf", ["spectrum", "--mode", "both"],
+                  {"tol": math.inf}, 1, "config"))
+    for family, pole, argv in (("TypeA", 0.0, ["eval"]),
+                               ("TypeA", math.pi, ["spectrum", "--mode",
+                                                   "numeric", "--m", "2"]),
+                               ("TypeF:q=-3", 0.0, ["eval", "--m", "2"])):
+        lo, hi = pole - rng.uniform(0.2, 1.0), pole + rng.uniform(0.2, 1.0)
+        cases.append((f"pole-{family[:5]}-{argv[0]}",
+                      argv + ["--family", family, f"--grid={lo!r},{hi!r},1001"],
+                      None, 2, "pole"))
+    for i in range(2):
+        key = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz_"), size=6))
+        cases.append((f"unknown-key-{i}", ["spectrum"], {key: 1}, 1, "config"))
+    return cases
+
+
+BOUNDARY_CASES = _boundary_cases()
+
+
+@pytest.mark.parametrize("argv, doc, code, slug",
+                         [case[1:] for case in BOUNDARY_CASES],
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_boundary_inputs_exit_with_one_diagnostic(tmp_path, capsys, argv, doc,
+                                                  code, slug):
+    # in-process, so that an exception escaping main fails the test rather
+    # than printing a traceback
+    argv = list(argv) + ["--format", "json"]
+    if doc is not None:
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if slug is None:
+        assert err == "" and json.loads(out)
+        return
+    assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
+    diag = json.loads(err)
+    assert diag["error"] == slug and isinstance(diag["message"], str)
 
 
 def test_no_subcommand_usage():

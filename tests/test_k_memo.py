@@ -1,6 +1,7 @@
 """The two memos of a Family: `_samples`, the entry for the last sample
 array (the (k0, k1) pair behind Family.k, the (k0', k1') pair behind
-Family.k_prime, and the ladder chain's W per chain parameter), and `_memo`,
+Family.k_prime, the grid's integrals of k0 and k1 behind every chain seed,
+and the ladder chain's W per chain parameter), and `_memo`,
 the scalar results of a request (pole-free cells, seed verdicts, orbit
 sums). Outputs stay bit-identical to a fresh family's, whatever the call
 history; refusals are raised again and never held; each memo stays private
@@ -508,8 +509,10 @@ def test_w_table_refuses_a_non_finite_w_every_time():
 
 
 def test_chain_reads_each_parameter_once_per_grid(monkeypatch):
-    # levels 0-4 of a decreasing TypeA chain use parameters m + 1 .. m + 5,
-    # and the grid's (k0, k1) pair is evaluated once for all of them
+    # levels 0-4 of a decreasing TypeA chain ladder through parameters
+    # m + 1 .. m + 4 (their seeds at m + 1 .. m + 5 read the grid's
+    # integrals, not W), and the grid's (k0, k1) pair is evaluated once for
+    # all of them
     fam = preset_params("TypeA")
     reads, pairs = [], []
     real_from, real_k1 = Family._k_from, Family.k1
@@ -528,8 +531,94 @@ def test_chain_reads_each_parameter_once_per_grid(monkeypatch):
     for level in range(5):
         excited_state(fam, 2.0, level, "decreasing", grid)
     k1_bytes = real_k1(fam, grid.x).tobytes()
-    assert sorted(reads) == [(k1_bytes, 2.0 + p) for p in range(1, 6)]
+    assert sorted(reads) == [(k1_bytes, 2.0 + p) for p in range(1, 5)]
     assert pairs == [grid.x.tobytes()]
+
+
+def _count_quadratures(monkeypatch) -> list:
+    calls = []
+    real = families.cumulative_simpson_values
+
+    def counted(values, h):
+        calls.append(1)
+        return real(values, h)
+
+    monkeypatch.setattr(families, "cumulative_simpson_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, consts, m, window, per_grid", [
+    ("TypeA", {}, 2.0, (0.05, math.pi - 0.05), 2),
+    ("TypeB_real", dict(b=-0.5, D=-2.0), 3.5, (-6.0, 10.0), 2),
+    ("TypeF", dict(q=-3.0), 2.0, (0.5, 60.0), 1),
+])
+def test_seed_integrals_run_once_per_grid(monkeypatch, name, consts, m,
+                                          window, per_grid):
+    # every chain seed of a grid reads one held integral of k1 (and of k0
+    # for the affine ansatz), however many states it builds
+    fam = preset_params(name, **consts)
+    spec = spectrum_analytic(fam, m, 3)
+    assert len(spec.levels) >= 3
+    calls = _count_quadratures(monkeypatch)
+
+    def states(family, x):
+        ground_state(family, m, spec.direction, x)
+        for k, _ in spec.levels:
+            excited_state(family, m, k, spec.direction, x)
+
+    grid = Grid(*window, 2001)
+    states(fam, grid)
+    assert len(calls) == per_grid
+    states(fam, grid)
+    assert len(calls) == per_grid
+    states(fam, Grid(*window, 3001))       # a second grid
+    assert len(calls) == 2 * per_grid
+    x = np.array(grid.x)
+    states(fam, x)                         # the first grid again
+    assert len(calls) == 3 * per_grid
+    x += 0.01                              # mutated in place
+    states(fam, x)
+    assert len(calls) == 4 * per_grid
+    for other in (copy.copy(fam), copy.deepcopy(fam),
+                  pickle.loads(pickle.dumps(fam))):
+        assert other._samples == {}
+        states(other, x)
+    assert len(calls) == 7 * per_grid
+
+
+def _seed(fam, grid, p, sign):
+    return spectra._state_seed(fam._chain_table(grid.x, grid.h)[0](p), sign)
+
+
+def test_seed_integrals_refuse_a_non_finite_sample_every_time():
+    # far left of its well at c = 100 the Morse k0 overflows: the seed is
+    # refused with the ladder's PoleError, and the refusal is not held
+    fam = preset_params("TypeB_real", c=100.0, b=-70000.0, D=400.0)
+    grid = Grid(-8.0, 8.0, 501)
+    for _ in range(2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PoleError) as info:
+                _seed(fam, grid, 2.0, -1)
+        assert str(info.value) == ("superpotential is not finite on the "
+                                   "working grid")
+        assert "int k" not in riccati._entry(fam._samples, grid.x)
+
+
+def test_an_overflowing_seed_exponent():
+    # finite integrals, but p I1 overflows. TypeA's I1 = log(sin x / sin
+    # x_mid) is near 0 mid-grid and falls toward the walls: with sign +1
+    # the exponent overflows to -inf at the ends only, where the seed is
+    # exactly 0, as exp underflows there anyway; with sign -1 it overflows
+    # to +inf, has no finite max and is refused like a non-finite W
+    fam = preset_params("TypeA")
+    grid = Grid(0.1, 3.0, 101)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = _seed(fam, grid, 1e308, +1)
+        assert np.isfinite(seed).all() and seed.max() == 1.0
+        assert seed[0] == seed[-1] == 0.0
+        with pytest.raises(PoleError) as info:
+            _seed(fam, grid, 1e308, -1)
+    assert str(info.value) == "superpotential is not finite on the working grid"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The ladder chain of excited_state against its plain form
 (ladder_oracle): the same states bit for bit, and the same refusals, on a
-fresh family and on one whose memos earlier calls have filled."""
+fresh family and on one whose memos earlier calls have filled. Level-0
+states, whose seed reads the grid's integrals of k0 and k1, also agree
+with a seed that integrates W itself."""
 
+import copy
 import math
 
 import numpy as np
@@ -10,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladder_oracle
+from shapeinv import spectra
+from shapeinv._quad import cumulative_simpson_values
 from shapeinv.errors import GridTooCoarseError, ShapeInvError
 from shapeinv.families import PRESET_NAMES, preset_params
 from shapeinv.numerics import Grid
-from shapeinv.spectra import (excited_state, resolve_direction,
-                              spectrum_analytic)
+from shapeinv.spectra import (ChainDirection, excited_state, ground_state,
+                              resolve_direction, spectrum_analytic)
 
 
 def _constants(name, u, m):
@@ -155,3 +160,56 @@ def test_typea_grids_toward_the_poles_match_the_plain_chain(n, m):
         assert bound_failed_built >= 4
     else:
         assert refused >= 4
+
+
+def _state_from_int_W(fam, grid, p, sign):
+    """The level-0 state of the seed exp(sign int W(., p)), with int W the
+    cumulative Simpson integral of the W samples from the grid midpoint."""
+    xs, h = grid.x, grid.h
+    s = sign * cumulative_simpson_values(ladder_oracle._W_samples(fam, xs, p),
+                                         h)
+    s -= s[xs.size // 2]
+    return ladder_oracle._normalized(np.exp(s - np.max(s)), h)
+
+
+def _check_level_zero(name, u, m, n) -> int:
+    """Level-0 states of both builders against a seed from int W, within
+    1e-11 of the peak, and the same bytes again on a warm family and on a
+    fresh copy of it; returns how many states were built."""
+    consts = _constants(name, u, m)
+    fam = preset_params(name, **consts)
+    grid = _grid(fam, name, consts, m, n)
+    try:
+        direction = resolve_direction(fam, m)
+    except ShapeInvError:
+        return 0
+    ground_sign = -1 if direction is ChainDirection.IncreasingL else +1
+    cases = ((lambda f: ground_state(f, m, direction, grid), m, ground_sign),
+             (lambda f: excited_state(f, m, 0, direction, grid),
+              *spectra._seed(m, 0, direction)))
+    built = 0
+    for build, p, sign in cases:
+        try:
+            got = build(fam).values
+        except ShapeInvError:
+            continue
+        want = _state_from_int_W(preset_params(name, **consts), grid, p, sign)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        assert build(fam).values.tobytes() == got.tobytes()
+        assert build(copy.copy(fam)).values.tobytes() == got.tobytes()
+        built += 1
+    return built
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(name=st.sampled_from(PRESET_NAMES), n=st.sampled_from(SIZES),
+       m=st.floats(1.5, 5.0),
+       u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_level_zero_states_match_a_seed_from_int_W(name, n, m, u):
+    _check_level_zero(name, u, m, n)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_builds_both_level_zero_states(name):
+    # the sweep above compares states on every preset, not only refusals
+    assert _check_level_zero(name, (0.5, 0.5, 0.5, 0.5), 3.0, 2001) == 2

@@ -313,6 +313,8 @@ REFUSALS = {
                  FamilyError, "inverse-power ansatz requires q != 0"),
     "RunConfig-m": (lambda: cli.RunConfig(m=math.nan),
                     ValueError, "m must be a finite number, got nan"),
+    "RunConfig-kmax": (lambda: cli.RunConfig(kmax=10001), ValueError,
+                       "kmax = 10001 is out of range: need 0 <= kmax <= 10000"),
     "RunConfig-n": (lambda: cli.RunConfig(grid={"xmin": 0.0, "xmax": 1.0,
                                                 "n": 10 ** 7}),
                     ValueError, "grid n = 10000000 is too large: "
