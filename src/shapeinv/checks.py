@@ -44,6 +44,20 @@ class CheckResult(Record):
         }
 
 
+# The suites' fixed knobs: a report is reproducible byte for byte only
+# with these, so no caller sets them.
+_MARGIN = 1e-2     # the distance samples keep from poles and cell ends
+_HALF = 3.0        # the half-width of the sampling window around A
+_K_MIX = 0.35      # the generic superposition parameter
+_LADDER_KMAX = 4   # the oscillator levels 0-3 the ladder suite compares
+# the seed, draws and points per draw of each sampled check
+_RICCATI_SEED, _RICCATI_DRAWS, _RICCATI_POINTS = 7, 200, 400
+_SUPERPOSITION_SEED, _SUPERPOSITION_POINTS = 19, 300
+_BLOCK_SEED, _BLOCK_DRAWS, _BLOCK_POINTS = 23, 60, 200
+_SHAPE_SEED, _RECORDS_SEED, _FUNCTIONAL_SEED = 11, 13, 17
+_SHAPE_POINTS = 200   # per window, in each of the three shape checks
+
+
 def _result(name, worst, tol, detail="", grid=None) -> CheckResult:
     worst = float(worst)
     return CheckResult(name=name, passed=bool(worst <= tol), max_residual=worst,
@@ -54,26 +68,27 @@ def _grid_meta(grid: numerics.Grid) -> dict:
     return {"x0": grid.x0, "x1": grid.x1, "n": grid.n, "h": grid.h}
 
 
-def _sample_regular(sol: riccati.RiccatiSolution, rng, n_pts: int,
-                    margin: float = 1e-2, half: float = 3.0) -> np.ndarray:
-    """Points around A staying at least `margin` away from every pole."""
-    lo, hi = sol.A - half, sol.A + half
+def _sample_regular(sol: riccati.RiccatiSolution, rng,
+                    n_pts: int) -> np.ndarray:
+    """Points around A staying at least _MARGIN away from every pole."""
+    lo, hi = sol.A - _HALF, sol.A + _HALF
     xs = rng.uniform(lo, hi, 4 * n_pts)
     for pole in sol.singularities((lo - 1.0, hi + 1.0)):
-        xs = xs[np.abs(xs - pole) >= margin]
+        xs = xs[np.abs(xs - pole) >= _MARGIN]
     if xs.size < n_pts:
         raise RuntimeError("pole layout left too few regular sample points")
     return xs[:n_pts]
 
 
-def _family_window(family: families.Family, n_pts: int, rng,
-                   margin: float = 1e-2, half: float = 3.0) -> np.ndarray:
-    """Uniform samples in a pole-free cell near A, margin away from the ends."""
+def _family_window(family: families.Family, n_pts: int, rng) -> np.ndarray:
+    """Uniform samples in a pole-free cell near A, _MARGIN away from the
+    ends."""
     for shift in (0.37, 1.11, -0.53, 0.73):
         anchor = family.params.A + shift
-        lo, hi = family.natural_domain(1.0, anchor, (anchor - half, anchor + half))
-        if hi - lo > 10.0 * margin:
-            return rng.uniform(lo + margin, hi - margin, n_pts)
+        lo, hi = family.natural_domain(1.0, anchor,
+                                       (anchor - _HALF, anchor + _HALF))
+        if hi - lo > 10.0 * _MARGIN:
+            return rng.uniform(lo + _MARGIN, hi - _MARGIN, n_pts)
     raise RuntimeError("no usable pole-free sampling cell near the anchor")
 
 
@@ -95,8 +110,7 @@ def _draw_solution(rng, idx: int):
     return riccati.general_solution(a, A, B)
 
 
-def check_riccati_residuals(n_draws: int = 200, n_pts: int = 400,
-                            seed: int = 7):
+def check_riccati_residuals():
     """Residuals of y' = a - y^2 and y z + z' = b from the closed forms, and
     z' against alpha f' + beta h' (relative to max(1, |alpha f' + beta h'|)).
 
@@ -104,13 +118,13 @@ def check_riccati_residuals(n_draws: int = 200, n_pts: int = 400,
     z' as b - y z from z's own numerator, which satisfies the companion
     equation whatever that numerator is.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RICCATI_SEED)
     worst_y = 0.0
     worst_z = 0.0
     worst_dz = 0.0
-    for i in range(n_draws):
+    for i in range(_RICCATI_DRAWS):
         sol = _draw_solution(rng, i)
-        xs = _sample_regular(sol, rng, n_pts)
+        xs = _sample_regular(sol, rng, _RICCATI_POINTS)
         y = sol.evaluate(xs)
         res = sol.derivative(xs) + y * y - sol.a
         worst_y = max(worst_y, float(np.max(np.abs(res))))
@@ -125,7 +139,8 @@ def check_riccati_residuals(n_draws: int = 200, n_pts: int = 400,
         comb = alpha * form.df(xs) + beta * form.dh(xs)
         res_dz = np.abs(dz - comb) / np.maximum(1.0, np.abs(comb))
         worst_dz = max(worst_dz, float(np.max(res_dz)))
-    detail = f"{n_draws} draws x {n_pts} points, margin 1e-2 from poles"
+    detail = (f"{_RICCATI_DRAWS} draws x {_RICCATI_POINTS} points, "
+              "margin 1e-2 from poles")
     return (_result("riccati-residual", worst_y, 1e-9, detail),
             _result("companion-residual", worst_z, 1e-9, detail),
             _result("companion-derivative", worst_dz, 1e-9,
@@ -149,21 +164,22 @@ def _mix_values(ws, k):
     return num, den
 
 
-def check_superposition(n_pts: int = 300, seed: int = 19, k_mix: float = 0.35):
+def check_superposition():
     """The cross-ratio combination: endpoint values and the generic-k residual.
 
     The derivative of the combined solution is reconstructed by the quotient
     rule from the three members' closed-form derivatives, so the residual test
     does not lean on the library's own derivative path.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SUPERPOSITION_SEED)
+    k_mix, n_pts = _K_MIX, _SUPERPOSITION_POINTS
     worst_end = 0.0
     worst_res = 0.0
     for label, (s1, s2, s3) in _superposition_triples().items():
         xs = rng.uniform(s1.A - 2.0, s1.A + 2.0, 6 * n_pts)
         for sol in (s1, s2, s3):
             for pole in sol.singularities((s1.A - 3.0, s1.A + 3.0)):
-                xs = xs[np.abs(xs - pole) >= 1e-2]
+                xs = xs[np.abs(xs - pole) >= _MARGIN]
         ws = [np.asarray(s.evaluate(xs), dtype=float) for s in (s1, s2, s3)]
         dws = [np.asarray(s.derivative(xs), dtype=float) for s in (s1, s2, s3)]
         scale = np.abs(ws[0]) + np.abs(ws[1]) + np.abs(ws[2]) + 1.0
@@ -195,17 +211,16 @@ def check_superposition(n_pts: int = 300, seed: int = 19, k_mix: float = 0.35):
             _result("superposition-residual", worst_res, 1e-9, detail))
 
 
-def check_block_identities(n_draws: int = 60, n_pts: int = 200,
-                           seed: int = 23) -> CheckResult:
+def check_block_identities() -> CheckResult:
     """First-derivative identities of the six building blocks at finite B."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_BLOCK_SEED)
     worst = 0.0
 
     def upd(res):
         nonlocal worst
         worst = max(worst, float(np.max(np.abs(res))))
 
-    for i in range(n_draws):
+    for i in range(_BLOCK_DRAWS):
         A = rng.uniform(-2.0, 2.0)
         B = rng.uniform(-4.0, 4.0)
         c = rng.uniform(0.3, 2.5)
@@ -215,7 +230,7 @@ def check_block_identities(n_draws: int = 60, n_pts: int = 200,
         fam = families.Family(
             params=families.FamilyParams(sign=sign, A=A, B=riccati.ExtendedReal(B)),
             kind=families.FamilyKind.AFFINE)
-        xs = _family_window(fam, n_pts, rng)
+        xs = _family_window(fam, _BLOCK_POINTS, rng)
         bs = fam.basis()
         f, h, df, dh = bs.f(xs), bs.h(xs), bs.df(xs), bs.dh(xs)
         if kind == "pos":
@@ -230,11 +245,12 @@ def check_block_identities(n_draws: int = 60, n_pts: int = 200,
             upd(df - c * (B * B + 1.0) * h * h)
             upd(dh - c * f * h)
     return _result("block-derivative-identities", worst, 1e-9,
-                   f"{n_draws} draws x {n_pts} points, both closed forms")
+                   f"{_BLOCK_DRAWS} draws x {_BLOCK_POINTS} points, "
+                   "both closed forms")
 
 
-def suite_riccati(seed: int = 7) -> list:
-    out = list(check_riccati_residuals(seed=seed))
+def suite_riccati() -> list:
+    out = list(check_riccati_residuals())
     out += list(check_superposition())
     out.append(check_block_identities())
     return out
@@ -270,29 +286,29 @@ def _shape_configs() -> list:
     return out
 
 
-def check_shape_invariance(seed: int = 11, n_pts: int = 200) -> CheckResult:
+def check_shape_invariance() -> CheckResult:
     """max_x |Vtilde(x, m) - V(x, m-1) - R(m-1)| across every family."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SHAPE_SEED)
     worst = 0.0
     for label, fam in _shape_configs():
         pp = partners.pair_from_family(fam)
         for m in (2.0, 3.0, 4.5):
-            xs = _family_window(fam, n_pts, rng)
+            xs = _family_window(fam, _SHAPE_POINTS, rng)
             res = partners.shape_invariance_residual(pp, fam, m, xs)
             worst = max(worst, float(np.max(np.abs(res))))
     return _result("shape-invariance", worst, 1e-8,
                    "12 family configurations, m in {2, 3, 4.5}")
 
 
-def check_coefficient_records(seed: int = 13, n_pts: int = 200) -> CheckResult:
+def check_coefficient_records() -> CheckResult:
     """Closed-form potential records against the W-built partner pair."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RECORDS_SEED)
     worst = 0.0
     for label, fam in _shape_configs():
         pp = partners.pair_from_family(fam)
         d = fam.params.d
         for m in (2.0, 3.0, 4.5):
-            xs = _family_window(fam, n_pts, rng)
+            xs = _family_window(fam, _SHAPE_POINTS, rng)
             rec = partners.closed_form_potentials(fam, m)
             res_v = rec.V_minus_d(xs) + d - pp.V(xs, m)
             res_vt = rec.Vtilde_minus_d(xs) + d - pp.Vtilde(xs, m)
@@ -303,14 +319,14 @@ def check_coefficient_records(seed: int = 13, n_pts: int = 200) -> CheckResult:
                    "records vs W^2 -+ W' for 12 configurations")
 
 
-def check_functional_equation(seed: int = 17, n_pts: int = 200) -> CheckResult:
+def check_functional_equation() -> CheckResult:
     """k^2(x, m+1) - k^2(x, m) + k'(x, m+1) + k'(x, m) = L(m) - L(m+1)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FUNCTIONAL_SEED)
     worst = 0.0
     for label, fam in _shape_configs():
         for _ in range(3):
             m = rng.uniform(1.0, 5.0)
-            xs = _family_window(fam, n_pts, rng)
+            xs = _family_window(fam, _SHAPE_POINTS, rng)
             k0 = fam.k(xs, m)
             k1 = fam.k(xs, m + 1.0)
             res = (k1 * k1 - k0 * k0 + fam.k_prime(xs, m + 1.0)
@@ -320,8 +336,8 @@ def check_functional_equation(seed: int = 17, n_pts: int = 200) -> CheckResult:
                    "12 configurations, random m in [1, 5]")
 
 
-def suite_shape(seed: int = 11) -> list:
-    return [check_shape_invariance(seed=seed), check_coefficient_records(),
+def suite_shape() -> list:
+    return [check_shape_invariance(), check_coefficient_records(),
             check_functional_equation()]
 
 
@@ -399,7 +415,8 @@ def _intertwining_defect(fam: families.Family, m: float, grid: numerics.Grid,
     return num / den
 
 
-def suite_ladder(n: int = 2001, kmax: int = 4) -> list:
+def suite_ladder(n: int = 2001) -> list:
+    kmax = _LADDER_KMAX
     out = []
     fam = families.preset_params("TypeD", b=1.0)
     grid = numerics.Grid(-8.0, 8.0, n)

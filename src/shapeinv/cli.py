@@ -4,10 +4,8 @@ Subcommands: families (preset catalogue), eval (sample W, V, Vtilde on a
 grid), spectrum (analytic ladder sums, finite-difference oracle, or both),
 verify (residual suites), wavefunction (one chain-built state plus sidecar
 metadata). Every failure path prints a one-line JSON diagnostic to stderr and
-exits with a stable code:
-
-    0 success   1 usage/config   2 pole on grid   3 tolerance breach
-    4 non-normalizable state     5 verification failure   6 truncated chain
+exits with a stable code, 1 to 6 (the README's "Exit codes"); `_FAILURES`
+maps every exception that reaches `main` to its diagnostic and code.
 
 Data outputs carry no timestamps so reruns are byte-identical; the only
 version stamp is the `generated_by` field in wavefunction metadata.
@@ -19,13 +17,12 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
 from . import families, numerics, partners, riccati, spectra
 from ._record import Record
-from .errors import (BoundaryConditionError, FamilyError, GridTooCoarseError,
+from .errors import (BoundaryConditionError, GridTooCoarseError,
                      NormalizationError, OrbitError, PoleError, ShapeInvError,
                      VerificationError)
 
@@ -51,9 +48,8 @@ _MAX_KMAX = 10_000
 
 
 def _diag(slug: str, message: str, **extra) -> None:
-    payload = {"error": slug, "message": message}
-    payload.update(extra)
-    sys.stderr.write(json.dumps(payload) + "\n")
+    sys.stderr.write(json.dumps({"error": slug, "message": message, **extra})
+                     + "\n")
 
 
 def _f(v) -> str:
@@ -64,151 +60,136 @@ def _f(v) -> str:
 # ---------------------------------------------------------------------------
 # run configuration
 
-def _default_family() -> dict:
-    return families.family_to_json(families.preset_params("TypeD", b=1.0))
+def _count(label: str, value) -> int:
+    """A JSON number that is an integer, kept exact."""
+    families.json_number(label, value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _level(label: str, value) -> int:
+    """A level index: 0 <= value <= _MAX_KMAX."""
+    k = _count(label, value)
+    if not 0 <= k <= _MAX_KMAX:
+        raise ValueError(f"{label} = {k} is out of range: "
+                         f"need 0 <= {label} <= {_MAX_KMAX}")
+    return k
+
+
+def _family(label: str, value) -> dict:
+    families.family_from_json(value)  # validates schema and values
+    return dict(value)
+
+
+def _grid(label: str, value):
+    if value == "auto":
+        return value
+    if not isinstance(value, dict) or set(value) != {"xmin", "xmax", "n"}:
+        raise ValueError(f'{label} must be "auto" or {{xmin, xmax, n}}')
+    grid = {key: families.json_number(f"{label} {key}", value[key])
+            for key in ("xmin", "xmax")}
+    grid["n"] = n = _count(f"{label} n", value["n"])
+    if n > _MAX_N:
+        raise ValueError(f"{label} n = {n} is too large: need n <= {_MAX_N}")
+    return grid
+
+
+def _path(label: str, value):
+    # open() would take a bool or an integer as a file descriptor
+    if not isinstance(value, (str, type(None))):
+        raise ValueError(f"output {label} must be a string or null, "
+                         f"got {value!r}")
+    return value
+
+
+# Every run-config field, once: (field, config-file key, flag, converter,
+# default, help). A dotted key sits in a section of the file. A converter
+# takes (label, value) to the checked value or raises ValueError naming the
+# label, or is the tuple of allowed strings; RunConfig runs every value
+# through it, whether from a default, a config file or a flag. The rows
+# follow the record's fields, which its repr, its copies and the
+# --dump-config keys keep.
+_CONFIG = (
+    ("family", "family", "--family", _family,
+     families.family_to_json(families.preset_params("TypeD", b=1.0)),
+     "preset name, 'Preset:key=val,...', or a JSON family descriptor"),
+    ("m", "m", "--m", families.json_number, 1.0, "chain parameter m"),
+    ("direction", "direction", "--direction",
+     ("auto", "decreasing", "increasing"), "auto", "chain direction"),
+    ("grid", "grid", "--grid", _grid, "auto", '"auto" or "xmin,xmax,n"'),
+    ("kmax", "kmax", "--kmax", _level, 4, "highest level index"),
+    ("d", "d", "--d", families.json_number, 0.0,
+     "factorization energy shift"),
+    ("tol", "tol", "--tol", families.json_number, 1e-2,
+     "comparison tolerance, in units of c^2"),
+    ("output_path", "output.path", "--out", _path, None,
+     "output file (default: standard output)"),
+    ("output_format", "output.format", "--format", ("csv", "json"), "csv",
+     "output format"),
+    ("pole_margin", "pole_margin", "--pole-margin", families.json_number,
+     1e-3, "distance kept from potential poles, in units of 1/c"),
+)
 
 
 class RunConfig(Record):
-    _fields = ("family", "m", "direction", "grid", "kmax", "d", "tol",
-               "output_path", "output_format", "pole_margin")
+    _fields = tuple(row[0] for row in _CONFIG)
 
-    def __init__(self, family: Optional[dict] = None, m: float = 1.0,
-                 direction: str = "auto", grid="auto", kmax: int = 4,
-                 d: float = 0.0, tol: float = 1e-2,
-                 output_path: Optional[str] = None,
-                 output_format: str = "csv", pole_margin: float = 1e-3):
-        # defaults, config files and flags all end up here; family constants
-        # are checked by the descriptor parser. grid is "auto" or
-        # {"xmin", "xmax", "n"}
-        for name, value in (("m", m), ("d", d), ("tol", tol),
-                            ("pole_margin", pole_margin)):
-            _require_finite(name, value)
-        if grid != "auto":
-            for key in ("xmin", "xmax"):
-                _require_finite(f"grid {key}", grid[key])
-            if grid["n"] > _MAX_N:
-                raise ValueError(f"grid n = {grid['n']} is too large: "
-                                 f"need n <= {_MAX_N}")
-        if not 0 <= kmax <= _MAX_KMAX:
-            raise ValueError(f"kmax = {kmax} is out of range: "
-                             f"need 0 <= kmax <= {_MAX_KMAX}")
-        self.__dict__.update(
-            family=_default_family() if family is None else family, m=m,
-            direction=direction, grid=grid, kmax=kmax, d=d, tol=tol,
-            output_path=output_path, output_format=output_format,
-            pole_margin=pole_margin)
+    def __init__(self, *args, **kwargs):
+        # fields by position (copies and pickles pass them so) or by name,
+        # a name overriding a position; a field not given takes its default
+        given = dict(zip(self._fields, args), **kwargs)
+        for name, key, _, convert, default, _ in _CONFIG:
+            label = key.rpartition(".")[2]
+            value = given.pop(name, default)
+            if not isinstance(convert, tuple):
+                value = convert(label, value)
+            elif value not in convert:
+                raise ValueError(f"{label} must be {', '.join(convert[:-1])} "
+                                 f"or {convert[-1]}")
+            self.__dict__[name] = value
+        if given:
+            raise TypeError(f"unknown RunConfig fields: {sorted(given)}")
 
     def to_json(self) -> dict:
-        return {
-            "family": dict(self.family),
-            "m": self.m,
-            "direction": self.direction,
-            "grid": self.grid if self.grid == "auto" else dict(self.grid),
-            "kmax": self.kmax,
-            "d": self.d,
-            "tol": self.tol,
-            "output": {"path": self.output_path, "format": self.output_format},
-            "pole_margin": self.pole_margin,
-        }
+        doc = {}
+        for name, key, *_ in _CONFIG:
+            section, _, sub = key.rpartition(".")
+            value = getattr(self, name)
+            into = doc.setdefault(section, {}) if section else doc
+            into[sub] = dict(value) if isinstance(value, dict) else value
+        return doc
 
     @classmethod
-    def from_json(cls, obj: dict) -> "RunConfig":
+    def from_json(cls, obj) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        known = {"family", "m", "direction", "grid", "kmax", "d", "tol",
-                 "output", "pole_margin"}
-        unknown = set(obj) - known
+        keys = [row[1].rpartition(".") for row in _CONFIG]
+        unknown = set(obj) - {section or sub for section, _, sub in keys}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "family" in obj:
-            kwargs["family"] = _check_family_descriptor(obj["family"])
-        if "m" in obj:
-            kwargs["m"] = _as_float("m", obj["m"])
-        if "direction" in obj:
-            kwargs["direction"] = _check_direction(obj["direction"])
-        if "grid" in obj:
-            kwargs["grid"] = _check_grid(obj["grid"])
-        if "kmax" in obj:
-            kwargs["kmax"] = _as_int("kmax", obj["kmax"])
-        if "d" in obj:
-            kwargs["d"] = _as_float("d", obj["d"])
-        if "tol" in obj:
-            kwargs["tol"] = _as_float("tol", obj["tol"])
-        if "output" in obj:
-            out = obj["output"]
-            if not isinstance(out, dict) or set(out) - {"path", "format"}:
-                raise ValueError("config output must be {path, format}")
-            if "path" in out:
-                # open() would take a bool or an integer as a file descriptor
-                if not isinstance(out["path"], (str, type(None))):
-                    raise ValueError("output path must be a string or null, "
-                                     f"got {out['path']!r}")
-                kwargs["output_path"] = out["path"]
-            if "format" in out:
-                kwargs["output_format"] = _check_format(out["format"])
-        if "pole_margin" in obj:
-            kwargs["pole_margin"] = _as_float("pole_margin", obj["pole_margin"])
-        return cls(**kwargs)
+        given = {}
+        for (name, *_), (section, _, sub) in zip(_CONFIG, keys):
+            doc = obj
+            if section:
+                doc = obj.get(section, {})
+                subs = [s for sec, _, s in keys if sec == section]
+                if not isinstance(doc, dict) or set(doc) - set(subs):
+                    raise ValueError(f"config {section} must be "
+                                     f"{{{', '.join(subs)}}}")
+            if sub in doc:
+                given[name] = doc[sub]
+        return cls(**given)
 
     def build_family(self) -> families.Family:
         return families.family_from_json(self.family)
 
 
-def _require_finite(name: str, value) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _as_float(name: str, value) -> float:
-    # a config file's number is taken as it is, never coerced from a bool or
-    # a string; the bound is False for nan, inf and integers beyond the
-    # double range alike
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_int(name: str, value) -> int:
-    _as_float(name, value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_family_descriptor(obj) -> dict:
-    families.family_from_json(obj)  # validates schema and values
-    return dict(obj)
-
-
-def _check_direction(value: str) -> str:
-    if value not in ("auto", "decreasing", "increasing"):
-        raise ValueError("direction must be auto, decreasing or increasing")
-    return value
-
-
-def _check_format(value: str) -> str:
-    if value not in ("csv", "json"):
-        raise ValueError("format must be csv or json")
-    return value
-
-
-def _check_grid(value):
-    if value == "auto":
-        return "auto"
-    if not isinstance(value, dict) or set(value) != {"xmin", "xmax", "n"}:
-        raise ValueError('grid must be "auto" or {xmin, xmax, n}')
-    return {"xmin": _as_float("grid xmin", value["xmin"]),
-            "xmax": _as_float("grid xmax", value["xmax"]),
-            "n": _as_int("grid n", value["n"])}
-
-
-def _parse_family_flag(text: str) -> dict:
+def _parse_family_flag(text: str):
     """Either a raw JSON descriptor or 'Preset[:key=value,...]'."""
     text = text.strip()
     if text.startswith("{"):
-        return _check_family_descriptor(json.loads(text))
+        return json.loads(text)
     name, _, tail = text.partition(":")
     constants = {}
     if tail:
@@ -217,14 +198,13 @@ def _parse_family_flag(text: str) -> dict:
             if not _ or not key:
                 raise ValueError(f"bad family constant {piece!r}; use key=value")
             key = key.strip()
-            constants[key] = float(val)
             # here, before the range checks of preset_params hide the cause
-            _require_finite(repr(key), constants[key])
+            constants[key] = families.json_number(repr(key), float(val))
     try:
         fam = families.preset_params(name, **constants)
     except TypeError as exc:
         raise ValueError(f"unknown family constant: {exc}") from exc
-    return _check_family_descriptor(families.family_to_json(fam))
+    return families.family_to_json(fam)
 
 
 def _parse_grid_flag(text: str):
@@ -238,23 +218,24 @@ def _parse_grid_flag(text: str):
             "n": int(parts[2])}
 
 
+# how argparse reads a flag: as a number, or as text that these parse after
+# it, so that a bad one is a config error; a tuple converter gives choices
+_FLAG_TYPES = {families.json_number: float, _level: int}
+_FLAG_TEXT = {_family: _parse_family_flag, _grid: _parse_grid_flag}
+
+
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = RunConfig.from_json(json.load(fh))
-    values = dict(zip(cfg._fields, cfg._values()))
-    # each flag given overrides a field; two are parsed from their text
-    parse = {"family": _parse_family_flag, "grid": _parse_grid_flag}
-    for flag, name in (("family", "family"), ("m", "m"),
-                       ("direction", "direction"), ("grid", "grid"),
-                       ("kmax", "kmax"), ("d", "d"), ("tol", "tol"),
-                       ("out", "output_path"), ("format", "output_format"),
-                       ("pole_margin", "pole_margin")):
-        value = getattr(args, flag, None)
+    flags = {}   # each flag given overrides its field
+    for name, _, flag, convert, _, _ in _CONFIG:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            values[name] = parse[flag](value) if flag in parse else value
-    return RunConfig(**values)
+            flags[name] = (_FLAG_TEXT[convert](value) if convert in _FLAG_TEXT
+                           else value)
+    return RunConfig(*cfg._values(), **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +331,17 @@ def cmd_families(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _eval_points(cfg: RunConfig, fam: families.Family) -> np.ndarray:
+def cmd_eval(args, cfg: RunConfig) -> int:
+    fam = cfg.build_family()
     # eval samples closed forms only, so it is free of the minimum node
     # count the finite-difference grid type enforces
     if cfg.grid == "auto":
-        grid = _auto_grid(cfg, fam)
-        return grid.x
-    n = cfg.grid["n"]
-    if n < 2:
+        xs = _auto_grid(cfg, fam).x
+    elif cfg.grid["n"] < 2:
         raise ValueError("eval grid needs at least 2 nodes")
-    return np.linspace(cfg.grid["xmin"], cfg.grid["xmax"], n)
-
-
-def _eval_samples(cfg: RunConfig, fam: families.Family, xs: np.ndarray):
+    else:
+        xs = np.linspace(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"])
+    _require_pole_free(fam, cfg.m, (float(xs[0]), float(xs[-1])))
     pp = partners.pair_from_family(fam, cfg.d)
     W = np.asarray(fam.k(xs, cfg.m), dtype=float)
     V = np.asarray(pp.V(xs, cfg.m), dtype=float)
@@ -371,14 +350,6 @@ def _eval_samples(cfg: RunConfig, fam: families.Family, xs: np.ndarray):
     if np.any(bad):
         raise PoleError("potential is not finite on the requested grid",
                         locations=[float(x) for x in xs[bad][:8]])
-    return xs, W, V, Vt
-
-
-def cmd_eval(args, cfg: RunConfig) -> int:
-    fam = cfg.build_family()
-    xs = _eval_points(cfg, fam)
-    _require_pole_free(fam, cfg.m, (float(xs[0]), float(xs[-1])))
-    xs, W, V, Vt = _eval_samples(cfg, fam, xs)
     if cfg.output_format == "json":
         doc = {"columns": ["x", "W", "V", "Vtilde"],
                "rows": [[float(a), float(b), float(c), float(e)]
@@ -407,24 +378,21 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     mode = args.mode
     report = {"mode": mode, "m": cfg.m, "direction": direction.value,
               "d": cfg.d}
-    analytic = None
     if mode in ("analytic", "both"):
-        spec = spectra.spectrum_analytic(fam, cfg.m, cfg.kmax, direction,
-                                         cfg.d)
-        if not spec.levels:
+        analytic = spectra.spectrum_analytic(fam, cfg.m, cfg.kmax, direction,
+                                             cfg.d)
+        if not analytic.levels:
             _diag("non-normalizable",
-                  spec.truncation_reason or "no normalizable ground state",
+                  analytic.truncation_reason or "no normalizable ground state",
                   direction=direction.value)
             return EXIT_NORMALIZABILITY
-        analytic = spec
-        block = {"levels": [{"k": k, "E": e} for k, e in spec.levels],
+        block = {"levels": [{"k": k, "E": e} for k, e in analytic.levels],
                  "partner_levels": [{"k": k, "E": e}
-                                    for k, e in spec.partner_levels],
-                 "truncated": spec.truncated}
-        if spec.truncated:
-            block["truncation_reason"] = spec.truncation_reason
+                                    for k, e in analytic.partner_levels],
+                 "truncated": analytic.truncated}
+        if analytic.truncated:
+            block["truncation_reason"] = analytic.truncation_reason
         report["analytic"] = block
-    numeric = None
     if mode in ("numeric", "both"):
         seed = spectra.check_normalizable(fam, cfg.m, direction)
         if not seed:
@@ -439,38 +407,30 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         numeric = numerics.spectrum_numeric(lambda x: pp.V(x, cfg.m), grid,
                                             cfg.kmax + 1)
         err = numeric.error_estimate
-        levels = []
-        for k in range(len(numeric)):
-            rich = None
-            if err is not None and np.isfinite(err[k]):
-                rich = float(err[k])
-            levels.append({"k": k, "E": float(numeric.energies[k]),
-                           "richardson": rich})
+        levels = [{"k": k, "E": float(e),
+                   "richardson": (float(err[k]) if err is not None
+                                  and np.isfinite(err[k]) else None)}
+                  for k, e in enumerate(numeric.energies)]
         report["numeric"] = {"levels": levels, "grid": _grid_meta(grid)}
-    exit_code = EXIT_OK
     if mode == "both":
         tol = cfg.tol * _rate(fam) ** 2   # in units of c^2
         rows = []
         worst = 0.0
-        for k, e_an in analytic.levels:
-            if k >= len(numeric):
-                break
-            e_num = float(numeric.energies[k])
-            diff = abs(e_an - e_num)
+        # both lists count levels from k = 0 up
+        for (k, e_an), level in zip(analytic.levels, levels):
+            diff = abs(e_an - level["E"])
             worst = max(worst, diff)
-            rich = report["numeric"]["levels"][k]["richardson"]
-            rows.append({"k": k, "E_analytic": e_an, "E_numeric": e_num,
-                         "abs_diff": diff, "richardson": rich})
-        within = worst <= tol
+            rows.append({"k": k, "E_analytic": e_an, "E_numeric": level["E"],
+                         "abs_diff": diff, "richardson": level["richardson"]})
         report["comparison"] = {"tol": tol, "levels": rows,
-                                "max_abs_diff": worst, "within_tol": within}
-        if not within:
-            exit_code = EXIT_TOLERANCE
+                                "max_abs_diff": worst,
+                                "within_tol": worst <= tol}
     _emit(json.dumps(report, indent=2) + "\n", cfg)
-    if exit_code == EXIT_TOLERANCE:
+    if mode == "both" and not report["comparison"]["within_tol"]:
         _diag("tolerance", "analytic and numeric levels disagree beyond tol",
-              max_abs_diff=report["comparison"]["max_abs_diff"], tol=tol)
-    return exit_code
+              max_abs_diff=worst, tol=tol)
+        return EXIT_TOLERANCE
+    return EXIT_OK
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
@@ -491,6 +451,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_wavefunction(args, cfg: RunConfig) -> int:
+    k = _level("k", args.k)
     if cfg.output_format == "csv" and not cfg.output_path:
         _diag("usage", "wavefunction in csv format needs --out for the "
               "sidecar; use --format json for standard output")
@@ -504,10 +465,10 @@ def cmd_wavefunction(args, cfg: RunConfig) -> int:
     grid = _resolve_grid(cfg, fam)
     _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
     try:
-        wf = spectra.excited_state(fam, cfg.m, args.k, direction, grid, cfg.d)
+        wf = spectra.excited_state(fam, cfg.m, k, direction, grid, cfg.d)
     except (OrbitError, NormalizationError) as exc:
         bound = spectra.max_level(fam, cfg.m, direction)
-        _diag("truncated-chain", str(exc), requested_level=args.k,
+        _diag("truncated-chain", str(exc), requested_level=k,
               max_level=bound)
         return EXIT_TRUNCATION
     meta = {
@@ -544,29 +505,35 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _parse_optional(self, arg_string):
+        # a number is a flag's value in every form float() reads, such as
+        # -1e-3 and -inf, not only in the -1 and -.5 forms argparse knows
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
+def _add_flag(sub: argparse.ArgumentParser, row) -> None:
+    _, _, flag, convert, _, help_text = row
+    if isinstance(convert, tuple):
+        sub.add_argument(flag, choices=convert, help=help_text)
+    else:
+        sub.add_argument(flag, type=_FLAG_TYPES.get(convert), help=help_text)
+
 
 def _add_shared(sub: argparse.ArgumentParser) -> None:
+    # the usage lists --config, the output flags and --tol, --dump-config,
+    # then the other fields in their order
+    rows = {row[2]: row for row in _CONFIG}
     sub.add_argument("--config", help="JSON run configuration file")
-    sub.add_argument("--out", help="output file (default: standard output)")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     help="output format")
-    sub.add_argument("--tol", type=float,
-                     help="comparison tolerance, in units of c^2")
+    for flag in ("--out", "--format", "--tol"):
+        _add_flag(sub, rows.pop(flag))
     sub.add_argument("--dump-config", action="store_true",
                      help="print the resolved configuration and exit")
-    sub.add_argument("--family",
-                     help="preset name, 'Preset:key=val,...', or a JSON "
-                          "family descriptor")
-    sub.add_argument("--m", type=float, help="chain parameter m")
-    sub.add_argument("--direction",
-                     choices=("auto", "decreasing", "increasing"),
-                     help="chain direction")
-    sub.add_argument("--grid", help='"auto" or "xmin,xmax,n"')
-    sub.add_argument("--kmax", type=int, help="highest level index")
-    sub.add_argument("--d", type=float, help="factorization energy shift")
-    sub.add_argument("--pole-margin", type=float, dest="pole_margin",
-                     help="distance kept from potential poles, in units "
-                          "of 1/c")
+    for row in rows.values():
+        _add_flag(sub, row)
 
 
 # subcommand: (help, handler, its own arguments before the shared ones)
@@ -607,6 +574,21 @@ def build_parser(argv=None) -> _Parser:
     return parser
 
 
+# every failure main reports, the first match winning: (exception types,
+# diagnostic slug, exit code, the exception's attributes the diagnostic
+# carries)
+_FAILURES = (
+    (PoleError, "pole", EXIT_POLE, ("locations",)),
+    (NormalizationError, "non-normalizable", EXIT_NORMALIZABILITY,
+     ("divergent_end",)),
+    (OrbitError, "orbit", EXIT_NORMALIZABILITY, ()),
+    (GridTooCoarseError, "grid-too-coarse", EXIT_USAGE, ("h", "w_max")),
+    (VerificationError, "verification", EXIT_VERIFY, ()),
+    (BoundaryConditionError, "boundary", EXIT_VERIFY, ()),
+    ((ShapeInvError, ValueError, OSError), "config", EXIT_USAGE, ()),
+)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -624,30 +606,12 @@ def main(argv=None) -> int:
                 sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
                 return EXIT_OK
             return args.handler(args, cfg)
-    except PoleError as exc:
-        _diag("pole", str(exc),
-              locations=getattr(exc, "locations", None))
-        return EXIT_POLE
-    except NormalizationError as exc:
-        _diag("non-normalizable", str(exc),
-              divergent_end=getattr(exc, "divergent_end", None))
-        return EXIT_NORMALIZABILITY
-    except OrbitError as exc:
-        _diag("orbit", str(exc))
-        return EXIT_NORMALIZABILITY
-    except GridTooCoarseError as exc:
-        _diag("grid-too-coarse", str(exc), h=exc.h, w_max=exc.w_max)
-        return EXIT_USAGE
-    except VerificationError as exc:
-        _diag("verification", str(exc))
-        return EXIT_VERIFY
-    except BoundaryConditionError as exc:
-        _diag("boundary", str(exc))
-        return EXIT_VERIFY
-    except (FamilyError, ShapeInvError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        _diag("config", str(exc))
-        return EXIT_USAGE
+    except Exception as exc:
+        for types, slug, code, attrs in _FAILURES:
+            if isinstance(exc, types):
+                _diag(slug, str(exc), **{a: getattr(exc, a) for a in attrs})
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ __all__ = [
     "SignClass", "positive_a", "zero_a", "negative_a",
     "FamilyKind", "FamilyParams", "Family",
     "preset_params", "preset_catalogue", "PRESET_NAMES",
-    "family_to_json", "family_from_json",
+    "family_to_json", "family_from_json", "json_number",
 ]
 
 
@@ -406,17 +406,9 @@ def preset_params(name: str, *, c: float = 1.0, A: float = 0.0, b: float = 0.0,
 
 def preset_catalogue() -> list:
     """Stable sorted records describing the presets (for the CLI listing)."""
-    out = []
-    for name in PRESET_NAMES:
-        pd = _PRESETS[name]
-        out.append({
-            "name": name,
-            "kind": pd.kind.value,
-            "sign": pd.sign_kind,
-            "B": pd.B.to_json(),
-            "free": list(pd.free),
-        })
-    return out
+    return [{"name": name, "kind": pd.kind.value, "sign": pd.sign_kind,
+             "B": pd.B.to_json(), "free": list(pd.free)}
+            for name, pd in sorted(_PRESETS.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +418,23 @@ _FAMILY_KEYS = ("kind", "sign", "c", "A", "B", "b", "D", "q", "t", "d")
 _NUMERIC_KEYS = ("c", "A", "b", "D", "q", "t", "d")
 
 
+def json_number(name: str, value) -> float:
+    """value as a float if it is a number the JSON schemas take: never a
+    bool or a string, and finite, so within the double range; else
+    ValueError naming it."""
+    # the bound is False for nan, inf and integers beyond the double range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def family_to_json(family: Family) -> dict:
     p = family.params
-    return {
-        "kind": family.kind.value,
-        "sign": p.sign.kind,
-        "c": p.sign.c,
-        "A": p.A,
-        "B": p.B.to_json(),
-        "b": p.b,
-        "D": p.D,
-        "q": p.q,
-        "t": p.t,
-        "d": p.d,
-    }
+    named = {"kind": family.kind.value, "sign": p.sign.kind, "c": p.sign.c,
+             "B": p.B.to_json()}
+    return {key: named[key] if key in named else getattr(p, key)
+            for key in _FAMILY_KEYS}
 
 
 def family_from_json(obj: dict) -> Family:
@@ -459,28 +454,17 @@ def family_from_json(obj: dict) -> Family:
     sign_kind = obj["sign"]
     if sign_kind not in ("pos", "zero", "neg"):
         raise ValueError(f"sign must be 'pos', 'zero', or 'neg', got {sign_kind!r}")
-    vals = {}
-    for key in _NUMERIC_KEYS:
-        raw = obj.get(key, 1.0 if key in ("c", "q") else 0.0)
-        # False for nan, inf and integers beyond the double range alike
-        if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-                or not abs(raw) <= sys.float_info.max):
-            raise ValueError(
-                f"family descriptor field {key!r} must be a finite number, got {raw!r}")
-        vals[key] = float(raw)
+    vals = {key: json_number(f"family descriptor field {key!r}",
+                             obj.get(key, 1.0 if key in ("c", "q") else 0.0))
+            for key in _NUMERIC_KEYS}
     b_raw = obj.get("B", 0.0)
-    if isinstance(b_raw, str):
-        if b_raw != "inf":
-            raise ValueError("B must be a number or the string 'inf'")
+    if b_raw == "inf":
         B = INFINITY
-    elif isinstance(b_raw, bool) or not isinstance(b_raw, (int, float)):
-        raise ValueError("B must be a number or the string 'inf'")
-    elif isinstance(b_raw, int) and not abs(b_raw) <= sys.float_info.max:
-        raise ValueError("family descriptor field 'B' must be a finite number "
-                         "or 'inf', got an integer beyond the double range")
+    elif isinstance(b_raw, float):   # +-inf is the limit too, nan refused
+        B = ExtendedReal(b_raw)
+    elif isinstance(b_raw, int) and not isinstance(b_raw, bool):
+        B = ExtendedReal(json_number("family descriptor field 'B'", b_raw))
     else:
-        B = ExtendedReal(float(b_raw))
-    params = FamilyParams(sign=SignClass(sign_kind, vals["c"]), A=vals["A"],
-                          B=B, b=vals["b"], D=vals["D"], q=vals["q"],
-                          t=vals["t"], d=vals["d"])
-    return Family(params=params, kind=kind)
+        raise ValueError("B must be a number or the string 'inf'")
+    sign = SignClass(sign_kind, vals.pop("c"))
+    return Family(params=FamilyParams(sign=sign, B=B, **vals), kind=kind)

@@ -41,8 +41,7 @@ def run_checks(fn, *args, **kwargs):
 
 
 def test_criterion_01_riccati_residual_sweep():
-    results, worst, ok, elapsed = run_checks(
-        checks.check_riccati_residuals, n_draws=200)
+    results, worst, ok, elapsed = run_checks(checks.check_riccati_residuals)
     report("criterion 01 riccati residuals", ok, worst, elapsed, 5)
     assert ok and worst <= 1e-9
     assert elapsed < 5.0

@@ -4,8 +4,10 @@ byte stability."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +312,19 @@ def test_wavefunction_nodes_count_the_interior():
     assert doc["nodes"] == 4
 
 
+def test_wavefunction_level_bound_is_checked_before_the_orbit_walk(capsys):
+    # the walk costs about 31 us a level: --k 100000 once ran 3.1 s before
+    # its node check refused the state
+    t0 = time.perf_counter()
+    code = cli.main(["wavefunction", "--k", "10001", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and elapsed < 0.05
+    assert json.loads(err) == {
+        "error": "config",
+        "message": "k = 10001 is out of range: need 0 <= k <= 10000"}
+
+
 def test_wavefunction_beyond_bound_exit_6():
     code, _, err = run_cli("wavefunction", "--family", "HyperbolicTanh",
                            "--m", "3", "--k", "5", "--format", "json")
@@ -323,16 +338,24 @@ def test_wavefunction_beyond_bound_exit_6():
 # ---------------------------------------------------------------------------
 # config handling
 
-def test_dump_config_round_trip(tmp_path):
-    code, out, _ = run_cli("spectrum", "--family", "TypeA", "--m", "2",
-                           "--kmax", "2", "--tol", "5e-3", "--dump-config")
-    assert code == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(out)
-    code2, out2, _ = run_cli("spectrum", "--config", str(cfg),
-                             "--dump-config")
-    assert code2 == 0
-    assert out2 == out
+def test_dump_config_round_trip(tmp_path, capsys):
+    # the defaults, each shipped config file and a flags-only run: a dump
+    # read back through --config dumps the same bytes, and a shipped file
+    # is its own dump
+    shipped = sorted(DATA.glob("*.json"))
+    runs = [[], ["--family", "TypeA", "--m", "2", "--kmax", "2", "--tol",
+                 "5e-3"]] + [["--config", str(path)] for path in shipped]
+    for flags in runs:
+        code, out, err = _run_in_process(capsys, "spectrum", *flags,
+                                         "--dump-config")
+        assert code == 0 and err == "", flags
+        if flags[:1] == ["--config"]:
+            assert out == Path(flags[1]).read_text(), flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(out)
+        again = _run_in_process(capsys, "spectrum", "--config", str(cfg),
+                                "--dump-config")
+        assert again == (0, out, ""), flags
 
 
 def test_flags_override_config():
@@ -374,6 +397,11 @@ def test_malformed_family_flag():
     (["--family", "TypeD:b=nan"], "'b'"),
     (["--grid=nan,8,2001"], "grid xmin"),
     (["--grid=-8,inf,2001"], "grid xmax"),
+    # a negative value after a space
+    (["--m", "-inf"], "m"),
+    (["--d", "-inf"], "d"),
+    (["--tol", "-inf"], "tol"),
+    (["--pole-margin", "-inf"], "pole_margin"),
 ])
 def test_non_finite_flags_are_config_errors(flags, field):
     code, out, err = run_cli("spectrum", *flags)
@@ -717,7 +745,6 @@ def _boundary_cases():
                   1, "config"))
     for flag in ("--m", "--tol"):
         for value in rng.choice(["nan", "inf", "-inf"], size=2, replace=False):
-            # "--m -inf" would read -inf as an option: a usage error
             cases.append((f"{flag[2:]}-flag-{value}",
                           ["spectrum", "--mode", "both", f"{flag}={value}"],
                           None, 1, "config"))
@@ -735,6 +762,16 @@ def _boundary_cases():
     for i in range(2):
         key = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz_"), size=6))
         cases.append((f"unknown-key-{i}", ["spectrum"], {key: 1}, 1, "config"))
+    # a value after a space, in any form float() or int() reads
+    cases += [("m-flag-space--inf", ["spectrum", "--m", "-inf"], None, 1,
+               "config"),
+              ("d-flag-space-exponent", ["spectrum", "--d", "-1e-3"], None,
+               0, None),
+              ("kmax-flag-space-underscore", ["spectrum", "--kmax", "-1_0"],
+               None, 1, "config")]
+    for k in (-1, cli._MAX_KMAX + 1):
+        cases.append((f"k-flag-{k}", ["wavefunction", "--k", str(k)], None,
+                      1, "config"))
     return cases
 
 
@@ -761,6 +798,54 @@ def test_boundary_inputs_exit_with_one_diagnostic(tmp_path, capsys, argv, doc,
     assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
     diag = json.loads(err)
     assert diag["error"] == slug and isinstance(diag["message"], str)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--d", "-1e-3"],
+    ["spectrum", "--m", "-2.5E0", "--mode", "both"],
+    ["spectrum", "--tol", "-1e-2"],
+    ["spectrum", "--pole-margin", "-1e-3", "--mode", "numeric"],
+    ["spectrum", "--kmax", "-1_0"],
+    ["wavefunction", "--k", "-1e0"],
+], ids=["d", "m", "tol", "pole-margin", "kmax", "k"])
+def test_numeric_flag_value_after_a_space(capsys, argv):
+    # the same bytes and exit code as the value after '='
+    joined = argv[:1] + [f"{argv[1]}={argv[2]}"] + argv[3:]
+    spaced = _run_in_process(capsys, *argv, "--format", "json")
+    assert spaced == _run_in_process(capsys, *joined, "--format", "json")
+
+
+def _readme_exit_codes() -> dict:
+    """code -> the diagnostic slugs of its row in README's "Exit codes"."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Exit codes", 1)[1]
+    rows = {}
+    for line in section.split("\n#", 1)[0].splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 3 and cells[0].strip().isdigit():
+            rows[int(cells[0])] = re.findall(r"`([a-z-]+)`", cells[2])
+    return rows
+
+
+FAILURES = [(exc, slug, code, attrs)
+            for types, slug, code, attrs in cli._FAILURES
+            for exc in (types if isinstance(types, tuple) else (types,))]
+
+
+@pytest.mark.parametrize("exc, slug, code, attrs", FAILURES,
+                         ids=[row[0].__name__ for row in FAILURES])
+def test_failure_table_matches_the_readme(monkeypatch, capsys, exc, slug,
+                                          code, attrs):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "_resolve_config", fail)
+    assert cli.main(["families"]) == code
+    out, err = capsys.readouterr()
+    diag = json.loads(err)
+    assert out == "" and list(diag) == ["error", "message", *attrs]
+    assert (diag["error"], diag["message"]) == (slug, "boom")
+    assert slug in _readme_exit_codes()[code]
 
 
 def test_no_subcommand_usage():
