@@ -212,48 +212,29 @@ def check_superposition():
 
 
 def check_block_identities() -> CheckResult:
-    """First-derivative identities of the six building blocks at finite B."""
+    """Each row's f' and h' against the quadratic forms of its algebra(),
+    and its invariant, which vanishes on the row, on the riccati suite's
+    kind of draws: every fourth takes the B = infinity row."""
     rng = np.random.default_rng(_BLOCK_SEED)
     worst = 0.0
-
-    def upd(res):
-        nonlocal worst
-        worst = max(worst, float(np.max(np.abs(res))))
-
     for i in range(_BLOCK_DRAWS):
-        A = rng.uniform(-2.0, 2.0)
-        B = rng.uniform(-4.0, 4.0)
-        c = rng.uniform(0.3, 2.5)
-        kind = ("pos", "zero", "neg")[i % 3]
-        sign = {"pos": families.positive_a(c), "zero": families.zero_a(),
-                "neg": families.negative_a(c)}[kind]
-        fam = families.Family(
-            params=families.FamilyParams(sign=sign, A=A, B=riccati.ExtendedReal(B)),
-            kind=families.FamilyKind.AFFINE)
-        xs = _family_window(fam, _BLOCK_POINTS, rng)
-        bs = fam.basis()
-        f, h, df, dh = bs.f(xs), bs.h(xs), bs.df(xs), bs.dh(xs)
-        if kind == "pos":
-            upd(df - c * (1.0 - f * f))
-            upd(df - c * (B * B - 1.0) * h * h)
-            upd(dh + c * f * h)
-        elif kind == "zero":
-            upd(df + B * f * f)
-            upd(dh + B * f * h - 1.0)
-        else:
-            upd(df - c * (1.0 + f * f))
-            upd(df - c * (B * B + 1.0) * h * h)
-            upd(dh - c * f * h)
+        sol = _draw_solution(rng, i)
+        xs = _sample_regular(sol, rng, _BLOCK_POINTS)
+        form = sol.form
+        f, h = form.f(xs), form.h(xs)
+        df, dh, invariant = form.algebra()
+        for res in (form.df(xs) - riccati.quadratic(df, f, h),
+                    form.dh(xs) - riccati.quadratic(dh, f, h),
+                    riccati.quadratic(invariant, f, h)):
+            worst = max(worst, float(np.max(np.abs(res))))
     return _result("block-derivative-identities", worst, 1e-9,
                    f"{_BLOCK_DRAWS} draws x {_BLOCK_POINTS} points, "
                    "both closed forms")
 
 
 def suite_riccati() -> list:
-    out = list(check_riccati_residuals())
-    out += list(check_superposition())
-    out.append(check_block_identities())
-    return out
+    return [*check_riccati_residuals(), *check_superposition(),
+            check_block_identities()]
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +317,30 @@ def check_functional_equation() -> CheckResult:
                    "12 configurations, random m in [1, 5]")
 
 
+def check_shape_invariance_exact() -> CheckResult:
+    """Vtilde(m) - V(m-1) - R(m-1) over the records' terms, less its
+    least-squares multiple of the row's invariant: the largest remainder,
+    relative to the largest coefficient of the two records."""
+    worst = 0.0
+    for label, fam in _shape_configs():
+        invariant = dict(zip(riccati.TERMS, fam.basis().algebra()[2]))
+        for m in (2.0, 3.0, 4.5):
+            up = partners.closed_form_potentials(fam, m).Vtilde
+            down = partners.closed_form_potentials(fam, m - 1.0).V
+            diff = np.array([up[key] - down[key] for key in up])
+            diff[-1] -= fam.R(m - 1.0)   # the records' terms end with const
+            inv = np.array([invariant[key] for key in up])
+            rest = diff - (diff @ inv) / (inv @ inv) * inv
+            scale = max(map(abs, [*up.values(), *down.values()]))
+            worst = max(worst, float(np.max(np.abs(rest))) / scale)
+    return _result("shape-invariance-exact", worst, 1e-12,
+                   "12 configurations, m in {2, 3, 4.5}, relative to the "
+                   "largest coefficient")
+
+
 def suite_shape() -> list:
     return [check_shape_invariance(), check_coefficient_records(),
-            check_functional_equation()]
+            check_functional_equation(), check_shape_invariance_exact()]
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +352,22 @@ def suite_adjoint(n: int = 2001) -> list:
     meta = _grid_meta(grid)
     out = []
 
-    fam = families.preset_params("TypeD", b=1.0)
-    W = fam.k
+    W = families.preset_params("TypeD", b=1.0).k
+    W0 = families.preset_params("TypeD", b=0.0).k
     phi = numerics.GridFunction(grid, np.exp(-(xs - 1.0) ** 2))
     psi = numerics.GridFunction(grid, np.exp(-(xs + 0.5) ** 2 / 1.5))
-    try:
-        defect = numerics.adjointness_defect(W, 1.0, phi, psi)
-        out.append(_result("adjoint-defect-gaussian", defect, 1e-6,
-                           "W = x, offset Gaussian pair", meta))
-    except BoundaryConditionError as exc:
-        out.append(CheckResult("adjoint-defect-gaussian", False, math.inf,
-                               1e-6, f"unexpected boundary refusal: {exc}", meta))
-
-    trivial = families.preset_params("TypeD", b=0.0)
-    W0 = trivial.k
     mode = numerics.GridFunction(grid, np.sin(math.pi * (xs + 8.0) / 16.0))
-    try:
-        defect0 = numerics.adjointness_defect(W0, 1.0, mode, mode)
-        out.append(_result("adjoint-defect-box-mode", defect0, 1e-8,
-                           "W = 0, first box mode against itself", meta))
-    except BoundaryConditionError as exc:
-        out.append(CheckResult("adjoint-defect-box-mode", False, math.inf,
-                               1e-8, f"unexpected boundary refusal: {exc}", meta))
+    for name, Wk, u, v, tol, detail in (
+            ("adjoint-defect-gaussian", W, phi, psi, 1e-6,
+             "W = x, offset Gaussian pair"),
+            ("adjoint-defect-box-mode", W0, mode, mode, 1e-8,
+             "W = 0, first box mode against itself")):
+        try:
+            defect = numerics.adjointness_defect(Wk, 1.0, u, v)
+            out.append(_result(name, defect, tol, detail, meta))
+        except BoundaryConditionError as exc:
+            out.append(CheckResult(name, False, math.inf, tol,
+                                   f"unexpected boundary refusal: {exc}", meta))
 
     leaky = numerics.GridFunction(grid, np.exp(xs / 8.0))
     try:

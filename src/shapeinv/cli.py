@@ -77,6 +77,20 @@ def _level(label: str, value) -> int:
     return k
 
 
+def _tolerance(label: str, value) -> float:
+    v = families.json_number(label, value)
+    if v < 0.0:
+        raise ValueError(f"{label} = {v!r} is out of range: need {label} >= 0")
+    return v
+
+
+def _margin(label: str, value) -> float:
+    v = families.json_number(label, value)
+    if v <= 0.0:
+        raise ValueError(f"{label} = {v!r} is out of range: need {label} > 0")
+    return v
+
+
 def _family(label: str, value) -> dict:
     families.family_from_json(value)  # validates schema and values
     return dict(value)
@@ -121,14 +135,14 @@ _CONFIG = (
     ("kmax", "kmax", "--kmax", _level, 4, "highest level index"),
     ("d", "d", "--d", families.json_number, 0.0,
      "factorization energy shift"),
-    ("tol", "tol", "--tol", families.json_number, 1e-2,
+    ("tol", "tol", "--tol", _tolerance, 1e-2,
      "comparison tolerance, in units of c^2"),
     ("output_path", "output.path", "--out", _path, None,
      "output file (default: standard output)"),
     ("output_format", "output.format", "--format", ("csv", "json"), "csv",
      "output format"),
-    ("pole_margin", "pole_margin", "--pole-margin", families.json_number,
-     1e-3, "distance kept from potential poles, in units of 1/c"),
+    ("pole_margin", "pole_margin", "--pole-margin", _margin, 1e-3,
+     "distance kept from potential poles, in units of 1/c"),
 )
 
 
@@ -220,7 +234,8 @@ def _parse_grid_flag(text: str):
 
 # how argparse reads a flag: as a number, or as text that these parse after
 # it, so that a bad one is a config error; a tuple converter gives choices
-_FLAG_TYPES = {families.json_number: float, _level: int}
+_FLAG_TYPES = {families.json_number: float, _tolerance: float,
+               _margin: float, _level: int}
 _FLAG_TEXT = {_family: _parse_family_flag, _grid: _parse_grid_flag}
 
 

@@ -164,9 +164,10 @@ class Family(Record):
 
     @property
     def is_trivial(self) -> bool:
-        """True when k(x, m) has no x dependence for any m: f is constant
-        and k = gamma f + beta h + kappa carries no h."""
-        return self.basis().f_is_constant and self._k_coefficients(1.0)[1] == 0.0
+        """True when k(x, m) has no x dependence for any m: f' = 0 in the
+        row's algebra() and k = gamma f + beta h + kappa carries no h."""
+        return (not any(self.basis().algebra()[0])
+                and self._k_coefficients(1.0)[1] == 0.0)
 
     # -- evaluation ----------------------------------------------------------
 

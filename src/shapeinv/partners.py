@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .errors import FamilyError
-from .families import Family, FamilyKind
+from .families import Family
+from .riccati import TERMS, quadratic
 
 __all__ = [
     "PotentialPair", "pair_from_family", "shape_invariance_residual",
@@ -81,10 +81,9 @@ class PotentialRecord(Record):
 
     def _eval(self, coeffs, x):
         bs = self.family.basis()
-        f = np.asarray(bs.f(x), dtype=float)
-        h = np.asarray(bs.h(x), dtype=float)
-        out = (coeffs["f2"] * f * f + coeffs["fh"] * f * h
-               + coeffs["h2"] * h * h + coeffs["f"] * f + coeffs["const"])
+        out = quadratic([coeffs.get(key, 0.0) for key in TERMS],
+                        np.asarray(bs.f(x), dtype=float),
+                        np.asarray(bs.h(x), dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def V_minus_d(self, x):
@@ -102,51 +101,26 @@ class PotentialRecord(Record):
         }
 
 
-def _zeros():
-    return {k: 0.0 for k in _COEFF_KEYS}
-
-
 def closed_form_potentials(family: Family, m) -> PotentialRecord:
     """Exact expansion of the partner pair in the family's (f, h) basis.
 
-    On the rows with a = 0, f' = -kappa f^2 and y = kappa f; on the others,
-    f' = c kappa h^2 and y = scale f with scale = +-c.
+    With k(., m) = gamma f + beta h + kappa (Family._k_coefficients) and f',
+    h' read from the row's algebra(), the record is W^2 -+ W' expanded term
+    by term and nothing else: no multiple of the row's invariant is folded
+    in, so the inverse-power rows with a != 0 keep an f^2 term. The h term,
+    2 beta kappa, is zero in both ansatze and is not kept.
     """
     m = float(m)
-    p = family.params
-    affine = family.kind is FamilyKind.AFFINE
-    if not affine and m == 0.0:
-        raise FamilyError("inverse-power family is undefined at m = 0")
+    gamma, beta, kappa = family._k_coefficients(m)
     form = family.basis()
-    kappa, scale, c, q = form.kappa, family._y.scale, p.sign.c, p.q
-    V, Vt = _zeros(), _zeros()
-    if not affine:
-        V["f"] = Vt["f"] = 2.0 * q * scale
-    if p.sign.kind == "zero":
-        if affine:
-            V["h2"] = Vt["h2"] = p.b * p.b
-            V["f2"] = (p.D + m * kappa) * (p.D + (m + 1.0) * kappa)
-            Vt["f2"] = (p.D + m * kappa) * (p.D + (m - 1.0) * kappa)
-            V["fh"] = 2.0 * p.b * (p.D + (m + 0.5) * kappa)
-            Vt["fh"] = 2.0 * p.b * (p.D + (m - 0.5) * kappa)
-            V["const"] = -p.b
-            Vt["const"] = p.b
-        else:
-            V["const"] = Vt["const"] = q * q / (m * m)
-            V["f2"] = m * (m + 1.0) * kappa * kappa
-            Vt["f2"] = m * (m - 1.0) * kappa * kappa
-    elif affine:
-        a = p.sign.a
-        beta = p.b + m * a
-        V["f2"] = Vt["f2"] = beta * beta / (c * c)
-        V["fh"] = (p.D / c) * (2.0 * beta + a)
-        Vt["fh"] = (p.D / c) * (2.0 * beta - a)
-        V["h2"] = p.D * p.D - kappa * beta
-        Vt["h2"] = p.D * p.D + kappa * beta
-    else:
-        V["const"] = Vt["const"] = q * q / (m * m) + m * m * scale * c
-        V["h2"] = -m * (m + 1.0) * scale * c * kappa
-        Vt["h2"] = -m * (m - 1.0) * scale * c * kappa
+    df, dh, _ = form.algebra()
+    square = (gamma * gamma, 2.0 * gamma * beta, beta * beta,
+              2.0 * gamma * kappa, 2.0 * beta * kappa, kappa * kappa)
+    slope = [gamma * u + beta * v for u, v in zip(df, dh)]
+    terms = [t for t in zip(TERMS, square, slope) if t[0] in _COEFF_KEYS]
+    # adding 0.0 turns a -0.0 into 0.0
+    V = {key: w - s + 0.0 for key, w, s in terms}
+    Vt = {key: w + s + 0.0 for key, w, s in terms}
     return PotentialRecord(basis=form.basis_name, V=V, Vtilde=Vt,
                            R_at_m=family.R(m), m=m, family=family)
 
@@ -169,12 +143,10 @@ def classify_L_sequence(family: Family, m0, steps: int = 2) -> LSequenceClass:
 
     Every probed parameter must be admissible; an orbit that hits a point
     where L is undefined (inverse-power families at m = 0) raises the
-    family's own error. Fewer than two probed values classify as 'other'.
+    family's own error. At least two values are probed.
     """
     m0 = float(m0)
     values = tuple(family.L(m0 - j) for j in range(max(int(steps), 1) + 1))
-    if len(values) < 2:
-        return LSequenceClass("other", values)
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     if all(dv < 0 for dv in diffs):
         return LSequenceClass("decreasing", values)
@@ -191,9 +163,8 @@ def factorization_residuals(family: Family, m, x, d=None):
       r2 = r(x, m) - r(x, m-1) - 2 k'(x, m)
     """
     m = float(m)
-    if d is None:
-        d = family.params.d
     pp = pair_from_family(family, d)
+    d = pp.d
     r_m = -(pp.V(x, m) - d) - family.L(m)
     r_prev = -(pp.V(x, m - 1.0) - d) - family.L(m - 1.0)
     k_val = family.k(x, m)

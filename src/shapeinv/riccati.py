@@ -53,12 +53,9 @@ INFINITY = ExtendedReal(None)
 
 def as_extended(v) -> ExtendedReal:
     """Coerce a float, int, 'inf', or ExtendedReal to ExtendedReal."""
+    # float() reads 'inf' and '-inf', and ExtendedReal takes both to infinity
     if isinstance(v, ExtendedReal):
         return v
-    if isinstance(v, str):
-        if v.lower() in ("inf", "+inf", "-inf", "infinity"):
-            return INFINITY
-        return ExtendedReal(float(v))
     return ExtendedReal(float(v))
 
 
@@ -119,7 +116,8 @@ def _read_only(*parts) -> tuple:
 # form. h carries a minus sign relative to the bare reciprocal so
 # that one D serves z and the potential records at every B, including B -> 0.
 # Derivatives are explicit closed forms, never taken from the equations they
-# are checked against.
+# are checked against; algebra() declares them again, as data, for the
+# potential records, and verify compares the two.
 #
 # Each row also knows how f and h end, which decides whether a chain seed
 # exp(s int k) is square integrable without sampling it (spectra). At a pole
@@ -163,18 +161,27 @@ def _newton(r, den, dden):
     return r - den / dden if dden != 0.0 else r
 
 
+# The basis of algebra()'s coefficient tuples, in their order.
+TERMS = ("f2", "fh", "h2", "f", "h", "const")
+
+
+def quadratic(coeffs, f, h):
+    """The quadratic form with coefficients over TERMS, at (f, h)."""
+    ff, fh, hh, f1, h1, one = coeffs
+    return ff * f * f + fh * f * h + hh * h * h + f1 * f + h1 * h + one
+
+
 class _Form:
     """A row's constants: c, A, and B (None for B = infinity), and
 
-    - kappa: f' = c kappa h^2 on the rows with a != 0, and f' = -kappa f^2
-      with y = kappa f on the rows with a = 0;
-    - f_is_constant: f has no x dependence (B = +-1 at a > 0, B = 0 at a = 0);
+    - kappa: the row's constant in algebra() (1 on the limit rows), and
+      y = kappa f on the rows with a = 0;
     - period: the spacing of the poles, inf on rows with at most one pole;
     - basis_name: 'limit' for the B = infinity rows, else 'generic'.
     """
 
     kappa = 1.0
-    f_is_constant = False
+    sign_a = 1.0
     period = math.inf
     basis_name = "generic"
 
@@ -194,6 +201,15 @@ class _Form:
         """(alpha, beta) with z = alpha f + beta h."""
         return b / self.c, D
 
+    def algebra(self) -> tuple:
+        """(f', h', I) over TERMS: y' = a - y^2 read in the row's basis, with
+        the invariant I = 0 on the row. Where a != 0, f' = c kappa h^2,
+        h' = -+c f h and I = f^2 +- kappa h^2 -+ 1, upper signs for a > 0."""
+        c, k, s = self.c, self.kappa, self.sign_a
+        return ((0.0, 0.0, c * k, 0.0, 0.0, 0.0),
+                (0.0, -s * c, 0.0, 0.0, 0.0, 0.0),
+                (1.0, 0.0, s * k, 0.0, 0.0, -s))
+
     def poles(self, lo, hi) -> list:
         """Newton-polished poles, a superset of those in [lo, hi]."""
         return []
@@ -209,7 +225,6 @@ class _PosFinite(_Form):
     def __init__(self, c, A, B):
         super().__init__(c, A, B)
         self.kappa = B * B - 1.0
-        self.f_is_constant = abs(B) == 1.0
 
     def _pass(self, arr):
         return _checked(arr, *self._f_parts(self._theta(arr)))
@@ -251,7 +266,7 @@ class _PosFinite(_Form):
         return u / v
 
     def df(self, x):
-        if self.f_is_constant:
+        if self.kappa == 0.0:   # B = +-1: f is constant
             return np.zeros_like(self._theta(x))
         h = self.h(x)
         return self.c * self.kappa * h * h
@@ -333,10 +348,16 @@ class _ZeroFinite(_Form):
     def __init__(self, c, A, B):
         super().__init__(c, A, B)
         self.kappa = B
-        self.f_is_constant = B == 0.0
 
     def companion(self, b, D):
         return D, b
+
+    def algebra(self):
+        # f' = -kappa f^2, h' = 1 - kappa f h, I = f^2 + 2 kappa f h - 1
+        k = self.kappa
+        return ((-k, 0.0, 0.0, 0.0, 0.0, 0.0),
+                (0.0, -k, 0.0, 0.0, 0.0, 1.0),
+                (1.0, 2.0 * k, 0.0, 0.0, 0.0, -1.0))
 
     def _pass(self, arr):
         t = arr - self.A
@@ -393,6 +414,10 @@ class _ZeroLimit(_Form):
     def companion(self, b, D):
         return D, b
 
+    def algebra(self):
+        # f' and h' as on the finite row at kappa = 1, but I = f h - 1/2
+        return _ZeroFinite.algebra(self)[:2] + ((0.0, 1.0, 0.0, 0.0, 0.0, -0.5),)
+
     def _pass(self, arr):
         return _checked(arr, arr - self.A)
 
@@ -432,6 +457,8 @@ class _ZeroLimit(_Form):
 class _Periodic(_Form):
     """The a = -c^2 rows: poles at theta = base + j pi, every pi/c, where the
     row's denominator _den(theta) vanishes."""
+
+    sign_a = -1.0
 
     def __init__(self, c, A, B):
         super().__init__(c, A, B)
@@ -657,9 +684,7 @@ def superpose(y1, y2, y3, k) -> Callable:
     """
     kx = as_extended(k)
     if kx.is_infinite:
-        def y_inf(x):
-            return y2(x)
-        return y_inf
+        return y2
     kv = kx.value
 
     def y(x):
@@ -745,20 +770,12 @@ def solve_linear_first_order(p: LinearFirstOrder, x0: float,
             return _ret((E + bv / av) * np.exp(av * (arr - x0)) - bv / av, scalar)
         return v_exp
 
-    if callable(p.a):
-        a_fun = p.a
-    else:
-        a_const = float(p.a)
-
-        def a_fun(x):
-            return np.full_like(np.asarray(x, dtype=float), a_const)
-    if callable(p.b):
-        b_fun = p.b
-    else:
-        b_const = float(p.b)
-
-        def b_fun(x):
-            return np.full_like(np.asarray(x, dtype=float), b_const)
+    def as_function(coeff):
+        if callable(coeff):
+            return coeff
+        value = float(coeff)
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+    a_fun, b_fun = as_function(p.a), as_function(p.b)
 
     def solve_one(xv):
         if xv == x0:

@@ -241,6 +241,16 @@ def test_verify_riccati_passes():
         "block-derivative-identities"}
 
 
+def test_verify_shape_passes():
+    code, out, _ = run_cli("verify", "--suite", "shape", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert [c["name"] for c in doc["checks"]] == [
+        "shape-invariance", "coefficient-records", "functional-equation",
+        "shape-invariance-exact"]
+
+
 def test_verify_coarse_ladder_fails():
     code, out, err = run_cli("verify", "--suite", "ladder", "--grid=-8,8,64",
                              "--format", "json")
@@ -772,6 +782,22 @@ def _boundary_cases():
     for k in (-1, cli._MAX_KMAX + 1):
         cases.append((f"k-flag-{k}", ["wavefunction", "--k", str(k)], None,
                       1, "config"))
+    # tol >= 0 and pole_margin > 0, from a flag or a file alike; on TypeA a
+    # margin <= 0 puts the auto grid on a cell wall's pole, which must not
+    # be what refuses it
+    below = -math.exp(rng.uniform(math.log(1e-12), math.log(1e3)))
+    trig = ["spectrum", "--family", "TypeA", "--m", "2", "--mode", "numeric"]
+    for name, flag, argv, values in (
+            ("tol", "--tol", ["spectrum", "--mode", "both"],
+             {"negative": below}),
+            ("pole_margin", "--pole-margin", trig,
+             {"negative": below, "0": 0.0})):
+        for tag, value in values.items():
+            cases.append((f"{flag[2:]}-flag-{tag}",
+                          argv + [f"{flag}={value!r}"], None, 1, "config"))
+            cases.append((f"{flag[2:]}-file-{tag}", argv, {name: value}, 1,
+                          "config"))
+    cases.append(("tol-flag-edge-0", ["spectrum", "--tol", "0"], None, 0, None))
     return cases
 
 

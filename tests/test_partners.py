@@ -104,6 +104,24 @@ def test_record_json_shape():
     assert limit_doc["basis"] == "limit"
 
 
+def test_records_are_the_unreduced_expansion():
+    # W^2 -+ W' term by term: TypeE (f = -cot, h = csc) keeps its f^2 term
+    # rather than folding it into h^2 and const through f^2 - h^2 + 1 = 0
+    keys = ("f2", "fh", "h2", "f", "const")
+    for name, V, Vt in (("TypeE", (4.0, 0.0, 2.0, -2.0, 0.25),
+                         (4.0, 0.0, -2.0, -2.0, 0.25)),
+                        ("TypeF", (6.0, 0.0, 0.0, 2.0, 0.25),
+                         (2.0, 0.0, 0.0, 2.0, 0.25))):
+        rec = closed_form_potentials(preset_params(name), 2.0)
+        assert rec.V == dict(zip(keys, V)) and rec.Vtilde == dict(zip(keys, Vt))
+    for name in PRESET_NAMES:
+        for fam in (preset_params(name), preset_params(name, b=0.7, D=0.4,
+                                                       q=1.3)):
+            rec = closed_form_potentials(fam, 2.0)
+            values = [*rec.V.values(), *rec.Vtilde.values()]
+            assert not any(np.signbit(v) and v == 0.0 for v in values)
+
+
 def test_record_inverse_power_needs_nonzero_m():
     with pytest.raises(FamilyError):
         closed_form_potentials(preset_params("TypeF"), 0.0)

@@ -415,6 +415,24 @@ def test_residues_match_the_closed_forms(kind, B):
                                                           abs=1e-5)
 
 
+@pytest.mark.parametrize("kind, B", ROW_CASES)
+def test_algebra_matches_the_closed_forms(kind, B):
+    # f' and h' as algebra()'s quadratic forms in (f, h, 1), against the
+    # row's own df and dh, and its invariant, which vanishes on the row
+    sol, form = _row(kind, B)
+    xs = sol.A + np.linspace(-3.0, 3.0, 601)
+    for x0 in sol.singularities((sol.A - 4.0, sol.A + 4.0)):
+        xs = xs[np.abs(xs - x0) >= 1e-2]
+    f, h = form.f(xs), form.h(xs)
+    df, dh, invariant = form.algebra()
+    for exact, coeffs in ((form.df(xs), df), (form.dh(xs), dh)):
+        term = riccati.quadratic(coeffs, f, h)
+        assert np.max(np.abs(exact - term) / np.maximum(1.0, np.abs(term))) \
+            < 1e-12
+    scale = np.maximum(1.0, f * f + h * h)
+    assert np.max(np.abs(riccati.quadratic(invariant, f, h)) / scale) < 1e-12
+
+
 @pytest.mark.parametrize("kind, B", [case for case in ROW_CASES
                                      if case[0] != "neg"])
 def test_end_limits_match_the_closed_forms(kind, B):
