@@ -1,30 +1,43 @@
-"""Immutable record types, built without per-class code generation.
+"""Immutable record types, built without code generation at import.
 
-A frozen dataclass compiles its ==, hash, repr and attribute guards with
-`exec` for every class, which costs about a millisecond a class whenever
-the package is imported. `Record` supplies the same behaviour from one
-shared implementation driven by each subclass's `_fields` tuple:
+A frozen dataclass compiles its __init__, ==, hash, repr and attribute
+guards with `exec` for every class, which costs about a millisecond a
+class whenever the package is imported. `Record` supplies the same
+behaviour from one shared implementation driven by each subclass's
+`_fields` tuple:
 
 - == compares the field values as a tuple, for instances of the same class;
 - hash is the hash of that tuple;
 - repr is `ClassName(field=value!r, ...)`;
 - assigning or deleting any attribute raises FrozenInstanceError;
 - copy, deepcopy and pickle call the class again with the field values, so
-  every copy is validated and rebuilds what its __init__ derives.
+  every copy is validated and rebuilds what its __init__ derives;
+- the constructor takes every field, in `_fields` order, by position or by
+  name; a call that does not pass them all by position goes through
+  `_binder`, so Python itself words the TypeError of a missing, unexpected
+  or surplus argument.
 
-Each subclass writes a plain __init__ taking its fields in order. It does
-the validation a dataclass would do in __post_init__ and stores the values
-through `self.__dict__`, the one path the guard leaves open.
+A record that validates, converts or derives values, or gives a field a
+default, writes its own __init__ as a dataclass's __post_init__ would, and
+stores the values through `self.__dict__`, the one path the guard leaves
+open.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from functools import cache
 
 
 class Record:
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _binder(type(self))(self, *args, **kwargs)
+        self.__dict__.update(zip(fields, args))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -49,3 +62,16 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+@cache
+def _binder(cls):
+    """def __init__(self, <cls._fields>) returning the field values in order,
+    compiled on the class's first call that is not all positional."""
+    params = ", ".join(cls._fields)
+    scope = {}
+    exec(f"def __init__(self, {params}): return ({params}{',' * bool(params)})",
+         scope)
+    binder = scope["__init__"]
+    binder.__qualname__ = f"{cls.__qualname__}.__init__"
+    return binder

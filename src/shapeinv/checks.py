@@ -31,17 +31,12 @@ class CheckResult(Record):
                              tolerance=tolerance, detail=detail, grid=grid)
 
     def to_json(self) -> dict:
+        out = dict(zip(self._fields, self._values()))
         # a non-finite residual (refused run) serializes as null; the detail
         # string carries the reason
-        residual = self.max_residual if math.isfinite(self.max_residual) else None
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_residual": residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-            "grid": self.grid,
-        }
+        if not math.isfinite(self.max_residual):
+            out["max_residual"] = None
+        return out
 
 
 # The suites' fixed knobs: a report is reproducible byte for byte only
@@ -60,8 +55,17 @@ _SHAPE_POINTS = 200   # per window, in each of the three shape checks
 
 def _result(name, worst, tol, detail="", grid=None) -> CheckResult:
     worst = float(worst)
-    return CheckResult(name=name, passed=bool(worst <= tol), max_residual=worst,
-                       tolerance=float(tol), detail=detail, grid=grid)
+    return CheckResult(name, bool(worst <= tol), worst, float(tol), detail, grid)
+
+
+def _unless_too_coarse(name, measure, tol, detail, grid) -> CheckResult:
+    """_result of measure(), or a failed check when a ladder step refuses
+    the grid as too coarse for W."""
+    try:
+        return _result(name, measure(), tol, detail, grid)
+    except GridTooCoarseError as exc:
+        return CheckResult(name, False, math.inf, tol,
+                           f"grid too coarse: {exc}", grid)
 
 
 def _grid_meta(grid: numerics.Grid) -> dict:
@@ -413,46 +417,38 @@ def _intertwining_defect(fam: families.Family, m: float, grid: numerics.Grid,
 
 def suite_ladder(n: int = 2001) -> list:
     kmax = _LADDER_KMAX
-    out = []
     fam = families.preset_params("TypeD", b=1.0)
     grid = numerics.Grid(-8.0, 8.0, n)
     meta = _grid_meta(grid)
     inc = spectra.ChainDirection.IncreasingL
+    psi0 = spectra.ground_state(fam, 1.0, inc, grid)
 
-    try:
-        psi0 = spectra.ground_state(fam, 1.0, inc, grid)
-        residual = spectra.ladder_apply(fam, 1.0, "plus", psi0).norm()
-        out.append(_result("ladder-kernel", residual, 1e-4,
-                           "A annihilates its own ground state", meta))
-    except GridTooCoarseError as exc:
-        out.append(CheckResult("ladder-kernel", False, math.inf, 1e-4,
-                               f"grid too coarse: {exc}", meta))
-
-    try:
-        psi0 = spectra.ground_state(fam, 1.0, inc, grid)
+    def raised_distance():
         lifted = spectra.ladder_apply(fam, 1.0, "minus", psi0).as_normalized()
         xs = grid.x
         ref = xs * np.exp(-xs * xs / 2.0)
         ref = numerics.fix_sign(ref / math.sqrt(numerics.integrate(ref * ref, grid.h)))
-        dist = math.sqrt(max(numerics.integrate(
+        return math.sqrt(max(numerics.integrate(
             (numerics.fix_sign(lifted.values) - ref) ** 2, grid.h), 0.0))
-        out.append(_result("ladder-raise-oscillator", dist, 1e-3,
-                           "A* on the Gaussian vs the one-node closed form", meta))
-    except GridTooCoarseError as exc:
-        out.append(CheckResult("ladder-raise-oscillator", False, math.inf, 1e-3,
-                               f"grid too coarse: {exc}", meta))
 
-    try:
-        defect = _intertwining_defect(fam, 1.0, grid, 0.0, 4.0)
+    def intertwining_defect():
         famA = families.preset_params("TypeA", c=1.0)
         gridA = numerics.Grid(1e-3, math.pi - 1e-3, n)
-        defect = max(defect,
-                     _intertwining_defect(famA, 2.0, gridA, math.pi / 2.0, 1.2))
-        out.append(_result("intertwining", defect, 5e-3,
-                           "|(Htilde A - A H) psi| / |psi|, bump test states", meta))
-    except GridTooCoarseError as exc:
-        out.append(CheckResult("intertwining", False, math.inf, 5e-3,
-                               f"grid too coarse: {exc}", meta))
+        return max(_intertwining_defect(fam, 1.0, grid, 0.0, 4.0),
+                   _intertwining_defect(famA, 2.0, gridA, math.pi / 2.0, 1.2))
+
+    out = [
+        _unless_too_coarse(
+            "ladder-kernel",
+            lambda: spectra.ladder_apply(fam, 1.0, "plus", psi0).norm(), 1e-4,
+            "A annihilates its own ground state", meta),
+        _unless_too_coarse("ladder-raise-oscillator", raised_distance, 1e-3,
+                           "A* on the Gaussian vs the one-node closed form",
+                           meta),
+        _unless_too_coarse("intertwining", intertwining_defect, 5e-3,
+                           "|(Htilde A - A H) psi| / |psi|, bump test states",
+                           meta),
+    ]
 
     # partner towers: H(m) level j+1 against Htilde's level j, both exact
     # (via the independent sum at the shifted parameter) and numeric
@@ -484,19 +480,18 @@ def suite_ladder(n: int = 2001) -> list:
     # the ladder-built states against the FD eigenvectors of the same tower;
     # 1 - |<psi_k, v_k>| falls as h^4, measured worst (level 3) at 6.5e-9
     # for n = 1001 and 4.1e-10 for n = 2001: the gate leaves 15x over n = 1001
-    try:
-        worst_overlap = 0.0
+    def worst_overlap():
+        worst = 0.0
         for k in range(kmax):
             psi = spectra.excited_state(fam, 1.0, k, inc, grid)
             overlap = numerics.inner_product(psi.values,
                                              specV.wavefunctions[:, k], grid.h)
-            worst_overlap = max(worst_overlap, abs(1.0 - abs(overlap)))
-        out.append(_result("state-overlap", worst_overlap, 1e-7,
-                           "1 - |<psi_k, v_k>|, ladder states vs FD "
-                           f"eigenvectors, oscillator levels 0-{kmax - 1}", meta))
-    except GridTooCoarseError as exc:
-        out.append(CheckResult("state-overlap", False, math.inf, 1e-7,
-                               f"grid too coarse: {exc}", meta))
+            worst = max(worst, abs(1.0 - abs(overlap)))
+        return worst
+
+    out.append(_unless_too_coarse(
+        "state-overlap", worst_overlap, 1e-7, "1 - |<psi_k, v_k>|, ladder "
+        f"states vs FD eigenvectors, oscillator levels 0-{kmax - 1}", meta))
     return out
 
 

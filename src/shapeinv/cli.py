@@ -271,6 +271,14 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
     # probe and size the well, and keep off the poles, in units of 1/c
     c = _rate(fam)
     margin = cfg.pole_margin / c
+    # a margin below the spacing of doubles at a pole rounds away, and the
+    # grid's end would be the pole itself
+    for pole, end, there in ((lo, lo + margin, left_pole),
+                             (hi, hi - margin, right_pole)):
+        if there and end == pole:
+            raise ValueError(f"pole_margin = {cfg.pole_margin!r} puts the "
+                             f"auto grid's end on the pole x = {pole!r}: the "
+                             "margin is below the spacing of doubles there")
     if left_pole and right_pole:
         return numerics.Grid(lo + margin, hi - margin, _DEFAULT_N)
     pp = partners.pair_from_family(fam, cfg.d)
@@ -379,16 +387,18 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def _resolve_direction_or_exit(cfg: RunConfig, fam: families.Family):
+    """The chain direction, or None after its diagnostic when none resolves."""
     requested = None if cfg.direction == "auto" else cfg.direction
-    return spectra.resolve_direction(fam, cfg.m, requested)
+    try:
+        return spectra.resolve_direction(fam, cfg.m, requested)
+    except OrbitError as exc:
+        _diag("non-normalizable", str(exc))
 
 
 def cmd_spectrum(args, cfg: RunConfig) -> int:
     fam = cfg.build_family()
-    try:
-        direction = _resolve_direction_or_exit(cfg, fam)
-    except OrbitError as exc:
-        _diag("non-normalizable", str(exc))
+    direction = _resolve_direction_or_exit(cfg, fam)
+    if direction is None:
         return EXIT_NORMALIZABILITY
     mode = args.mode
     report = {"mode": mode, "m": cfg.m, "direction": direction.value,
@@ -401,12 +411,8 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
                   analytic.truncation_reason or "no normalizable ground state",
                   direction=direction.value)
             return EXIT_NORMALIZABILITY
-        block = {"levels": [{"k": k, "E": e} for k, e in analytic.levels],
-                 "partner_levels": [{"k": k, "E": e}
-                                    for k, e in analytic.partner_levels],
-                 "truncated": analytic.truncated}
-        if analytic.truncated:
-            block["truncation_reason"] = analytic.truncation_reason
+        block = analytic.to_json()
+        del block["m"], block["direction"]   # the report's own keys
         report["analytic"] = block
     if mode in ("numeric", "both"):
         seed = spectra.check_normalizable(fam, cfg.m, direction)
@@ -472,10 +478,8 @@ def cmd_wavefunction(args, cfg: RunConfig) -> int:
               "sidecar; use --format json for standard output")
         return EXIT_USAGE
     fam = cfg.build_family()
-    try:
-        direction = _resolve_direction_or_exit(cfg, fam)
-    except OrbitError as exc:
-        _diag("non-normalizable", str(exc))
+    direction = _resolve_direction_or_exit(cfg, fam)
+    if direction is None:
         return EXIT_NORMALIZABILITY
     grid = _resolve_grid(cfg, fam)
     _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))

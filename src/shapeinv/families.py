@@ -353,11 +353,6 @@ class Family(Record):
 class _PresetDef(Record):
     _fields = ("kind", "sign_kind", "B", "needs_c", "free")
 
-    def __init__(self, kind: FamilyKind, sign_kind: str, B: ExtendedReal,
-                 needs_c: bool, free: tuple):
-        self.__dict__.update(kind=kind, sign_kind=sign_kind, B=B,
-                             needs_c=needs_c, free=free)
-
 
 _PRESETS = {
     "TypeA": _PresetDef(FamilyKind.AFFINE, "neg", ExtendedReal(0.0), True,

@@ -74,11 +74,6 @@ class PotentialRecord(Record):
 
     _fields = ("basis", "V", "Vtilde", "R_at_m", "m", "family")
 
-    def __init__(self, basis: str, V: dict, Vtilde: dict, R_at_m: float,
-                 m: float, family: Family):
-        self.__dict__.update(basis=basis, V=V, Vtilde=Vtilde, R_at_m=R_at_m,
-                             m=m, family=family)
-
     def _eval(self, coeffs, x):
         bs = self.family.basis()
         out = quadratic([coeffs.get(key, 0.0) for key in TERMS],
@@ -121,21 +116,17 @@ def closed_form_potentials(family: Family, m) -> PotentialRecord:
     # adding 0.0 turns a -0.0 into 0.0
     V = {key: w - s + 0.0 for key, w, s in terms}
     Vt = {key: w + s + 0.0 for key, w, s in terms}
-    return PotentialRecord(basis=form.basis_name, V=V, Vtilde=Vt,
-                           R_at_m=family.R(m), m=m, family=family)
+    return PotentialRecord(form.basis_name, V, Vt, family.R(m), m, family)
 
 
 # ---------------------------------------------------------------------------
 # spectral symbol classification and factorization residuals
 
 class LSequenceClass(Record):
-    """Monotonicity of L along the orbit m -> m - 1, plus the probed values."""
+    """Monotonicity of L along the orbit m -> m - 1, plus the probed values;
+    kind is 'decreasing', 'increasing' or 'other'."""
 
     _fields = ("kind", "values")
-
-    def __init__(self, kind: str, values: tuple):
-        # kind: 'decreasing' | 'increasing' | 'other'
-        self.__dict__.update(kind=kind, values=values)
 
 
 def classify_L_sequence(family: Family, m0, steps: int = 2) -> LSequenceClass:

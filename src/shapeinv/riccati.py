@@ -656,9 +656,6 @@ class ZSolution(Record):
 
     _fields = ("b", "D", "y")
 
-    def __init__(self, b: float, D: float, y: RiccatiSolution):
-        self.__dict__.update(b=b, D=D, y=y)
-
     def evaluate(self, x):
         arr, scalar = _prep(x)
         return _ret(self.y.form.z(arr, self.b, self.D), scalar)
@@ -672,7 +669,7 @@ class ZSolution(Record):
 
 def solve_z(b: float, y: RiccatiSolution, D: float) -> ZSolution:
     """Closed-form z solving y z + z' = b for the sign class and B carried by y."""
-    return ZSolution(b=float(b), D=float(D), y=y)
+    return ZSolution(float(b), float(D), y)
 
 
 def superpose(y1, y2, y3, k) -> Callable:
@@ -705,9 +702,6 @@ class LinearFirstOrder(Record):
     """v' = a(x) v + b(x). Coefficients are floats or callables."""
 
     _fields = ("a", "b")
-
-    def __init__(self, a: Union[float, Callable], b: Union[float, Callable]):
-        self.__dict__.update(a=a, b=b)
 
     @property
     def constant_coefficients(self) -> bool:

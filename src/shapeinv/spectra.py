@@ -84,11 +84,6 @@ class WaveFunction(Record):
 
     _fields = ("data", "k", "energy", "normalized")
 
-    def __init__(self, data: GridFunction, k: int, energy: float,
-                 normalized: bool):
-        self.__dict__.update(data=data, k=k, energy=energy,
-                             normalized=normalized)
-
     @property
     def grid(self) -> Grid:
         return self.data.grid
@@ -142,12 +137,9 @@ def _as_grid(x) -> Tuple[Grid, np.ndarray]:
 # square integrability of chain seeds
 
 class NormalizabilityReport(Record):
-    _fields = ("normalizable", "divergent_end")
+    """Is a chain seed square integrable? divergent_end: 'left', 'right' or None."""
 
-    def __init__(self, normalizable: bool, divergent_end: Optional[str]):
-        # divergent_end: 'left', 'right', or None when normalizable
-        self.__dict__.update(normalizable=normalizable,
-                             divergent_end=divergent_end)
+    _fields = ("normalizable", "divergent_end")
 
     def __bool__(self) -> bool:
         return self.normalizable
@@ -271,13 +263,11 @@ def resolve_direction(family: Family, m, direction=None,
     except (NormalizationError, FamilyError):
         pass
     try:
-        cls = classify_L_sequence(family, m)
+        trend = classify_L_sequence(family, m).kind
     except FamilyError:
-        cls = None
-    if cls is not None and cls.kind == "decreasing":
-        return ChainDirection.DecreasingL
-    if cls is not None and cls.kind == "increasing":
-        return ChainDirection.IncreasingL
+        trend = None
+    if trend in ("decreasing", "increasing"):
+        return ChainDirection(trend)
     raise OrbitError(
         "could not resolve a chain direction for this family; pass one explicitly")
 
@@ -292,13 +282,6 @@ def _spacing(family: Family, m: float) -> float:
 class ChainStep(Record):
     _fields = ("k", "energy", "seed_parameter", "seed_sign",
                "operator_parameters", "adjoint")
-
-    def __init__(self, k: int, energy: float, seed_parameter: float,
-                 seed_sign: int, operator_parameters: tuple, adjoint: bool):
-        self.__dict__.update(k=k, energy=energy, seed_parameter=seed_parameter,
-                             seed_sign=seed_sign,
-                             operator_parameters=operator_parameters,
-                             adjoint=adjoint)
 
 
 # The running R sums of an orbit are held through at most this many levels;
@@ -536,11 +519,6 @@ def ground_state(family: Family, m, direction, grid,
 class SpectralChain(Record):
     _fields = ("family", "m", "d", "direction", "steps")
 
-    def __init__(self, family: Family, m: float, d: float,
-                 direction: ChainDirection, steps: tuple):
-        self.__dict__.update(family=family, m=m, d=d, direction=direction,
-                             steps=steps)
-
     @property
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.steps])
@@ -555,8 +533,7 @@ def build_chain(family: Family, m, n_levels: int, direction,
     steps = tuple(_step(m, k, direction, energy) for k, energy in
                   enumerate(islice(_orbit(family, m, direction, d_val),
                                    max(int(n_levels), 0))))
-    return SpectralChain(family=family, m=m, d=d_val, direction=direction,
-                         steps=steps)
+    return SpectralChain(family, m, d_val, direction, steps)
 
 
 def max_level(family: Family, m, direction, anchor: Optional[float] = None,
@@ -584,16 +561,6 @@ class SpectrumResult(Record):
 
     _fields = ("family", "m", "d", "direction", "requested", "levels",
                "partner_levels", "truncated", "truncation_reason")
-
-    def __init__(self, family: Family, m: float, d: float,
-                 direction: ChainDirection, requested: int, levels: tuple,
-                 partner_levels: tuple, truncated: bool,
-                 truncation_reason: Optional[str]):
-        self.__dict__.update(family=family, m=m, d=d, direction=direction,
-                             requested=requested, levels=levels,
-                             partner_levels=partner_levels,
-                             truncated=truncated,
-                             truncation_reason=truncation_reason)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -656,7 +623,5 @@ def spectrum_analytic(family: Family, m, kmax: int, direction=None,
         partner = [(0, d_val)] + [(k + 1, e) for k, e in levels]
     else:
         partner = [(k - 1, e) for k, e in levels[1:]]
-    return SpectrumResult(
-        family=family, m=m, d=d_val, direction=direction, requested=kmax,
-        levels=tuple(levels), partner_levels=tuple(partner),
-        truncated=len(levels) < kmax + 1, truncation_reason=reason)
+    return SpectrumResult(family, m, d_val, direction, kmax, tuple(levels),
+                          tuple(partner), len(levels) < kmax + 1, reason)

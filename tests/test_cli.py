@@ -636,6 +636,23 @@ def test_margin_and_tol_are_read_in_units_of_c(family, extra):
         assert row["abs_diff"] <= 1.5 * row["richardson"], row
 
 
+@pytest.mark.parametrize("command", [["spectrum", "--mode", "numeric"],
+                                     ["eval"]])
+@pytest.mark.parametrize("margin", ["1e-17", "1e-300"])
+def test_a_margin_that_rounds_away_names_itself(command, margin):
+    # pi - 1e-17 == pi: the auto grid's right end would be the pole
+    code, out, err = run_cli(*command, "--family", "TypeA", "--m", "2",
+                             "--pole-margin", margin)
+    assert code == 1 and out == ""
+    diag = stderr_diag(err)
+    assert diag["error"] == "config"
+    assert f"pole_margin = {margin}" in diag["message"]
+    assert repr(math.pi) in diag["message"]
+    code, _, err = run_cli(*command, "--family", "TypeA", "--m", "2",
+                           "--pole-margin", "1e-12")
+    assert code == 0 and err == ""
+
+
 def _run_in_process(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -784,14 +801,16 @@ def _boundary_cases():
                       1, "config"))
     # tol >= 0 and pole_margin > 0, from a flag or a file alike; on TypeA a
     # margin <= 0 puts the auto grid on a cell wall's pole, which must not
-    # be what refuses it
+    # be what refuses it, and so does a margin below the spacing of doubles
+    # at the pole x = pi
     below = -math.exp(rng.uniform(math.log(1e-12), math.log(1e3)))
     trig = ["spectrum", "--family", "TypeA", "--m", "2", "--mode", "numeric"]
     for name, flag, argv, values in (
             ("tol", "--tol", ["spectrum", "--mode", "both"],
              {"negative": below}),
             ("pole_margin", "--pole-margin", trig,
-             {"negative": below, "0": 0.0})):
+             {"negative": below, "0": 0.0, "1e-17": 1e-17,
+              "1e-300": 1e-300})):
         for tag, value in values.items():
             cases.append((f"{flag[2:]}-flag-{tag}",
                           argv + [f"{flag}={value!r}"], None, 1, "config"))

@@ -337,6 +337,23 @@ REFUSALS = {
                           "ChainStep.__init__() missing 4 required positional "
                           "arguments: 'seed_parameter', 'seed_sign', "
                           "'operator_parameters', and 'adjoint'"),
+    "ChainStep-unexpected": (
+        lambda: spectra.ChainStep(1, 2.0, 3.0, 1, (), False, sign=1), TypeError,
+        "ChainStep.__init__() got an unexpected keyword argument 'sign'"),
+    "ChainStep-surplus": (
+        lambda: spectra.ChainStep(1, 2.0, 3.0, 1, (), False, None), TypeError,
+        "ChainStep.__init__() takes 7 positional arguments but 8 were given"),
+    "ChainStep-twice": (
+        lambda: spectra.ChainStep(1, 2.0, 3.0, 1, (), False, k=1), TypeError,
+        "ChainStep.__init__() got multiple values for argument 'k'"),
+    "LinearFirstOrder-keyword-missing": (
+        lambda: riccati.LinearFirstOrder(b=1.0), TypeError,
+        "LinearFirstOrder.__init__() missing 1 required positional "
+        "argument: 'a'"),
+    "ZSolution-keyword-missing": (
+        lambda: riccati.ZSolution(y=_solution()), TypeError,
+        "ZSolution.__init__() missing 2 required positional arguments: "
+        "'b' and 'D'"),
 }
 
 
@@ -347,6 +364,21 @@ def test_refusals_keep_their_type_and_message(label):
         build()
     assert type(info.value) is exc_type
     assert str(info.value) == message
+
+
+def test_keyword_and_positional_construction_agree():
+    values = (2, -3.5, 4.0, 1, (3.0, 2.0), False)
+    by_name = spectra.ChainStep(**dict(zip(spectra.ChainStep._fields, values)))
+    # names in any order, and a positional head with a named tail
+    shuffled = spectra.ChainStep(adjoint=False, operator_parameters=(3.0, 2.0),
+                                 seed_sign=1, seed_parameter=4.0, energy=-3.5,
+                                 k=2)
+    mixed = spectra.ChainStep(2, -3.5, 4.0, seed_sign=1, adjoint=False,
+                              operator_parameters=(3.0, 2.0))
+    by_position = spectra.ChainStep(*values)
+    for other in (by_name, shuffled, mixed):
+        assert other == by_position and hash(other) == hash(by_position)
+        assert repr(other) == repr(by_position)
 
 
 def _shapeinv_classes():
