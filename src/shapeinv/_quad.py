@@ -1,26 +1,6 @@
-"""Small quadrature helpers used by more than one module."""
+"""The cumulative quadrature shared by more than one module."""
 
 import numpy as np
-
-
-def cumulative_simpson(f, xs):
-    """Cumulative integral of a callable along the nodes xs.
-
-    Each interval is integrated with a three-point Simpson rule using the true
-    midpoint value, so the result is 4th order even on nonuniform spacing.
-    Returns an array c with c[i] = integral from xs[0] to xs[i].
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2:
-        raise ValueError("need at least two nodes")
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    fx = np.asarray(f(xs), dtype=float)
-    fm = np.asarray(f(mids), dtype=float)
-    steps = (xs[1:] - xs[:-1]) / 6.0 * (fx[:-1] + 4.0 * fm + fx[1:])
-    out = np.empty_like(xs)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
 
 
 def cumulative_simpson_values(ys, h):

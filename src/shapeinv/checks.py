@@ -457,9 +457,11 @@ def suite_ladder(n: int = 2001) -> list:
                                ("TypeA", 2.0, "decreasing"),
                                ("TypeF", 2.0, "decreasing")):
         f = families.preset_params(name, b=1.0, q=-1.0)
-        spec = spectra.spectrum_analytic(f, m, kmax, direction, screen_seeds=False)
+        # the partners of H(m)'s levels 0..kmax: a decreasing chain adds
+        # the partner's bottom level at d, an increasing one drops level 0
+        count = kmax + 2 if direction == "decreasing" else kmax
         R_prev = f.R(m - 1.0)
-        for j, e in spec.partner_levels:
+        for j, e in enumerate(spectra.partner_energies(f, m, count, direction)):
             shifted = spectra.energy_level(f, m - 1.0, j, direction) + R_prev
             worst_exact = max(worst_exact, abs(e - shifted))
     out.append(_result("partner-pairing-analytic", worst_exact, 1e-12,

@@ -362,6 +362,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         xs = _auto_grid(cfg, fam).x
     elif cfg.grid["n"] < 2:
         raise ValueError("eval grid needs at least 2 nodes")
+    elif not math.isfinite(cfg.grid["xmax"] - cfg.grid["xmin"]):
+        raise ValueError("eval grid span xmax - xmin is not finite")
     else:
         xs = np.linspace(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"])
     _require_pole_free(fam, cfg.m, (float(xs[0]), float(xs[-1])))

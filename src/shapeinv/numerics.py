@@ -37,6 +37,9 @@ class Grid(Record):
     def __init__(self, x0: float, x1: float, n: int):
         if not np.isfinite(x0) or not np.isfinite(x1):
             raise ValueError("grid endpoints must be finite")
+        if not math.isfinite(float(x1) - float(x0)):
+            raise ValueError(f"grid span x1 - x0 = {x1!r} - {x0!r} is not "
+                             "finite")
         if not x1 > x0:
             raise ValueError("grid needs x1 > x0")
         if n < 16:
@@ -85,16 +88,9 @@ class GridFunction(Record):
 # ---------------------------------------------------------------------------
 # stencils and quadrature
 
-def derivative(values, h: Optional[float] = None, order: int = 1):
-    """Five-point finite-difference derivative of uniformly sampled values.
-
-    Accepts either a GridFunction (h is then taken from its grid) or a plain
-    sample array together with the spacing h.
-    """
-    if isinstance(values, GridFunction):
-        return values.derivative(order)
-    if h is None:
-        raise ValueError("sample arrays need the spacing h")
+def derivative(values, h: float, order: int = 1):
+    """Five-point finite-difference derivative of samples spaced h apart;
+    GridFunction.derivative applies it on the function's grid."""
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < 5:
@@ -142,13 +138,9 @@ def derivative(values, h: Optional[float] = None, order: int = 1):
     raise ValueError("order must be 1 or 2")
 
 
-def integrate(values, h: Optional[float] = None) -> float:
-    """Composite Simpson rule; a trapezoid picks up the last interval when the
-    interval count is odd."""
-    if isinstance(values, GridFunction):
-        return integrate(values.values, values.grid.h)
-    if h is None:
-        raise ValueError("sample arrays need the spacing h")
+def integrate(values, h: float) -> float:
+    """Composite Simpson rule on samples spaced h apart; a trapezoid picks up
+    the last interval when the interval count is odd."""
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < 2:
@@ -227,15 +219,15 @@ class TridiagonalSym(Record):
         radius[1:] += np.abs(self.offdiag)
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
-    def eigenvalues_lowest(self, k: int, tol: Optional[float] = None) -> np.ndarray:
+    def eigenvalues_lowest(self, k: int) -> np.ndarray:
         """The k lowest eigenvalues, ascending, by Sturm-count bisection.
 
         Every level walks one fixed bisection tree: the root is the
         Gershgorin bracket widened by pad, a node [a, b] splits at
         0.5 * (a + b), and level i keeps the lower half where
         count(mid) > i. A walk stops at a width relative to the level's
-        magnitude (an explicit tol is absolute), once the midpoint no longer
-        splits the node, or after 220 splits, and returns the node's midpoint.
+        magnitude, once the midpoint no longer splits the node, or after 220
+        splits, and returns the node's midpoint.
 
         The computed Sturm count is monotone in the shift, so a count taken
         anywhere settles every node whose midpoint lies beyond it. A
@@ -254,11 +246,16 @@ class TridiagonalSym(Record):
             raise ValueError(
                 "bisection cannot converge: matrix has non-finite entries")
         lo, hi = self.gershgorin()
-        pad = 2.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+        big = max(abs(lo), abs(hi))
+        pad = 2.0 * _EPS * max(big, 1.0)
+        # bounds on every midpoint and d_i - sigma, and on every e_i^2
+        e_max = float(np.abs(self.offdiag).max(initial=0.0))
+        if not math.isfinite(max(2.0 * (big + pad), e_max * e_max)):
+            raise ValueError(f"matrix too large for bisection: Gershgorin "
+                             f"bracket [{lo!r}, {hi!r}], max |e_i| {e_max!r}")
         d, e2 = self._sturm_rows()
         pivmin = self._pivmin()
-        known = _ShiftRecord(self.diag, d, e2, pivmin, k,
-                             _EPS * max(abs(lo), abs(hi)) + pivmin)
+        known = _ShiftRecord(self.diag, d, e2, pivmin, k, _EPS * big + pivmin)
         known.double_up(lo, hi + pad)
         los, his = [], []
         for i in range(k):
@@ -267,8 +264,8 @@ class TridiagonalSym(Record):
             splits = 0
             while splits < 220:
                 mid = 0.5 * (a + b)
-                stop = 2.0 * _EPS * max(abs(a), abs(b)) + pivmin if tol is None else tol
-                if b - a <= stop or not a < mid < b:
+                if (b - a <= 2.0 * _EPS * max(abs(a), abs(b)) + pivmin
+                        or not a < mid < b):
                     break
                 if mid >= known.upper[i]:
                     b = mid
@@ -521,7 +518,10 @@ class _ShiftRecord:
 def _dirichlet_matrix(V_interior, h: float) -> TridiagonalSym:
     """Three-point -d2/dx2 + V over interior nodes with Dirichlet walls."""
     V = np.asarray(V_interior, dtype=float)
-    inv_h2 = 1.0 / (h * h)
+    inv_h2 = 1.0 / (h * h) if h * h > 0.0 else math.inf
+    if not math.isfinite(inv_h2):
+        raise ValueError(f"grid step h = {h!r} is too small: 1/h^2 is not "
+                         "finite")
     diag = 2.0 * inv_h2 + V
     off = np.full(max(V.size - 1, 0), -inv_h2)
     return TridiagonalSym(diag=diag, offdiag=off)

@@ -18,7 +18,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._quad import cumulative_simpson, cumulative_simpson_values
+from ._quad import cumulative_simpson_values
 from ._record import Record
 from .errors import PoleError
 
@@ -775,9 +775,10 @@ def solve_linear_first_order(p: LinearFirstOrder, x0: float,
         if xv == x0:
             return E
         grid = np.linspace(x0, xv, 2 * _PANELS + 1)
-        cum_a = cumulative_simpson(a_fun, grid)
+        step = grid[1] - grid[0]
+        cum_a = cumulative_simpson_values(a_fun(grid), step)
         g = np.asarray(b_fun(grid), dtype=float) * np.exp(-cum_a)
-        inner = cumulative_simpson_values(g, grid[1] - grid[0])[-1]
+        inner = cumulative_simpson_values(g, step)[-1]
         return (inner + E) * math.exp(cum_a[-1])
 
     def v(x):

@@ -54,14 +54,11 @@ class ChainDirection(Enum):
 
 
 def _coerce_direction(direction) -> ChainDirection:
-    if isinstance(direction, ChainDirection):
-        return direction
-    if isinstance(direction, str):
-        for member in ChainDirection:
-            if direction in (member.value, member.name):
-                return member
-    raise ValueError(
-        "direction must be 'decreasing', 'increasing', or a ChainDirection")
+    try:
+        return ChainDirection(direction)   # a member is its own value
+    except ValueError:
+        raise ValueError("direction must be 'decreasing', 'increasing', "
+                         "or a ChainDirection") from None
 
 
 def count_nodes(values) -> int:
@@ -252,16 +249,12 @@ def resolve_direction(family: Family, m, direction=None,
         return _coerce_direction(direction)
     if anchor is None:
         anchor = _default_anchor(family)
-    try:
-        _require_seed_normalizable(family, m, -1, anchor)
-        return ChainDirection.IncreasingL
-    except (NormalizationError, FamilyError):
-        pass
-    try:
-        _require_seed_normalizable(family, m + 1.0, +1, anchor)
-        return ChainDirection.DecreasingL
-    except (NormalizationError, FamilyError):
-        pass
+    for candidate in (ChainDirection.IncreasingL, ChainDirection.DecreasingL):
+        try:
+            _require_seed_normalizable(family, *_seed(m, 0, candidate), anchor)
+            return candidate
+        except (NormalizationError, FamilyError):
+            pass
     try:
         trend = classify_L_sequence(family, m).kind
     except FamilyError:
@@ -338,6 +331,16 @@ def _seed(m: float, k: int, direction: ChainDirection) -> tuple:
     if direction is ChainDirection.DecreasingL:
         return m + k + 1.0, +1
     return m - k, -1
+
+
+def _screened(family: Family, m: float, direction: ChainDirection, d: float,
+              anchor: float) -> Iterator[float]:
+    """The energies of `_orbit`, each yielded once its level's chain seed is
+    square integrable on the cell around anchor. The walk ends by raising
+    the OrbitError or NormalizationError of the first level that fails."""
+    for k, energy in enumerate(_orbit(family, m, direction, d)):
+        _require_seed_normalizable(family, *_seed(m, k, direction), anchor)
+        yield energy
 
 
 def _step(m: float, k: int, direction: ChainDirection,
@@ -541,15 +544,13 @@ def max_level(family: Family, m, direction, anchor: Optional[float] = None,
     """Highest valid level index, or None when nothing fails below `limit`."""
     if anchor is None:
         anchor = _default_anchor(family)
-    m = float(m)
-    direction = _coerce_direction(direction)
-    walk = _orbit(family, m, direction, family.params.d)
-    for k in range(int(limit)):
-        try:
-            next(walk)
-            _require_seed_normalizable(family, *_seed(m, k, direction), anchor)
-        except (OrbitError, NormalizationError):
-            return k - 1
+    levels = _screened(family, float(m), _coerce_direction(direction),
+                       family.params.d, anchor)
+    try:
+        for k in range(int(limit)):
+            next(levels)
+    except (OrbitError, NormalizationError):
+        return k - 1
     return None
 
 
@@ -587,14 +588,13 @@ class SpectrumResult(Record):
 
 def spectrum_analytic(family: Family, m, kmax: int, direction=None,
                       d: Optional[float] = None,
-                      anchor: Optional[float] = None,
-                      screen_seeds: bool = True) -> SpectrumResult:
+                      anchor: Optional[float] = None) -> SpectrumResult:
     """Levels 0..kmax of H(m) as exact R sums, plus the partner spectrum.
 
-    Nothing is sampled: energies are finite sums, and the optional seed
-    screening reads the closed forms' residues and limits to truncate the
-    ladder where the would-be state stops being square integrable (or where
-    an R sign flips / the orbit leaves the admissible set). The partner list
+    Nothing is sampled: energies are finite sums, and the seed screening
+    reads the closed forms' residues and limits to truncate the ladder where
+    the would-be state stops being square integrable (or where an R sign
+    flips / the orbit leaves the admissible set). The partner list
     keeps the extra bottom level at d for decreasing chains and drops the
     shared ground level for increasing ones.
     """
@@ -606,19 +606,14 @@ def spectrum_analytic(family: Family, m, kmax: int, direction=None,
         anchor = _default_anchor(family)
     direction = resolve_direction(family, m, direction, anchor=anchor)
     d_val = _energy_shift(family, d)
-    walk = _orbit(family, m, direction, d_val)
     levels = []
     reason = None
-    for k in range(kmax + 1):
-        try:
-            energy = next(walk)
-            if screen_seeds:
-                _require_seed_normalizable(family, *_seed(m, k, direction),
-                                           anchor)
-        except (OrbitError, NormalizationError) as exc:
-            reason = str(exc)
-            break
-        levels.append((k, energy))
+    try:
+        for level in zip(range(kmax + 1),
+                         _screened(family, m, direction, d_val, anchor)):
+            levels.append(level)
+    except (OrbitError, NormalizationError) as exc:
+        reason = str(exc)
     if direction is ChainDirection.DecreasingL:
         partner = [(0, d_val)] + [(k + 1, e) for k, e in levels]
     else:

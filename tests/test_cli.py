@@ -817,10 +817,36 @@ def _boundary_cases():
             cases.append((f"{flag[2:]}-file-{tag}", argv, {name: value}, 1,
                           "config"))
     cases.append(("tol-flag-edge-0", ["spectrum", "--tol", "0"], None, 0, None))
-    return cases
+    return cases + EXTREME_CASES
 
 
+# inputs at the ends of the double range, as _boundary_cases rows: a grid
+# step whose 1/h^2, or the matrix's squared coupling 1/h^4, is not finite;
+# a span x1 - x0 that overflows; a shift d that leaves the matrix's
+# Gershgorin bracket no finite midpoints
+EXTREME_CASES = [
+    ("grid-step-underflow",
+     ["spectrum", "--grid=0,1e-300,100", "--mode", "numeric"], None, 1,
+     "config"),
+    ("grid-coupling-overflow",
+     ["spectrum", "--grid=0,1e-100,100", "--mode", "numeric"], None, 1,
+     "config"),
+    ("grid-span-overflow",
+     ["spectrum", "--grid=-1e308,1e308,100", "--mode", "numeric"], None, 1,
+     "config"),
+    ("eval-span-overflow", ["eval", "--grid=-1e308,1e308,5"], None, 1,
+     "config"),
+    ("d-near-max", ["spectrum", "--d", "1e308", "--mode", "both"], None, 1,
+     "config"),
+]
 BOUNDARY_CASES = _boundary_cases()
+
+
+def _strict_json(text: str):
+    """json.loads refusing Infinity, -Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("argv, doc, code, slug",
@@ -838,11 +864,21 @@ def test_boundary_inputs_exit_with_one_diagnostic(tmp_path, capsys, argv, doc,
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     if slug is None:
-        assert err == "" and json.loads(out)
+        assert err == "" and _strict_json(out)
         return
     assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
-    diag = json.loads(err)
+    diag = _strict_json(err)
     assert diag["error"] == slug and isinstance(diag["message"], str)
+
+
+@pytest.mark.parametrize("argv, doc, code, slug",
+                         [case[1:] for case in EXTREME_CASES],
+                         ids=[case[0] for case in EXTREME_CASES])
+def test_extreme_inputs_print_no_traceback(argv, doc, code, slug):
+    # the console script as users run it: its stderr is the one diagnostic
+    rc, out, err = run_cli(*argv, "--format", "json")
+    assert rc == code and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and _strict_json(err)["error"] == slug
 
 
 @pytest.mark.parametrize("argv", [

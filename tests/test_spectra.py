@@ -13,7 +13,7 @@ from probe_oracle import probe_seed, probe_square_integrable, seed_log_derivativ
 from shapeinv import spectra
 from shapeinv.errors import (GridTooCoarseError, NormalizationError,
                              OrbitError)
-from shapeinv.families import preset_params
+from shapeinv.families import PRESET_NAMES, preset_params
 from shapeinv.numerics import Grid, inner_product, integrate, apply_hamiltonian
 from shapeinv.partners import pair_from_family
 from shapeinv.spectra import (ChainDirection, WaveFunction, build_chain,
@@ -398,6 +398,28 @@ def test_max_level():
     ht = preset_params("HyperbolicTanh")
     assert max_level(ht, 3.0, "increasing") == 2
     assert max_level(typed(), 1.0, "increasing", limit=10) is None
+
+
+def test_max_level_is_the_top_of_the_screened_spectrum():
+    # spectrum_analytic and max_level read one screened walk: where 64
+    # levels stop early, the last one kept is max_level, else it is None.
+    # max_level walks a copy, which holds no orbit sums or verdicts
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for name in PRESET_NAMES:
+        for _ in range(3):
+            fam = preset_params(name, c=rng.uniform(0.5, 2.0),
+                                A=rng.uniform(-0.5, 0.5),
+                                b=rng.uniform(-4.0, 4.0),
+                                D=rng.uniform(-2.0, 2.0),
+                                q=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 6.0))
+            m = int(rng.integers(1, 6)) + rng.uniform(0.1, 0.9)
+            for direction in ("decreasing", "increasing"):
+                sp = spectrum_analytic(fam, m, 63, direction)
+                want = len(sp.levels) - 1 if sp.truncated else None
+                assert max_level(copy.copy(fam), m, direction) == want
+                outcomes.add((direction, sp.truncated))
+    assert len(outcomes) == 4
 
 
 def test_spectrum_analytic_oscillator():
