@@ -103,9 +103,6 @@ class FamilyParams(Record):
         self.__dict__.update(sign=sign, A=A, B=B, b=b, D=D, q=q, t=t, d=d)
 
 
-# the whole line, cut only by poles: the window of a pole-free cell
-_WHOLE_LINE = (-np.inf, np.inf)
-
 # A Family's two memos: _samples, the entry for the last sample array, holds
 # the (k0, k1) and (k0', k1') pairs, the grid's integrals of k0 and k1, and
 # read-only W per chain parameter, for at most this many parameters (a
@@ -323,27 +320,31 @@ class Family(Record):
                                       min(float(window[1]), around + span)))
 
     def natural_domain(self, m, anchor, window):
-        """Largest pole-free open interval around anchor, clipped to window."""
+        """Largest pole-free open interval around anchor, clipped to window:
+        the anchor's held cell, which does not depend on m."""
         lo, hi = float(window[0]), float(window[1])
         anchor = float(anchor)
         if not lo <= anchor <= hi:
             raise ValueError("anchor must lie inside the window")
-        poles = self.singularities_near(m, (lo, hi), anchor, 2.5)
-        for pole in poles:
-            if abs(pole - anchor) < 1e-12 * max(abs(pole), abs(anchor), 1.0):
-                raise PoleError(f"anchor {anchor} coincides with a pole", locations=[pole])
-        left = max((pole for pole in poles if pole < anchor), default=lo)
-        right = min((pole for pole in poles if pole > anchor), default=hi)
-        return (left, right)
+        if lo == hi:
+            raise ValueError("window must satisfy lo < hi")
+        left, right = self._pole_free_cell(anchor)
+        return (max(left, lo), min(right, hi))
 
     def _pole_free_cell(self, anchor):
-        """natural_domain on the whole line: the poles next to anchor, or an
-        infinite end. It does not depend on m, and is held per anchor."""
-        key = ("cell", float(anchor))
-        cell = self._memo.get(key)
+        """The poles next to anchor, or an infinite end: the largest
+        pole-free open interval around it, held per anchor (it does not
+        depend on m). An anchor on a pole, to 1e-12, raises PoleError."""
+        anchor = float(anchor)
+        cell = self._memo.get(("cell", anchor))
         if cell is None:
-            cell = self._remember(
-                key, self.natural_domain(1.0, key[1], _WHOLE_LINE))
+            poles = self.singularities_near(1.0, (-np.inf, np.inf), anchor, 2.5)
+            for pole in poles:
+                if abs(pole - anchor) < 1e-12 * max(abs(pole), abs(anchor), 1.0):
+                    raise PoleError(f"anchor {anchor} coincides with a pole", locations=[pole])
+            cell = self._remember(("cell", anchor), (
+                max((p for p in poles if p < anchor), default=-np.inf),
+                min((p for p in poles if p > anchor), default=np.inf)))
         return cell
 
 

@@ -157,13 +157,8 @@ def integrate(values, h: float) -> float:
     return float(total)
 
 
-def inner_product(u, v, h: Optional[float] = None) -> float:
-    if isinstance(u, GridFunction) and isinstance(v, GridFunction):
-        if u.grid != v.grid:
-            raise ValueError("inner product needs a shared grid")
-        return integrate(u.values * v.values, u.grid.h)
-    if h is None:
-        raise ValueError("sample arrays need the spacing h")
+def inner_product(u, v, h: float) -> float:
+    """<u, v> of samples spaced h apart, by composite Simpson (integrate)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -605,16 +600,10 @@ def apply_hamiltonian(psi_values, V_values, h: float) -> np.ndarray:
     return -derivative(psi, h, order=2) + V * psi
 
 
-def _superpotential_samples(W, xs: np.ndarray, m) -> np.ndarray:
-    if callable(W):
-        return np.asarray(W(xs, m), dtype=float)
-    return np.asarray(W, dtype=float)
-
-
 def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction) -> float:
     """|<phi, (-d/dx + W) psi> - <psi, (d/dx + W) phi>| on a shared grid.
 
-    W is a callable W(x, m), such as a family's k, or its samples on the grid.
+    W is a callable W(x, m), such as a family's k.
     The two first-order operators are mutually adjoint only when phi*psi dies
     off at the window ends (to 1e-8 of its peak), so that hypothesis is
     checked first and its failure is reported as a boundary-condition error
@@ -632,7 +621,7 @@ def adjointness_defect(W, m, phi: GridFunction, psi: GridFunction) -> float:
         raise BoundaryConditionError(
             "phi*psi does not vanish at the window ends "
             f"(edge/peak = {edge / scale:.3e})")
-    Wv = _superpotential_samples(W, grid.x, m)
+    Wv = np.asarray(W(grid.x, m), dtype=float)
     if Wv.shape != u.shape:
         raise ValueError("superpotential samples must match the grid")
     raising = -derivative(v, grid.h) + Wv * v

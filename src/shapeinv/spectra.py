@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import islice
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -113,21 +113,10 @@ class WaveFunction(Record):
         return WaveFunction(gf, self.k, self.energy, True)
 
 
-def _as_grid(x) -> Tuple[Grid, np.ndarray]:
-    # accepts a Grid or a uniform 1-d sample array: within 4 ulps of max|x|
-    # of the nodes of Grid(x[0], x[-1], x.size), which A + np.linspace(...)
-    # meets at any offset the families allow
-    if isinstance(x, Grid):
-        return x, x.x
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1 or xs.size < 16:
-        raise ValueError("need a Grid or a 1-d array with at least 16 nodes")
-    grid = Grid(float(xs[0]), float(xs[-1]), int(xs.size))
-    dev = float(np.max(np.abs(xs - grid.x)))
-    if not dev <= 4.0 * float(np.spacing(np.max(np.abs(xs)))):
-        raise ValueError(f"sample array is not a uniform grid: a node lies "
-                         f"{dev:.3g} from np.linspace(x[0], x[-1], x.size)")
-    return grid, xs
+def _require_grid(grid) -> Grid:
+    if not isinstance(grid, Grid):
+        raise TypeError(f"states need a numerics.Grid, got {type(grid).__name__}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +430,18 @@ def _ladder_values(psi: np.ndarray, h: float, W: np.ndarray, w_all: float,
 def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
     """Apply (+-d/dx + W(., m)) to a state; 'plus' lowers along the orbit
     (A), 'minus' raises (A*). The result is not re-normalized."""
-    if sign in ("plus", +1):
-        adjoint = False
-    elif sign in ("minus", -1):
-        adjoint = True
-    else:
+    if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     W_at = family._chain_table(wf.x, wf.h)[1]
-    out = _ladder_values(wf.values, wf.h, *W_at(m), adjoint,
+    out = _ladder_values(wf.values, wf.h, *W_at(m), sign == "minus",
                          float(np.abs(wf.values).max()))
     return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
 def excited_state(family: Family, m, k: int, direction, grid,
                   d: Optional[float] = None) -> WaveFunction:
-    """Level-k bound state of H(m) built by the operator chain.
+    """Level-k bound state of H(m) built by the operator chain on a
+    numerics.Grid.
 
     The chain seeds the shifted-parameter ground state and ladders it back to
     parameter m, then normalizes and fixes the sign. The node count is
@@ -467,8 +453,7 @@ def excited_state(family: Family, m, k: int, direction, grid,
     reads the grid's held integrals of k0 and k1, and the ladder reads
     W(., p) once per ladder parameter and grid.
     """
-    gobj, xs = _as_grid(grid)
-    h = gobj.h
+    xs, h = _require_grid(grid).x, grid.h
     m = float(m)
     k = int(k)
     if k < 0:
@@ -497,23 +482,23 @@ def excited_state(family: Family, m, k: int, direction, grid,
             f"level {k} state shows {nodes} interior nodes; the grid may be "
             "too coarse or the domain clipped")
     psi = _fix_sign(psi, mag, max(inner, float(mag[0]), float(mag[-1])))
-    return WaveFunction(GridFunction(gobj, psi), k, step.energy, True)
+    return WaveFunction(GridFunction(grid, psi), k, step.energy, True)
 
 
 def ground_state(family: Family, m, direction, grid,
                  d: Optional[float] = None) -> WaveFunction:
     """The zero mode exp(-int W(., m)) for increasing chains, or the partner
-    tower's bottom exp(+int W(., m)) for decreasing ones; energy d either way."""
-    gobj, xs = _as_grid(grid)
+    tower's bottom exp(+int W(., m)) for decreasing ones, on a numerics.Grid;
+    energy d either way."""
+    xs, h = _require_grid(grid).x, grid.h
     m = float(m)
-    direction = resolve_direction(family, m, direction,
-                                  anchor=float(xs[xs.size // 2]))
+    anchor = float(xs[xs.size // 2])
+    direction = resolve_direction(family, m, direction, anchor=anchor)
     sign = -1 if direction is ChainDirection.IncreasingL else +1
-    _require_seed_normalizable(family, m, sign, anchor=float(xs[xs.size // 2]))
-    h = gobj.h
+    _require_seed_normalizable(family, m, sign, anchor=anchor)
     integral = family._chain_table(xs, h)[0]
     psi = fix_sign(_unit_norm(_state_seed(integral(m), sign), h))
-    return WaveFunction(GridFunction(gobj, psi), 0, _energy_shift(family, d), True)
+    return WaveFunction(GridFunction(grid, psi), 0, _energy_shift(family, d), True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 kept its pole-free cell, its W samples and its grid integrals and the chain
 reused its peaks and |psi|, kept as a test oracle.
 
-Every pass is the plain one: the seed's cell comes from `natural_domain` on
-each call, the seed integrates k0 and k1 afresh, every step reads W through
+Every pass is the plain one: the seed's cell comes from `natural_domain` of
+a fresh family on each call, the seed integrates k0 and k1 afresh, every step reads W through
 `Family.k` and checks it, the coarseness gate always masks the state's
 support, each ladder step takes the max of its input state, and
 normalization, the sign fix and the node count each take their own |psi|.
@@ -24,7 +24,7 @@ from shapeinv import spectra
 from shapeinv._quad import cumulative_simpson_values
 from shapeinv.errors import (GridTooCoarseError, NormalizationError,
                              OrbitError, PoleError, VerificationError)
-from shapeinv.families import FamilyKind
+from shapeinv.families import Family, FamilyKind
 from shapeinv.numerics import GridFunction, derivative, integrate
 
 _WHOLE_LINE = (-math.inf, math.inf)
@@ -55,8 +55,9 @@ def count_nodes(values) -> int:
 
 def _divergent_end(family, p: float, sign: int,
                    anchor: float) -> Optional[str]:
+    fresh = Family(params=family.params, kind=family.kind)
     left, right = spectra._seed_end_verdicts(
-        family, p, sign, family.natural_domain(1.0, anchor, _WHOLE_LINE))
+        family, p, sign, fresh.natural_domain(1.0, anchor, _WHOLE_LINE))
     if left and right:
         return None
     return "right" if left else "left"
@@ -129,7 +130,7 @@ def _ladder_values(psi: np.ndarray, xs: np.ndarray, h: float, family,
 def excited_state(family, m, k: int, direction, grid,
                   d: Optional[float] = None) -> spectra.WaveFunction:
     """Level-k bound state of H(m) built by the operator chain."""
-    gobj, xs = spectra._as_grid(grid)
+    xs, h = grid.x, grid.h
     m = float(m)
     k = int(k)
     if k < 0:
@@ -138,18 +139,18 @@ def excited_state(family, m, k: int, direction, grid,
                           spectra._energy_shift(family, d))
     _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
                                anchor=float(xs[xs.size // 2]))
-    psi = _state_seed(family, xs, gobj.h, step.seed_parameter, step.seed_sign)
+    psi = _state_seed(family, xs, h, step.seed_parameter, step.seed_sign)
     for p in step.operator_parameters:
-        psi = _ladder_values(psi, xs, gobj.h, family, p, step.adjoint)
+        psi = _ladder_values(psi, xs, h, family, p, step.adjoint)
         peak = float(np.max(np.abs(psi)))
         if peak == 0.0:
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
         psi = psi / peak
-    psi = _normalized(psi, gobj.h)
+    psi = _normalized(psi, h)
     nodes = count_nodes(psi[1:-1])
     if nodes != k:
         raise VerificationError(
             f"level {k} state shows {nodes} interior nodes; the grid may be "
             "too coarse or the domain clipped")
-    return spectra.WaveFunction(GridFunction(gobj, psi), k, step.energy, True)
+    return spectra.WaveFunction(GridFunction(grid, psi), k, step.energy, True)

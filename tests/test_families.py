@@ -237,6 +237,24 @@ def test_natural_domain_anchor_on_pole():
     fam = preset_params("TypeA")
     with pytest.raises(PoleError):
         fam.natural_domain(2.0, 0.0, (-10.0, 10.0))
+    # the anchor's cell is the window's whole-line one: a pole within 1e-12
+    # of an anchor at the window's end counts though it lies outside
+    with pytest.raises(PoleError) as info:
+        fam.natural_domain(2.0, math.pi - 1e-13, (1.0, math.pi - 1e-13))
+    assert info.value.locations == [pytest.approx(math.pi)]
+
+
+def test_natural_domain_clips_the_held_cell_to_the_window():
+    fam = preset_params("TypeA")
+    assert fam.natural_domain(2.0, 1.0, (0.5, 2.0)) == (0.5, 2.0)
+    lo, hi = fam.natural_domain(2.0, 1.0, (-10.0, 2.0))
+    assert (lo, hi) == (fam._pole_free_cell(1.0)[0], 2.0)
+    assert lo == pytest.approx(0.0, abs=1e-15)
+    assert [key for key in fam._memo if key[0] == "cell"] == [("cell", 1.0)]
+    with pytest.raises(ValueError, match="anchor must lie inside"):
+        fam.natural_domain(2.0, 3.0, (0.5, 2.0))
+    with pytest.raises(ValueError, match="lo < hi"):
+        fam.natural_domain(2.0, 1.0, (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

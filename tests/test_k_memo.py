@@ -405,23 +405,26 @@ def test_cell_memo_does_not_keep_a_pole_refusal():
 
 def test_seed_verdicts_share_one_cell_per_anchor(monkeypatch):
     # a request's spectrum and pre-check screen every level from one anchor
-    # and its states from the grid midpoint: two cells, whatever the level
-    # count
+    # and its states from the grid midpoint: one pole scan per anchor,
+    # whatever the level count, and natural_domain reads the held cell
     fam = preset_params("TypeA", c=1.2, A=0.1)
     anchor = spectra._default_anchor(_fresh(fam))
     calls = []
-    real = Family.natural_domain
+    real = Family.singularities_near
 
-    def natural_domain(self, m, anchor, window):
-        calls.append(anchor)
-        return real(self, m, anchor, window)
+    def singularities_near(self, m, window, around, periods):
+        calls.append(around)
+        return real(self, m, window, around, periods)
 
-    monkeypatch.setattr(Family, "natural_domain", natural_domain)
+    monkeypatch.setattr(Family, "singularities_near", singularities_near)
     spec = spectrum_analytic(fam, 2.0, 8)
     assert check_normalizable(fam, 2.0, spec.direction)
     grid = Grid(0.15, math.pi / 1.2 + 0.05, 2001)
     for k, _ in spec.levels[:5]:
         excited_state(fam, 2.0, k, spec.direction, grid)
+    # the pole at A clips the window's left end
+    assert fam.natural_domain(2.0, anchor, (anchor - 1.0, anchor + 1.0)) == (
+        fam._memo["cell", anchor][0], anchor + 1.0)
     assert len(spec.levels) == 9
     assert calls == [anchor, float(grid.x[1000])]
 
@@ -430,22 +433,24 @@ def test_seed_verdicts_share_one_cell_per_anchor(monkeypatch):
 # the ladder chain's W table
 
 
-def _typea_states(fam, x, levels):
-    return [excited_state(fam, 2.0, k, "decreasing", x).values.tobytes()
-            for k in levels]
+def _typea_reads(fam, x, params):
+    """The seed integral and W of each parameter, read through the chain
+    table of the sample array x."""
+    integral, W_at = fam._chain_table(x, (x[-1] - x[0]) / (x.size - 1))
+    return [(integral(p).tobytes(), W_at(p)[0].tobytes()) for p in params]
 
 
 def test_w_table_sees_a_grid_mutated_in_place():
     # the table compares the array's bytes, never its identity
     fam = preset_params("TypeA")
     x = np.linspace(1e-2, math.pi - 1e-2, 2001)
-    first = _typea_states(fam, x, range(4))
+    first = _typea_reads(fam, x, range(2, 6))
     x[:] = np.linspace(0.2, math.pi - 0.3, 2001)
-    assert _typea_states(fam, x, range(4)) == _typea_states(
-        preset_params("TypeA"), x.copy(), range(4))
-    assert first == _typea_states(preset_params("TypeA"),
-                                  np.linspace(1e-2, math.pi - 1e-2, 2001),
-                                  range(4))
+    assert _typea_reads(fam, x, range(2, 6)) == _typea_reads(
+        preset_params("TypeA"), x.copy(), range(2, 6))
+    assert first == _typea_reads(preset_params("TypeA"),
+                                 np.linspace(1e-2, math.pi - 1e-2, 2001),
+                                 range(2, 6))
 
 
 def _ladder(fam, m, x):
@@ -573,16 +578,15 @@ def test_seed_integrals_run_once_per_grid(monkeypatch, name, consts, m,
     assert len(calls) == per_grid
     states(fam, Grid(*window, 3001))       # a second grid
     assert len(calls) == 2 * per_grid
-    x = np.array(grid.x)
-    states(fam, x)                         # the first grid again
+    states(fam, Grid(*window, 2001))       # an equal copy of the first
     assert len(calls) == 3 * per_grid
-    x += 0.01                              # mutated in place
-    states(fam, x)
+    shifted = Grid(window[0] + 0.01, window[1] + 0.01, 2001)
+    states(fam, shifted)
     assert len(calls) == 4 * per_grid
     for other in (copy.copy(fam), copy.deepcopy(fam),
                   pickle.loads(pickle.dumps(fam))):
         assert other._samples == {}
-        states(other, x)
+        states(other, shifted)
     assert len(calls) == 7 * per_grid
 
 

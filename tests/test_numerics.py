@@ -153,12 +153,6 @@ def test_inner_product_bilinear():
 
 
 def test_inner_product_grid_checks():
-    g1 = Grid(0.0, 1.0, 21)
-    g2 = Grid(0.0, 2.0, 21)
-    f1 = GridFunction.from_callable(g1, np.cos)
-    f2 = GridFunction.from_callable(g2, np.cos)
-    with pytest.raises(ValueError):
-        inner_product(f1, f2)
     with pytest.raises(ValueError):
         inner_product(np.zeros(5), np.zeros(6), 0.1)
 
@@ -787,7 +781,7 @@ def test_adjointness_defect_zero_superpotential():
     g = Grid(-8.0, 8.0, 2001)
     mode = GridFunction.from_callable(
         g, lambda x: np.sin(math.pi * (x + 8.0) / 16.0))
-    defect = adjointness_defect(np.zeros(g.n), 1.0, mode, mode)
+    defect = adjointness_defect(lambda x, m: np.zeros_like(x), 1.0, mode, mode)
     assert defect < 1e-10
 
 
