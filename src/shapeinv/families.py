@@ -19,8 +19,8 @@ import numpy as np
 from ._quad import cumulative_simpson_values
 from ._record import Record
 from .errors import FamilyError, PoleError
-from .riccati import (INFINITY, ExtendedReal, _entry, _held, as_extended,
-                      general_solution, solve_z)
+from .riccati import (INFINITY, ExtendedReal, _entry, _held, _require_finite,
+                      as_extended, general_solution, solve_z)
 
 __all__ = [
     "SignClass", "positive_a", "zero_a", "negative_a",
@@ -100,6 +100,7 @@ class FamilyParams(Record):
             raise FamilyError(
                 f"offset A = {A!r} is out of range: need |A| <= {_MAX_OFFSET:g} "
                 f"and c|A| <= {_MAX_OFFSET:g}")
+        _require_finite(FamilyError, b=b, D=D, q=q, t=t, d=d)
         self.__dict__.update(sign=sign, A=A, B=B, b=b, D=D, q=q, t=t, d=d)
 
 

@@ -200,8 +200,20 @@ class TridiagonalSym(Record):
         return max(e2max, 1.0) * _TINY / _EPS
 
     def _sturm_rows(self):
-        # Row data of the Sturm recurrence as Python floats. The leading 0.0
-        # coupling makes the first row (d_0 - sigma) - 0/q = d_0 - sigma.
+        """Row data of the Sturm recurrence as Python floats; the leading 0.0
+        coupling makes the first row (d_0 - sigma) - 0/q = d_0 - sigma. A
+        matrix on which the recurrence cannot run raises ValueError: one
+        with non-finite entries, or one whose padded Gershgorin midpoints,
+        d_i - sigma there, or e_i^2 overflow."""
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
+            raise ValueError(
+                "bisection cannot converge: matrix has non-finite entries")
+        lo, hi = self.gershgorin()
+        big = max(abs(lo), abs(hi))
+        e_max = float(np.abs(self.offdiag).max(initial=0.0))
+        if not math.isfinite(max(2.0 * (big + _pad(big)), e_max * e_max)):
+            raise ValueError(f"matrix too large for bisection: Gershgorin "
+                             f"bracket [{lo!r}, {hi!r}], max |e_i| {e_max!r}")
         return self.diag.tolist(), [0.0] + (self.offdiag * self.offdiag).tolist()
 
     def count_below(self, sigma: float) -> int:
@@ -237,18 +249,10 @@ class TridiagonalSym(Record):
         """
         if not 1 <= k <= self.n:
             raise ValueError("k must be between 1 and the matrix size")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
-            raise ValueError(
-                "bisection cannot converge: matrix has non-finite entries")
+        d, e2 = self._sturm_rows()
         lo, hi = self.gershgorin()
         big = max(abs(lo), abs(hi))
-        pad = 2.0 * _EPS * max(big, 1.0)
-        # bounds on every midpoint and d_i - sigma, and on every e_i^2
-        e_max = float(np.abs(self.offdiag).max(initial=0.0))
-        if not math.isfinite(max(2.0 * (big + pad), e_max * e_max)):
-            raise ValueError(f"matrix too large for bisection: Gershgorin "
-                             f"bracket [{lo!r}, {hi!r}], max |e_i| {e_max!r}")
-        d, e2 = self._sturm_rows()
+        pad = _pad(big)
         pivmin = self._pivmin()
         known = _ShiftRecord(self.diag, d, e2, pivmin, k, _EPS * big + pivmin)
         known.double_up(lo, hi + pad)
@@ -318,6 +322,12 @@ class TridiagonalSym(Record):
             if nrm > _FRESH * whole:
                 return v / nrm
         raise ValueError("no twist row gives a vector independent of prev")
+
+
+def _pad(big: float) -> float:
+    """How far the root bracket reaches past a Gershgorin bracket whose
+    ends are at most big in magnitude."""
+    return 2.0 * _EPS * max(big, 1.0)
 
 
 # the share of a twisted vector that must survive the projection on the

@@ -14,6 +14,7 @@ y z + z' = b is solved in the same closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Union
 
 import numpy as np
@@ -577,12 +578,22 @@ _FORMS = {
 }
 
 
+def _require_finite(error=ValueError, **values) -> None:
+    """Raise error naming the first of values that is not a finite number."""
+    for name, value in values.items():
+        # False for nan, inf and integers beyond the double range, which
+        # float() would turn into an OverflowError
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{name} must be finite, got {value!r}")
+
+
 class ConstRiccati(Record):
     """y' = a2 y^2 + a1 y + a0 with constant coefficients, a2 != 0."""
 
     _fields = ("a2", "a1", "a0")
 
     def __init__(self, a2: float, a1: float, a0: float):
+        _require_finite(a2=a2, a1=a1, a0=a0)
         if a2 == 0:
             raise ValueError("a2 must be nonzero for a Riccati equation")
         self.__dict__.update(a2=a2, a1=a1, a0=a0)
@@ -617,6 +628,8 @@ class RiccatiSolution(Record):
     _fields = ("a", "A", "B")
 
     def __init__(self, a: float, A: float, B: ExtendedReal):
+        _require_finite(a=a, A=A)
+        a, A = float(a), float(A)
         # y = scale * f: c, -c, or kappa when a = 0 (B, or 1 for the
         # rational B = infinity form); none of the four is a field
         kind = "pos" if a > 0 else "neg" if a < 0 else "zero"
@@ -648,7 +661,7 @@ class RiccatiSolution(Record):
 
 def general_solution(a: float, A: float, B) -> RiccatiSolution:
     """Closed-form solution of y' = a - y^2 with offset A and mixing constant B."""
-    return RiccatiSolution(a=float(a), A=float(A), B=as_extended(B))
+    return RiccatiSolution(a, A, as_extended(B))
 
 
 class ZSolution(Record):
@@ -669,6 +682,7 @@ class ZSolution(Record):
 
 def solve_z(b: float, y: RiccatiSolution, D: float) -> ZSolution:
     """Closed-form z solving y z + z' = b for the sign class and B carried by y."""
+    _require_finite(b=b, D=D)
     return ZSolution(float(b), float(D), y)
 
 

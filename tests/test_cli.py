@@ -667,15 +667,21 @@ SCALING_CASES = [
      (-9.0, 9.0, 1501)),
     ("TypeB_real", dict(c=1.2, A=0.1, b=0.2, D=-1.0, t=0.0, d=0.0), 2.0,
      (-4.0, 12.0, 2001)),
+    ("TypeE", dict(c=1.3, A=0.2, q=0.5, t=0.25, d=-0.5), 2.0,
+     (0.21, 2.61, 1001)),
+    ("HyperbolicCoth", dict(c=1.1, A=-0.1, b=-7.26, D=4.95, t=0.5, d=0.75),
+     2.0, (-0.09, 12.0, 2001)),
 ]
+
+# the power of s each constant scales with under c -> s c
+_SCALE_POWERS = {"c": 1, "A": -1, "b": 2, "D": 1, "q": 1, "t": 2, "d": 2}
 
 
 def _scaled_family(name, consts, s):
     """The family with c -> s c: x shrinks by s, W grows by s, energies by
-    s^2, so A/s, b s^2, D s, t s^2 and d s^2."""
-    scaled = dict(c=consts["c"] * s, A=consts["A"] / s, b=consts["b"] * s * s,
-                  D=consts["D"] * s, t=consts["t"] * s * s,
-                  d=consts["d"] * s * s)
+    s^2, so A/s, b s^2, D s, q s, t s^2 and d s^2, for the constants the
+    preset has."""
+    scaled = {k: v * s ** _SCALE_POWERS[k] for k, v in consts.items()}
     return name + ":" + ",".join(f"{k}={v!r}" for k, v in scaled.items())
 
 

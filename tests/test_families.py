@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeinv import families, riccati
 from shapeinv.errors import FamilyError, PoleError
@@ -365,6 +367,17 @@ def test_offset_A_is_bounded():
     doc["A"] = 1e308
     with pytest.raises(FamilyError, match="offset A"):
         family_from_json(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(name=st.sampled_from(("b", "D", "q", "t", "d")),
+       bad=st.sampled_from((math.nan, math.inf, -math.inf, 10 ** 400)),
+       sign=st.sampled_from((positive_a(1.3), zero_a(), negative_a(0.9))))
+def test_non_finite_constants_are_refused(name, bad, sign):
+    # unrefused, d = inf gave levels at E = inf, and D = inf or t = nan an
+    # empty spectrum
+    with pytest.raises(FamilyError, match=f"^{name} must be finite, got "):
+        FamilyParams(sign=sign, A=0.2, **{name: bad})
 
 
 def test_infinite_B_survives_round_trip():

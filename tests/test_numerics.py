@@ -580,6 +580,26 @@ def test_matrices_beyond_the_double_range_are_refused():
                                                       rel=2.0 * _EPS)
 
 
+def test_sturm_counts_and_eigenvectors_refuse_what_bisection_refuses():
+    # all three read one checked set of Sturm rows: unchecked, the squared
+    # couplings overflowed and count_below(1e201) read 1 of the 3 levels
+    for mat, message in (
+            (TridiagonalSym(diag=np.zeros(3), offdiag=np.full(2, 1e200)),
+             "too large for bisection"),
+            (TridiagonalSym(diag=np.array([1e308, 1.5e308, 1.2e308]),
+                            offdiag=np.ones(2)), "too large for bisection"),
+            (TridiagonalSym(diag=np.array([np.nan, 2.0]),
+                            offdiag=np.array([-1.0])), "non-finite entries")):
+        for call in (lambda: mat.count_below(1e201),
+                     lambda: mat.eigenvector(0.0),
+                     lambda: mat.eigenvalues_lowest(1)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    near = TridiagonalSym(diag=np.array([1e307, 2e307]), offdiag=np.zeros(1))
+    assert near.count_below(1.5e307) == 1
+    assert abs(near.eigenvector(1e307)[0]) == 1.0
+
+
 def test_matvec():
     mat = TridiagonalSym(diag=np.array([1.0, 2.0, 3.0]),
                          offdiag=np.array([0.5, -0.5]))

@@ -50,6 +50,29 @@ def test_const_riccati_rejects_linear():
         ConstRiccati(0.0, 1.0, 1.0)
 
 
+# nan, the infinities and integers beyond the double range, which float()
+# would turn into an OverflowError
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf, 10 ** 400,
+                              -(10 ** 400)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(slot=st.integers(0, 6), bad=NON_FINITE, ok=st.floats(-3.0, 3.0))
+def test_non_finite_constants_are_refused(slot, bad, ok):
+    # unrefused, a = nan gave a zero row whose y(0.3) read 0.0
+    y = general_solution(1.0, 0.0, 0.5)
+    name, call = (
+        ("a", lambda: general_solution(bad, ok, 0.5)),
+        ("A", lambda: general_solution(ok, bad, INFINITY)),
+        ("b", lambda: solve_z(bad, y, ok)),
+        ("D", lambda: solve_z(ok, y, bad)),
+        ("a2", lambda: ConstRiccati(bad, ok, ok)),
+        ("a1", lambda: ConstRiccati(ok, bad, ok)),
+        ("a0", lambda: ConstRiccati(ok, ok, bad)))[slot]
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        call()
+
+
 @pytest.mark.parametrize("coeffs,expected", [
     ((-1.0, 0.0, 1.0), 4.0),    # y' = -y^2 + 1
     ((-1.0, 0.0, 0.0), 0.0),
