@@ -24,10 +24,7 @@ from .families import (Family, FamilyKind, FamilyParams, SignClass,
 from .partners import (PotentialPair, PotentialRecord, classify_L_sequence,
                        closed_form_potentials, factorization_residuals,
                        pair_from_family, shape_invariance_residual)
-from .numerics import (Grid, GridFunction, NumericSpectrum, TridiagonalSym,
-                       adjointness_defect, apply_hamiltonian, derivative,
-                       eigen_lowest, fix_sign, hamiltonian_matrix,
-                       inner_product, integrate, spectrum_numeric)
+from ._grid import Grid
 from .spectra import (ChainDirection, NormalizabilityReport, SpectralChain,
                       SpectrumResult, WaveFunction, build_chain,
                       check_normalizable, count_nodes, energy_level,
@@ -36,12 +33,17 @@ from .spectra import (ChainDirection, NormalizabilityReport, SpectralChain,
 
 __version__ = "0.1.0"
 
-# The residual suites load on first use: only `verify` needs them, and the
-# CLI's other subcommands skip their import.
-_CHECKS_NAMES = frozenset({"CheckResult", "SUITE_NAMES", "run_suite", "run_suites"})
+# The array modules load on first use, and numpy with them: the closed-form
+# commands and the refusals made before any sampling never import it, and
+# only `verify` needs the residual suites.
+_LAZY = dict.fromkeys(("CheckResult", "SUITE_NAMES", "run_suite", "run_suites"), "checks")
+_LAZY.update(dict.fromkeys((
+    "GridFunction", "NumericSpectrum", "TridiagonalSym", "adjointness_defect",
+    "apply_hamiltonian", "derivative", "eigen_lowest", "fix_sign",
+    "hamiltonian_matrix", "inner_product", "integrate", "spectrum_numeric"), "numerics"))
 
 
 def __getattr__(name):
-    if name in _CHECKS_NAMES:
-        return getattr(importlib.import_module(".checks", __name__), name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

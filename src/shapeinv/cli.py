@@ -18,9 +18,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import families, numerics, partners, riccati, spectra
+from . import families, partners, riccati, spectra
+from ._grid import Grid
 from ._record import Record
 from .errors import (BoundaryConditionError, GridTooCoarseError,
                      NormalizationError, OrbitError, PoleError, ShapeInvError,
@@ -55,6 +54,14 @@ def _diag(slug: str, message: str, **extra) -> None:
 def _f(v) -> str:
     # shortest representation that round-trips a double, '.' decimal point
     return repr(float(v))
+
+
+def _quiet():
+    # numpy's error state for a handler's array work, after the refusals that
+    # need none: overflow and the like are classified by the finite checks of
+    # each path (samples, matrix, ladder), never reported as numpy warnings
+    import numpy as np
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,7 @@ def _rate(fam: families.Family) -> float:
     return fam.params.sign.c or 1.0
 
 
-def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
+def _auto_grid(cfg: RunConfig, fam: families.Family) -> Grid:
     anchor = spectra._default_anchor(fam)
     big = 1e15
     lo, hi = fam.natural_domain(cfg.m, anchor, (anchor - big, anchor + big))
@@ -280,7 +287,7 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
                              f"auto grid's end on the pole x = {pole!r}: the "
                              "margin is below the spacing of doubles there")
     if left_pole and right_pole:
-        return numerics.Grid(lo + margin, hi - margin, _DEFAULT_N)
+        return Grid(lo + margin, hi - margin, _DEFAULT_N)
     pp = partners.pair_from_family(fam, cfg.d)
     center = anchor if (left_pole or right_pole) else fam.params.A
     step = 1.0 / c
@@ -288,24 +295,25 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
         step = min(step, 0.5 * (anchor - lo))
     if right_pole:
         step = min(step, 0.5 * (hi - anchor))
-    v0 = float(pp.V(center, cfg.m))
-    curv = abs(float(pp.V(center + step, cfg.m))
-               + float(pp.V(center - step, cfg.m)) - 2.0 * v0) / (step * step)
+    with _quiet():
+        v0 = float(pp.V(center, cfg.m))
+        curv = abs(float(pp.V(center + step, cfg.m))
+                   + float(pp.V(center - step, cfg.m)) - 2.0 * v0) / (step * step)
     extent = 8.0 / c
     if curv > 1e-8 * c ** 4:
         extent = max(extent, 6.0 / math.sqrt(curv))
     x0 = lo + margin if left_pole else center - extent
     x1 = hi - margin if right_pole else center + extent
-    return numerics.Grid(x0, x1, _DEFAULT_N)
+    return Grid(x0, x1, _DEFAULT_N)
 
 
-def _resolve_grid(cfg: RunConfig, fam: families.Family) -> numerics.Grid:
+def _resolve_grid(cfg: RunConfig, fam: families.Family) -> Grid:
     if cfg.grid == "auto":
         return _auto_grid(cfg, fam)
-    return numerics.Grid(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"])
+    return Grid(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"])
 
 
-def _grid_meta(grid: numerics.Grid) -> dict:
+def _grid_meta(grid: Grid) -> dict:
     return {"xmin": grid.x0, "xmax": grid.x1, "n": grid.n}
 
 
@@ -358,19 +366,20 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     fam = cfg.build_family()
     # eval samples closed forms only, so it is free of the minimum node
     # count the finite-difference grid type enforces
-    if cfg.grid == "auto":
-        xs = _auto_grid(cfg, fam).x
-    elif cfg.grid["n"] < 2:
+    grid = _grid_meta(_auto_grid(cfg, fam)) if cfg.grid == "auto" else cfg.grid
+    if grid["n"] < 2:
         raise ValueError("eval grid needs at least 2 nodes")
-    elif not math.isfinite(cfg.grid["xmax"] - cfg.grid["xmin"]):
+    if not math.isfinite(grid["xmax"] - grid["xmin"]):
         raise ValueError("eval grid span xmax - xmin is not finite")
-    else:
-        xs = np.linspace(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"])
-    _require_pole_free(fam, cfg.m, (float(xs[0]), float(xs[-1])))
-    pp = partners.pair_from_family(fam, cfg.d)
-    W = np.asarray(fam.k(xs, cfg.m), dtype=float)
-    V = np.asarray(pp.V(xs, cfg.m), dtype=float)
-    Vt = np.asarray(pp.Vtilde(xs, cfg.m), dtype=float)
+    # the samples' first and last x are the ends, so the scan reads none
+    _require_pole_free(fam, cfg.m, (grid["xmin"], grid["xmax"]))
+    import numpy as np
+    with _quiet():
+        xs = np.linspace(grid["xmin"], grid["xmax"], grid["n"])
+        pp = partners.pair_from_family(fam, cfg.d)
+        W = np.asarray(fam.k(xs, cfg.m), dtype=float)
+        V = np.asarray(pp.V(xs, cfg.m), dtype=float)
+        Vt = np.asarray(pp.Vtilde(xs, cfg.m), dtype=float)
     bad = ~(np.isfinite(W) & np.isfinite(V) & np.isfinite(Vt))
     if np.any(bad):
         raise PoleError("potential is not finite on the requested grid",
@@ -427,12 +436,14 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         grid = _resolve_grid(cfg, fam)
         _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
         pp = partners.pair_from_family(fam, cfg.d)
-        numeric = numerics.spectrum_numeric(lambda x: pp.V(x, cfg.m), grid,
-                                            cfg.kmax + 1)
+        from .numerics import spectrum_numeric
+        with _quiet():
+            numeric = spectrum_numeric(lambda x: pp.V(x, cfg.m), grid,
+                                       cfg.kmax + 1)
         err = numeric.error_estimate
         levels = [{"k": k, "E": float(e),
                    "richardson": (float(err[k]) if err is not None
-                                  and np.isfinite(err[k]) else None)}
+                                  and math.isfinite(err[k]) else None)}
                   for k, e in enumerate(numeric.energies)]
         report["numeric"] = {"levels": levels, "grid": _grid_meta(grid)}
     if mode == "both":
@@ -460,7 +471,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     from . import checks  # only verify needs the suites; see __init__
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
     n = cfg.grid["n"] if isinstance(cfg.grid, dict) else _DEFAULT_N
-    results = checks.run_suites(names, n=n)
+    with _quiet():
+        results = checks.run_suites(names, n=n)
     passed = all(r.passed for r in results)
     report = {"suites": names,
               "checks": [r.to_json() for r in results],
@@ -486,22 +498,26 @@ def cmd_wavefunction(args, cfg: RunConfig) -> int:
     grid = _resolve_grid(cfg, fam)
     _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
     try:
-        wf = spectra.excited_state(fam, cfg.m, k, direction, grid, cfg.d)
+        # the level walk and the seed's verdict refuse before any array work
+        spectra._state_step(fam, cfg.m, k, direction, grid, cfg.d)
+        with _quiet():
+            wf = spectra.excited_state(fam, cfg.m, k, direction, grid, cfg.d)
     except (OrbitError, NormalizationError) as exc:
         bound = spectra.max_level(fam, cfg.m, direction)
         _diag("truncated-chain", str(exc), requested_level=k,
               max_level=bound)
         return EXIT_TRUNCATION
-    meta = {
-        "k": wf.k,
-        "energy": wf.energy,
-        "nodes": wf.node_count(),
-        "norm": wf.norm(),
-        "m": cfg.m,
-        "direction": direction.value,
-        "grid": _grid_meta(grid),
-        "generated_by": f"shapeinv {__version__}",
-    }
+    with _quiet():
+        meta = {
+            "k": wf.k,
+            "energy": wf.energy,
+            "nodes": wf.node_count(),
+            "norm": wf.norm(),
+            "m": cfg.m,
+            "direction": direction.value,
+            "grid": _grid_meta(grid),
+            "generated_by": f"shapeinv {__version__}",
+        }
     if cfg.output_format == "json":
         doc = {"x": [float(v) for v in wf.x],
                "psi": [float(v) for v in wf.values]}
@@ -619,14 +635,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # overflow and the like are classified by the finite checks of each
-        # path (samples, matrix, ladder), never reported as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cfg = _resolve_config(args)
-            if args.dump_config:
-                sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
-                return EXIT_OK
-            return args.handler(args, cfg)
+        cfg = _resolve_config(args)
+        if args.dump_config:
+            sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
+            return EXIT_OK
+        return args.handler(args, cfg)
     except Exception as exc:
         for types, slug, code, attrs in _FAILURES:
             if isinstance(exc, types):

@@ -14,9 +14,6 @@ import math
 import sys
 from enum import Enum
 
-import numpy as np
-
-from ._quad import cumulative_simpson_values
 from ._record import Record
 from .errors import FamilyError, PoleError
 from .riccati import (INFINITY, ExtendedReal, _entry, _held, _require_finite,
@@ -61,8 +58,14 @@ class SignClass(Record):
         return 0.0
 
 
+def _float(name: str, value) -> float:
+    if isinstance(value, int):   # float() overflows beyond the double range
+        _require_finite(FamilyError, **{name: value})
+    return float(value)
+
+
 def positive_a(c: float) -> SignClass:
-    return SignClass("pos", float(c))
+    return SignClass("pos", _float("c", c))
 
 
 def zero_a() -> SignClass:
@@ -70,7 +73,7 @@ def zero_a() -> SignClass:
 
 
 def negative_a(c: float) -> SignClass:
-    return SignClass("neg", float(c))
+    return SignClass("neg", _float("c", c))
 
 
 class FamilyKind(Enum):
@@ -113,10 +116,11 @@ _W_TABLE_MAX_PARAMETERS = 16
 _MEMO_MAX = 64
 
 
-def _midpoint_integral(values: np.ndarray, h: float, mid: int) -> np.ndarray:
+def _midpoint_integral(values, h: float, mid: int):
     """The cumulative Simpson integral of samples of step h, zero at sample
     mid; a sample that is not finite raises PoleError."""
-    out = cumulative_simpson_values(values, h)
+    from . import _quad
+    out = _quad.cumulative_simpson_values(values, h)
     # every sample enters a step, and a non-finite step stays in every
     # later partial sum, so the last one is finite iff all samples are
     # (and the sum did not overflow)
@@ -225,6 +229,7 @@ class Family(Record):
         and the array's sample entry keeps I0 and I1 alongside the W pairs
         per m (and the sign of a zero m), all read from the entry's (k0, k1)
         pair; readers fetched once serve a whole chain."""
+        import numpy as np
         arr = np.asarray(x, dtype=float)
         entry = _entry(self._samples, arr)
         by_m = entry.setdefault("W", {})
@@ -339,13 +344,13 @@ class Family(Record):
         anchor = float(anchor)
         cell = self._memo.get(("cell", anchor))
         if cell is None:
-            poles = self.singularities_near(1.0, (-np.inf, np.inf), anchor, 2.5)
+            poles = self.singularities_near(1.0, (-math.inf, math.inf), anchor, 2.5)
             for pole in poles:
                 if abs(pole - anchor) < 1e-12 * max(abs(pole), abs(anchor), 1.0):
                     raise PoleError(f"anchor {anchor} coincides with a pole", locations=[pole])
             cell = self._remember(("cell", anchor), (
-                max((p for p in poles if p < anchor), default=-np.inf),
-                min((p for p in poles if p > anchor), default=np.inf)))
+                max((p for p in poles if p < anchor), default=-math.inf),
+                min((p for p in poles if p > anchor), default=math.inf)))
         return cell
 
 
@@ -390,15 +395,16 @@ def preset_params(name: str, *, c: float = 1.0, A: float = 0.0, b: float = 0.0,
         raise ValueError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
     pd = _PRESETS[name]
-    sign = SignClass(pd.sign_kind, float(c))   # c is dropped when a = 0
+    sign = SignClass(pd.sign_kind, _float("c", c))   # c is dropped when a = 0
     if pd.kind is FamilyKind.INVERSE_POWER:
         if q == 0.0:
             raise FamilyError(f"preset {name} requires q != 0")
         b_eff, d_big_eff = 0.0, 0.0
     else:
-        b_eff, d_big_eff = float(b), float(D)
-    params = FamilyParams(sign=sign, A=float(A), B=pd.B, b=b_eff, D=d_big_eff,
-                          q=float(q), t=float(t), d=float(d))
+        b_eff, d_big_eff = _float("b", b), _float("D", D)
+    params = FamilyParams(sign=sign, A=_float("A", A), B=pd.B, b=b_eff,
+                          D=d_big_eff, q=_float("q", q), t=_float("t", t),
+                          d=_float("d", d))
     return Family(params=params, kind=pd.kind)
 
 

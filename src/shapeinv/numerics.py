@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._grid import Grid
 from ._record import Record
 from .errors import BoundaryConditionError, PoleError
 
@@ -27,37 +28,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-
-
-class Grid(Record):
-    """Uniform grid on [x0, x1] with n nodes, endpoints included."""
-
-    _fields = ("x0", "x1", "n")
-
-    def __init__(self, x0: float, x1: float, n: int):
-        if not np.isfinite(x0) or not np.isfinite(x1):
-            raise ValueError("grid endpoints must be finite")
-        if not math.isfinite(float(x1) - float(x0)):
-            raise ValueError(f"grid span x1 - x0 = {x1!r} - {x0!r} is not "
-                             "finite")
-        if not x1 > x0:
-            raise ValueError("grid needs x1 > x0")
-        if n < 16:
-            raise ValueError("grid needs at least 16 nodes")
-        # the nodes, computed once and read-only so every reader shares them
-        # (copies rebuild their own); not a field, so == and hash still
-        # compare (x0, x1, n)
-        x = np.linspace(x0, x1, n)
-        x.flags.writeable = False
-        self.__dict__.update(x0=x0, x1=x1, n=n, _x=x)
-
-    @property
-    def h(self) -> float:
-        return (self.x1 - self.x0) / (self.n - 1)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x
 
 
 class GridFunction(Record):

@@ -12,11 +12,9 @@ available for every family, expressed in the family's (f, h) basis.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ._record import Record
 from .families import Family
-from .riccati import TERMS, quadratic
+from .riccati import TERMS, _prep, quadratic
 
 __all__ = [
     "PotentialPair", "pair_from_family", "shape_invariance_residual",
@@ -77,8 +75,7 @@ class PotentialRecord(Record):
     def _eval(self, coeffs, x):
         bs = self.family.basis()
         out = quadratic([coeffs.get(key, 0.0) for key in TERMS],
-                        np.asarray(bs.f(x), dtype=float),
-                        np.asarray(bs.h(x), dtype=float))
+                        _prep(bs.f(x))[0], _prep(bs.h(x))[0])
         return float(out) if out.ndim == 0 else out
 
     def V_minus_d(self, x):

@@ -17,9 +17,6 @@ import math
 import sys
 from typing import Callable, Union
 
-import numpy as np
-
-from ._quad import cumulative_simpson_values
 from ._record import Record
 from .errors import PoleError
 
@@ -61,6 +58,7 @@ def as_extended(v) -> ExtendedReal:
 
 
 def _prep(x):
+    import numpy as np
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
 
@@ -75,7 +73,7 @@ def _ret(vals, scalar):
 _MEMO_MAX_POINTS = 1 << 16
 
 
-def _entry(memo: dict, arr: np.ndarray) -> dict:
+def _entry(memo: dict, arr) -> dict:
     """The dict of results that memo holds for arr, a float array, keyed by
     its shape and bytes; a new array replaces the last one's."""
     if arr.ndim == 0 or arr.size > _MEMO_MAX_POINTS:
@@ -93,6 +91,7 @@ def _entry(memo: dict, arr: np.ndarray) -> dict:
 def _held(memo: dict, tag: str, compute, x):
     """compute(arr) for arr = x as a float array, kept under tag in memo's
     entry for arr. A compute that raises keeps nothing."""
+    import numpy as np
     arr = np.asarray(x, dtype=float)
     entry = _entry(memo, arr)
     out = entry.get(tag)
@@ -102,8 +101,9 @@ def _held(memo: dict, tag: str, compute, x):
 
 
 def _read_only(*parts) -> tuple:
+    # numpy scalars and 0-d arrays are never held (see _entry)
     for part in parts:
-        if isinstance(part, np.ndarray):
+        if getattr(part, "ndim", 0):
             part.flags.writeable = False
     return parts
 
@@ -143,6 +143,7 @@ _MAX_LOCATIONS = 8
 
 def _check_regular(x, den):
     """Raise PoleError where den vanishes, naming at most 8 distinct points."""
+    import numpy as np
     hit = np.asarray(den) == 0.0
     if np.any(hit):
         bad = np.unique(np.asarray(x, dtype=float)[hit])[:_MAX_LOCATIONS].tolist()
@@ -190,8 +191,8 @@ class _Form:
         self.c, self.A, self.B = c, A, B
         self._memo = {}
 
-    def _theta(self, x):
-        return self.c * (np.asarray(x, dtype=float) - self.A)
+    def _theta(self, arr):
+        return self.c * (arr - self.A)
 
     def _parts(self, x) -> tuple:
         """The row's primitives at x, from _pass (a float array in, a
@@ -228,35 +229,30 @@ class _PosFinite(_Form):
         self.kappa = B * B - 1.0
 
     def _pass(self, arr):
-        return _checked(arr, *self._f_parts(self._theta(arr)))
+        import numpy as np
+        B, th = self.B, self._theta(arr)
+        if B == 1.0:
+            return _checked(arr, -np.ones_like(th), np.ones_like(th))
+        if B == -1.0:
+            return _checked(arr, np.ones_like(th), np.ones_like(th))
+        t = np.tanh(th)
+        return _checked(arr, B * t - 1.0, B - t)
 
     def _h_pass(self, arr):
-        return _checked(arr, *self._h_parts(self._theta(arr)))
+        import numpy as np
+        B, th = self.B, self._theta(arr)
+        if B == 1.0:
+            return _checked(arr, -np.exp(th), np.ones_like(th))
+        if B == -1.0:
+            return _checked(arr, np.exp(-th), np.ones_like(th))
+        e = np.exp(-np.abs(th))
+        v = np.where(th >= 0.0, 0.5 * (B - 1.0) + 0.5 * (B + 1.0) * e * e,
+                     0.5 * (B + 1.0) + 0.5 * (B - 1.0) * e * e)
+        return _checked(arr, -e, v)
 
     def _h_parts_at(self, x):
         # h's denominator need not vanish where f's does: a pass of its own
         return _held(self._memo, "h pass", self._h_pass, x)
-
-    def _f_parts(self, th):
-        B = self.B
-        if B == 1.0:
-            return -np.ones_like(th), np.ones_like(th)
-        if B == -1.0:
-            return np.ones_like(th), np.ones_like(th)
-        t = np.tanh(th)
-        return B * t - 1.0, B - t
-
-    def _h_parts(self, th):
-        B = self.B
-        if B == 1.0:
-            return -np.exp(th), np.ones_like(th)
-        if B == -1.0:
-            return np.exp(-th), np.ones_like(th)
-        e = np.exp(-np.abs(th))
-        v = np.where(th >= 0.0,
-                     0.5 * (B - 1.0) + 0.5 * (B + 1.0) * e * e,
-                     0.5 * (B + 1.0) + 0.5 * (B - 1.0) * e * e)
-        return -e, v
 
     def f(self, x):
         u, v = self._parts(x)
@@ -268,7 +264,8 @@ class _PosFinite(_Form):
 
     def df(self, x):
         if self.kappa == 0.0:   # B = +-1: f is constant
-            return np.zeros_like(self._theta(x))
+            import numpy as np
+            return np.zeros_like(_prep(x)[0])
         h = self.h(x)
         return self.c * self.kappa * h * h
 
@@ -304,19 +301,16 @@ class _PosFinite(_Form):
         return float(sigma), 0.0, 0.0
 
 
-def _sech(th):
-    e = np.exp(-np.abs(th))
-    return 2.0 * e / (1.0 + e * e)
-
-
 class _PosLimit(_Form):
     """a = c^2, B = infinity: f = tanh, h = sech; no poles."""
 
     basis_name = "limit"
 
     def _pass(self, arr):
+        import numpy as np
         th = self._theta(arr)
-        return _read_only(np.tanh(th), _sech(th))
+        e = np.exp(-np.abs(th))   # sech = 2 e / (1 + e^2) never overflows
+        return _read_only(np.tanh(th), 2.0 * e / (1.0 + e * e))
 
     def f(self, x):
         return self._parts(x)[0].copy()
@@ -427,13 +421,14 @@ class _ZeroLimit(_Form):
 
     def h(self, x):
         # h = t/2 is regular at the pole, so it does not read the pass
-        return 0.5 * (np.asarray(x, dtype=float) - self.A)
+        return 0.5 * (_prep(x)[0] - self.A)
 
     def df(self, x):
         t = self._parts(x)[0]
         return -1.0 / (t * t)
 
     def dh(self, x):
+        import numpy as np
         return np.full_like(np.asarray(x, dtype=float), 0.5)
 
     def z(self, x, b, D):
@@ -490,6 +485,7 @@ class _NegFinite(_Periodic):
                 -self.c * (self.B * math.sin(th) + math.cos(th)))
 
     def _pass(self, arr):
+        import numpy as np
         th = self._theta(arr)
         sn, cs = np.sin(th), np.cos(th)
         return _checked(arr, self.B * sn + cs, self.B * cs - sn)
@@ -539,6 +535,7 @@ class _NegLimit(_Periodic):
         return math.cos(th), -self.c * math.sin(th)
 
     def _pass(self, arr):
+        import numpy as np
         th = self._theta(arr)
         return _checked(arr, np.tan(th), np.cos(th))
 
@@ -699,12 +696,10 @@ def superpose(y1, y2, y3, k) -> Callable:
     kv = kx.value
 
     def y(x):
-        w1 = np.asarray(y1(x), dtype=float)
-        w2 = np.asarray(y2(x), dtype=float)
-        w3 = np.asarray(y3(x), dtype=float)
+        w1, w2, w3 = (_prep(fn(x))[0] for fn in (y1, y2, y3))
         num = w2 * (w3 - w1) * kv + w1 * (w2 - w3)
         den = (w3 - w1) * kv + (w2 - w3)
-        if np.any(den == 0.0):
+        if (den == 0.0).any():
             raise PoleError("superposition denominator vanished")
         out = num / den
         return float(out) if out.ndim == 0 else out
@@ -730,7 +725,7 @@ def reduce_standard(eq: ConstRiccati, y1) -> LinearFirstOrder:
     """
     if callable(y1):
         def a(x):
-            return -(2.0 * eq.a2 * np.asarray(y1(x), dtype=float) + eq.a1)
+            return -(2.0 * eq.a2 * _prep(y1(x))[0] + eq.a1)
         return LinearFirstOrder(a=a, b=eq.a2)
     av = -(2.0 * eq.a2 * float(y1) + eq.a1)
     return LinearFirstOrder(a=av, b=eq.a2)
@@ -740,8 +735,8 @@ def reduce_alternative(eq: ConstRiccati, y1) -> LinearFirstOrder:
     """Reduce via u = y y1 / (y1 - y); requires y1 nonzero on the domain."""
     if callable(y1):
         def a(x):
-            vals = np.asarray(y1(x), dtype=float)
-            if np.any(vals == 0.0):
+            vals = _prep(y1(x))[0]
+            if (vals == 0.0).any():
                 raise ValueError("alternative reduction needs y1 != 0 on the domain")
             return 2.0 * eq.a0 / vals + eq.a1
         return LinearFirstOrder(a=a, b=eq.a0)
@@ -763,6 +758,8 @@ def solve_linear_first_order(p: LinearFirstOrder, x0: float,
     the integrating-factor formula is evaluated with composite Simpson
     quadrature on _PANELS panels per point.
     """
+    import numpy as np
+    from ._quad import cumulative_simpson_values
     x0 = float(x0)
     E = float(E)
     if p.constant_coefficients:

@@ -29,14 +29,11 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional
 
-import numpy as np
-
+from ._grid import Grid
 from ._record import Record
 from .errors import (FamilyError, GridTooCoarseError, NormalizationError,
                      OrbitError, PoleError, VerificationError)
 from .families import Family
-from .numerics import (Grid, GridFunction, _fix_sign, derivative, fix_sign,
-                       integrate)
 from .partners import classify_L_sequence
 
 __all__ = [
@@ -63,13 +60,15 @@ def _coerce_direction(direction) -> ChainDirection:
 
 def count_nodes(values) -> int:
     """Strict sign changes among samples above 1e-10 of the peak magnitude."""
+    import numpy as np
     v = np.asarray(values, dtype=float)
     mag = np.abs(v)
     return _count_nodes(v, mag, float(mag.max()) if v.size else 0.0)
 
 
-def _count_nodes(v: np.ndarray, mag: np.ndarray, peak: float) -> int:
+def _count_nodes(v, mag, peak: float) -> int:
     # count_nodes with mag = |v| and peak = max mag already at hand
+    import numpy as np
     if peak == 0.0:
         return 0
     signs = np.sign(v[mag >= 1e-10 * peak])
@@ -86,11 +85,11 @@ class WaveFunction(Record):
         return self.data.grid
 
     @property
-    def x(self) -> np.ndarray:
+    def x(self):
         return self.data.grid.x
 
     @property
-    def values(self) -> np.ndarray:
+    def values(self):
         return self.data.values
 
     @property
@@ -109,7 +108,7 @@ class WaveFunction(Record):
         nrm = self.norm()
         if nrm == 0.0:
             raise NormalizationError("cannot normalize the zero function")
-        gf = GridFunction(self.data.grid, self.values / nrm)
+        gf = type(self.data)(self.data.grid, self.values / nrm)
         return WaveFunction(gf, self.k, self.energy, True)
 
 
@@ -380,21 +379,22 @@ def partner_energies(family: Family, m, n_levels: int, direction,
 # ---------------------------------------------------------------------------
 # states
 
-def _unit_norm(psi: np.ndarray, h: float) -> np.ndarray:
-    """psi, a fresh array, divided in place by its norm on a grid of step h."""
-    nrm = math.sqrt(max(integrate(psi * psi, h), 0.0))
+def _unit_norm(psi, norm2: float):
+    """psi, a fresh array, divided in place by its norm sqrt(norm2), norm2 = int psi^2."""
+    nrm = math.sqrt(max(norm2, 0.0))
     if nrm == 0.0:
         raise NormalizationError("state vanished on the grid")
     psi /= nrm
     return psi
 
 
-def _state_seed(s: np.ndarray, sign: int) -> np.ndarray:
+def _state_seed(s, sign: int):
     """exp(sign s) for s = int W, in place, with a peak of 1."""
     # the shift to a max of 0 before exponentiating only changes the
     # constant that normalization absorbs. A sum that overflowed toward +inf
     # (or to nan) leaves no finite max and is refused like a non-finite W;
     # toward -inf the seed is exactly 0 there
+    import numpy as np
     if sign < 0:
         np.negative(s, out=s)
     top = float(s.max())
@@ -404,27 +404,28 @@ def _state_seed(s: np.ndarray, sign: int) -> np.ndarray:
     return np.exp(s, out=s)
 
 
-def _ladder_values(psi: np.ndarray, h: float, W: np.ndarray, w_all: float,
-                   adjoint: bool, peak: float) -> np.ndarray:
-    """(+-d/dx + W) psi, where w_all = max|W| and peak = max|psi|."""
+def _ladder_values(psi, dpsi, h: float, W, w_all: float, adjoint: bool, peak: float):
+    """(+-d/dx + W) psi from dpsi = psi' on a grid of step h, where
+    w_all = max|W| and peak = max|psi|."""
     # coarseness gate on the state's support only: a potential blowing up
     # where psi has died off should not block the ladder. The max over the
     # support is at most w_all, the max over the grid, so when h * w_all
     # passes the support is not looked at. The support is empty only when
     # psi holds nan, a state refused further on.
     if h * w_all > 0.5 and peak > 0.0:
-        support = np.abs(psi) >= 1e-6 * peak
-        w_max = float(np.abs(W[support]).max(initial=0.0))
+        support = abs(psi) >= 1e-6 * peak
+        w_max = float(abs(W[support]).max(initial=0.0))
         if h * w_max > 0.5:
             raise GridTooCoarseError(
                 f"h * max|W| = {h * w_max:.3g} exceeds 0.5 on the state's "
                 "support; refine the grid", h=h, w_max=w_max)
-    dpsi = derivative(psi, h)
     out = W * psi
     # -dpsi + W psi and W psi - dpsi are the same doubles
     if adjoint:
-        return np.subtract(out, dpsi, out=out)
-    return np.add(dpsi, out, out=out)
+        out -= dpsi
+    else:
+        out += dpsi
+    return out
 
 
 def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
@@ -432,10 +433,23 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
     (A), 'minus' raises (A*). The result is not re-normalized."""
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    W_at = family._chain_table(wf.x, wf.h)[1]
-    out = _ladder_values(wf.values, wf.h, *W_at(m), sign == "minus",
-                         float(np.abs(wf.values).max()))
-    return WaveFunction(GridFunction(wf.grid, out), wf.k, wf.energy, False)
+    from . import numerics
+    psi, h = wf.values, wf.h
+    W_at = family._chain_table(wf.x, h)[1]
+    out = _ladder_values(psi, numerics.derivative(psi, h), h, *W_at(m),
+                         sign == "minus", float(abs(psi).max()))
+    return WaveFunction(numerics.GridFunction(wf.grid, out), wf.k, wf.energy, False)
+
+
+def _state_step(family: Family, m, k: int, direction, grid, d=None) -> ChainStep:
+    """Level k's chain, once excited_state's refusals that read no node pass:
+    the level walk, and the seed's verdict on the cell around the grid's middle."""
+    m, k = float(m), int(k)
+    if k < 0:
+        raise ValueError("level index must be >= 0")
+    step = _level(family, m, k, _coerce_direction(direction), _energy_shift(family, d))
+    _require_seed_normalizable(family, step.seed_parameter, step.seed_sign, grid.mid)
+    return step
 
 
 def excited_state(family: Family, m, k: int, direction, grid,
@@ -451,38 +465,35 @@ def excited_state(family: Family, m, k: int, direction, grid,
     exp(s - max s), and every step divides by its own peak. The state
     fetches the grid's chain readers once (Family._chain_table): the seed
     reads the grid's held integrals of k0 and k1, and the ladder reads
-    W(., p) once per ladder parameter and grid.
+    W(., p) once per ladder parameter and grid; the refusals of _state_step
+    come before any node is read.
     """
-    xs, h = _require_grid(grid).x, grid.h
-    m = float(m)
-    k = int(k)
-    if k < 0:
-        raise ValueError("level index must be >= 0")
-    step = _level(family, m, k, _coerce_direction(direction),
-                  _energy_shift(family, d))
-    _require_seed_normalizable(family, step.seed_parameter, step.seed_sign,
-                               anchor=float(xs[xs.size // 2]))
-    integral, W_at = family._chain_table(xs, h)
+    h = _require_grid(grid).h
+    step = _state_step(family, m, k, direction, grid, d)
+    import numpy as np
+    from . import numerics
+    integral, W_at = family._chain_table(grid.x, h)
     psi = _state_seed(integral(step.seed_parameter), step.seed_sign)
     for p in step.operator_parameters:
-        psi = _ladder_values(psi, h, *W_at(p), step.adjoint, 1.0)
+        psi = _ladder_values(psi, numerics.derivative(psi, h), h, *W_at(p),
+                             step.adjoint, 1.0)
         peak = float(np.abs(psi).max())
         if peak == 0.0:
             raise OrbitError(
                 f"ladder chain annihilated the state at parameter {p:g}")
         psi /= peak
-    psi = _unit_norm(psi, h)
+    psi = _unit_norm(psi, numerics.integrate(psi * psi, h))
     # one |psi| and one peak for the node count and the sign, which a flip
     # leaves alone: the node count reads the interior, the sign the grid
     mag = np.abs(psi)
     inner = float(mag[1:-1].max())
     nodes = _count_nodes(psi[1:-1], mag[1:-1], inner)
-    if nodes != k:
+    if nodes != step.k:
         raise VerificationError(
-            f"level {k} state shows {nodes} interior nodes; the grid may be "
-            "too coarse or the domain clipped")
-    psi = _fix_sign(psi, mag, max(inner, float(mag[0]), float(mag[-1])))
-    return WaveFunction(GridFunction(grid, psi), k, step.energy, True)
+            f"level {step.k} state shows {nodes} interior nodes; the grid "
+            "may be too coarse or the domain clipped")
+    psi = numerics._fix_sign(psi, mag, max(inner, float(mag[0]), float(mag[-1])))
+    return WaveFunction(numerics.GridFunction(grid, psi), step.k, step.energy, True)
 
 
 def ground_state(family: Family, m, direction, grid,
@@ -490,15 +501,16 @@ def ground_state(family: Family, m, direction, grid,
     """The zero mode exp(-int W(., m)) for increasing chains, or the partner
     tower's bottom exp(+int W(., m)) for decreasing ones, on a numerics.Grid;
     energy d either way."""
-    xs, h = _require_grid(grid).x, grid.h
+    h = _require_grid(grid).h
     m = float(m)
-    anchor = float(xs[xs.size // 2])
+    anchor = grid.mid
     direction = resolve_direction(family, m, direction, anchor=anchor)
     sign = -1 if direction is ChainDirection.IncreasingL else +1
     _require_seed_normalizable(family, m, sign, anchor=anchor)
-    integral = family._chain_table(xs, h)[0]
-    psi = fix_sign(_unit_norm(_state_seed(integral(m), sign), h))
-    return WaveFunction(GridFunction(grid, psi), 0, _energy_shift(family, d), True)
+    from . import numerics
+    psi = _state_seed(family._chain_table(grid.x, h)[0](m), sign)
+    psi = numerics.fix_sign(_unit_norm(psi, numerics.integrate(psi * psi, h)))
+    return WaveFunction(numerics.GridFunction(grid, psi), 0, _energy_shift(family, d), True)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +520,8 @@ class SpectralChain(Record):
     _fields = ("family", "m", "d", "direction", "steps")
 
     @property
-    def energies(self) -> np.ndarray:
+    def energies(self):
+        import numpy as np
         return np.array([s.energy for s in self.steps])
 
 
@@ -555,7 +568,8 @@ class SpectrumResult(Record):
         return iter(self.levels)
 
     @property
-    def energies(self) -> np.ndarray:
+    def energies(self):
+        import numpy as np
         return np.array([e for _, e in self.levels])
 
     def to_json(self) -> dict:

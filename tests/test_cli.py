@@ -887,6 +887,109 @@ def test_extreme_inputs_print_no_traceback(argv, doc, code, slug):
     assert len(err.splitlines()) == 1 and _strict_json(err)["error"] == slug
 
 
+# The boundary rows that load numpy, each with its reason; every other row
+# is decided before any sampling, and its process never imports numpy
+NUMPY_ROWS = {
+    # hamiltonian_matrix refuses a step whose 1/h^2 or 1/h^4 overflows, and
+    # a shift d that leaves its Gershgorin bracket no finite midpoint
+    "grid-step-underflow": "hamiltonian_matrix refusal",
+    "grid-coupling-overflow": "hamiltonian_matrix refusal",
+    "d-near-max": "hamiltonian_matrix refusal",
+}
+
+# main(argv) in a fresh interpreter, which reports on a last stderr line
+# whether numpy was imported
+_FRESH_MAIN = ("import sys; from shapeinv.cli import main; rc = main(sys.argv[1:]); "
+               "sys.stderr.write(f'numpy loaded: {\"numpy\" in sys.modules}\\n'); "
+               "sys.exit(rc)")
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, stderr, numpy loaded) of main(argv) in a fresh
+    interpreter."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    err, _, flag = proc.stderr.rstrip("\n").rpartition("\n")
+    assert flag.startswith("numpy loaded: "), proc.stderr
+    return (proc.returncode, proc.stdout, err + "\n" if err else "",
+            flag == "numpy loaded: True")
+
+
+@pytest.mark.parametrize("argv, doc, code, slug",
+                         [case[1:] for case in BOUNDARY_CASES],
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_boundary_inputs_in_a_fresh_interpreter(request, tmp_path, argv, doc,
+                                               code, slug):
+    # the in-process rows above, as users meet them: one strict-JSON line on
+    # stderr and no traceback, and no numpy unless the row names its reason
+    argv = list(argv) + ["--format", "json"]
+    if doc is not None:
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    rc, out, err, loaded = run_fresh(*argv)
+    assert rc == code and "Traceback" not in err
+    if slug is None:
+        assert err == "" and _strict_json(out)
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert _strict_json(err)["error"] == slug
+    row = request.node.callspec.id
+    assert loaded == (row in NUMPY_ROWS), row
+
+
+def test_numpy_rows_are_boundary_rows():
+    assert set(NUMPY_ROWS) <= {case[0] for case in BOUNDARY_CASES}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["families"], 0),
+    (["spectrum", "--mode", "analytic"], 0),
+    (["spectrum", "--dump-config", "--family", "TypeA"], 0),
+    (["spectrum", "--kmax", "10001"], 1),
+    (["spectrum", "--family", "TypeA", "--m", "2", "--mode", "both",
+      "--grid=-0.5,0.5,1001"], 2),
+    (["spectrum", "--family", "HyperbolicCoth:b=-4,D=3", "--m", "4",
+      "--mode", "numeric", "--direction", "decreasing"], 4),
+    (["wavefunction", "--family", "HyperbolicTanh", "--m", "3", "--k", "5",
+      "--grid=-12,12,4001", "--format", "json"], 6),
+], ids=["families", "analytic", "dump-config", "config", "pole",
+        "non-normalizable", "truncated-chain"])
+def test_closed_form_commands_and_early_refusals_load_no_numpy(argv, code):
+    rc, out, err, loaded = run_fresh(*argv)
+    assert rc == code and not loaded
+    assert (err == "") == (code == 0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--mode", "numeric"], 0),
+    (["spectrum", "--config", str(DATA / "trig.json"), "--mode", "both"], 0),
+    (["eval", "--grid=-5,5,11"], 0),
+    (["verify", "--suite", "riccati"], 0),
+    (["wavefunction", "--k", "1", "--format", "json"], 0),
+    # the Morse closed form overflows far left of its well: the finite
+    # checks refuse that, with numpy's warnings off
+    (["spectrum", "--family", "TypeB_real:c=100,b=-70000,D=400", "--m", "2",
+      "--mode", "both", "--grid=-8,8,2001"], 2),
+    (["wavefunction", "--family", "TypeB_real:c=100,b=-70000,D=400", "--m",
+      "2", "--grid=-8,8,2001", "--format", "json"], 2),
+    # the state's norm overflows on squaring its samples of about 1e155
+    (["wavefunction", "--grid=0,1e-310,100", "--format", "json"], 0),
+], ids=["numeric", "both", "eval", "verify", "wavefunction", "both-overflow",
+        "wavefunction-overflow", "wavefunction-norm-overflow"])
+def test_array_commands_load_numpy_and_print_no_warning(argv, code):
+    rc, out, err, loaded = run_fresh(*argv)
+    assert rc == code and loaded and "Warning" not in err
+    if code:
+        assert len(err.splitlines()) == 1 and _strict_json(err)["error"] == "pole"
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--d", "-1e-3"],
     ["spectrum", "--m", "-2.5E0", "--mode", "both"],

@@ -380,6 +380,22 @@ def test_non_finite_constants_are_refused(name, bad, sign):
         FamilyParams(sign=sign, A=0.2, **{name: bad})
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(power=st.integers(309, 2000), negative=st.booleans(),
+       name=st.sampled_from(PRESET_NAMES), data=st.data())
+def test_integers_beyond_the_double_range_are_refused(power, negative, name,
+                                                      data):
+    # float() raised OverflowError on these before the range checks ran
+    big = -10 ** power if negative else 10 ** power
+    for make_sign in (positive_a, negative_a):
+        with pytest.raises(FamilyError, match="^c must be finite, got "):
+            make_sign(big)
+    free = preset_catalogue()[PRESET_NAMES.index(name)]["free"]
+    key = data.draw(st.sampled_from(free))
+    with pytest.raises(FamilyError, match=f"^{key} must be finite, got "):
+        preset_params(name, **{key: big})
+
+
 def test_infinite_B_survives_round_trip():
     fam = preset_params("HyperbolicTanh")
     doc = family_to_json(fam)

@@ -60,6 +60,48 @@ def test_grid_rejects_bad_input(args):
         Grid(*args)
 
 
+def test_grid_builds_its_nodes_on_first_read():
+    # refusals read only a grid's scalars, so a process that refuses before
+    # sampling never needs numpy for it
+    g = Grid(-0.3, 2.7, 2001)
+    assert "x" not in vars(g)
+    assert g.h == (2.7 - -0.3) / 2000 and "x" not in vars(g)
+    x = g.x
+    assert g.x is x and vars(g)["x"] is x and not x.flags.writeable
+    assert np.array_equal(x, np.linspace(-0.3, 2.7, 2001))
+    unread = Grid(-0.3, 2.7, 2001)
+    copies = [copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
+              copy.copy(unread), pickle.loads(pickle.dumps(unread))]
+    for other in [unread] + copies:
+        assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+    # a copy rebuilds its own nodes when it reads them
+    for other in copies:
+        assert "x" not in vars(other)
+        assert np.array_equal(other.x, x) and other.x is not x
+        assert not other.x.flags.writeable
+
+
+def test_grid_mid_is_the_middle_node_bit_for_bit():
+    # x[n // 2] of linspace, fl(x0 + fl(i step)), from the scalars alone,
+    # including spans whose step underflows to 0
+    rng = np.random.default_rng(71)
+    cases = [(-1e-320, 1e-320, 1_000_001), (0.0, 5e-324 * 37, 16),
+             (1.0, 1.0 + 2.0 ** -40, 1_000_001), (-3e300, -1e300, 17)]
+    for _ in range(300):
+        n = int(rng.choice([16, 17, 1_000_000, 1_000_001])
+                if rng.uniform() < 0.2 else rng.integers(16, 1_000_002))
+        x0 = float(rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-320, 300))
+        span = float(10.0 ** rng.uniform(-320, 3)) * max(abs(x0), 1.0)
+        if math.isfinite(x0 + span) and x0 + span > x0:
+            cases.append((x0, x0 + span, n))
+    assert {n % 2 for *_, n in cases} == {0, 1}
+    for x0, x1, n in cases:
+        grid = Grid(x0, x1, n)
+        mid = grid.mid
+        node = float(np.linspace(x0, x1, n)[n // 2])
+        assert mid == node and math.copysign(1.0, mid) == math.copysign(1.0, node), (x0, x1, n)
+
+
 def test_grid_function_checks():
     g = Grid(0.0, 1.0, 21)
     with pytest.raises(ValueError):
