@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .families import Family
-from .riccati import TERMS, _prep, quadratic
+from .riccati import TERMS, _ret, quadratic
 
 __all__ = [
     "PotentialPair", "pair_from_family", "shape_invariance_residual",
@@ -74,9 +74,8 @@ class PotentialRecord(Record):
 
     def _eval(self, coeffs, x):
         bs = self.family.basis()
-        out = quadratic([coeffs.get(key, 0.0) for key in TERMS],
-                        _prep(bs.f(x))[0], _prep(bs.h(x))[0])
-        return float(out) if out.ndim == 0 else out
+        return _ret(quadratic([coeffs.get(key, 0.0) for key in TERMS],
+                              bs.f(x), bs.h(x)))
 
     def V_minus_d(self, x):
         return self._eval(self.V, x)

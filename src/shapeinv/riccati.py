@@ -63,8 +63,9 @@ def _prep(x):
     return arr, arr.ndim == 0
 
 
-def _ret(vals, scalar):
-    return float(vals) if scalar else vals
+def _ret(vals):
+    # a float for a scalar x; the rows convert x themselves (_held)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 # A memo keyed by a sample array (a row's, or a Family's _samples) holds
@@ -637,15 +638,13 @@ class RiccatiSolution(Record):
                              scale=scale)
 
     def evaluate(self, x):
-        arr, scalar = _prep(x)
-        return _ret(self.scale * self.form.f(arr), scalar)
+        return _ret(self.scale * self.form.f(x))
 
     __call__ = evaluate
 
     def derivative(self, x):
         """dy/dx = scale * f' from the closed form, not from the equation."""
-        arr, scalar = _prep(x)
-        return _ret(self.scale * self.form.df(arr), scalar)
+        return _ret(self.scale * self.form.df(x))
 
     def singularities(self, window) -> list:
         """Poles inside [lo, hi], each polished by one Newton step on the
@@ -667,14 +666,12 @@ class ZSolution(Record):
     _fields = ("b", "D", "y")
 
     def evaluate(self, x):
-        arr, scalar = _prep(x)
-        return _ret(self.y.form.z(arr, self.b, self.D), scalar)
+        return _ret(self.y.form.z(x, self.b, self.D))
 
     __call__ = evaluate
 
     def derivative(self, x):
-        arr, scalar = _prep(x)
-        return _ret(self.y.form.dz(arr, self.b, self.D), scalar)
+        return _ret(self.y.form.dz(x, self.b, self.D))
 
 
 def solve_z(b: float, y: RiccatiSolution, D: float) -> ZSolution:
@@ -701,8 +698,7 @@ def superpose(y1, y2, y3, k) -> Callable:
         den = (w3 - w1) * kv + (w2 - w3)
         if (den == 0.0).any():
             raise PoleError("superposition denominator vanished")
-        out = num / den
-        return float(out) if out.ndim == 0 else out
+        return _ret(num / den)
 
     return y
 
@@ -766,13 +762,11 @@ def solve_linear_first_order(p: LinearFirstOrder, x0: float,
         av, bv = float(p.a), float(p.b)
         if av == 0.0:
             def v_lin(x):
-                arr, scalar = _prep(x)
-                return _ret(E + bv * (arr - x0), scalar)
+                return _ret(E + bv * (_prep(x)[0] - x0))
             return v_lin
 
         def v_exp(x):
-            arr, scalar = _prep(x)
-            return _ret((E + bv / av) * np.exp(av * (arr - x0)) - bv / av, scalar)
+            return _ret((E + bv / av) * np.exp(av * (_prep(x)[0] - x0)) - bv / av)
         return v_exp
 
     def as_function(coeff):
