@@ -119,8 +119,8 @@ _MEMO_MAX = 64
 def _midpoint_integral(values, h: float, mid: int):
     """The cumulative Simpson integral of samples of step h, zero at sample
     mid; a sample that is not finite raises PoleError."""
-    from . import _quad
-    out = _quad.cumulative_simpson_values(values, h)
+    from . import numerics
+    out = numerics.cumulative_simpson_values(values, h)
     # every sample enters a step, and a non-finite step stays in every
     # later partial sum, so the last one is finite iff all samples are
     # (and the sum did not overflow)

@@ -52,7 +52,12 @@ class GridFunction(Record):
         return integrate(self.values, self.grid.h)
 
     def norm(self) -> float:
-        return float(np.sqrt(max(integrate(self.values ** 2, self.grid.h), 0.0)))
+        # scaled by the peak: samples near 1e155 overflow when squared
+        peak = float(np.abs(self.values).max())
+        if peak == 0.0:
+            return 0.0
+        scaled = self.values / peak
+        return peak * math.sqrt(integrate(scaled * scaled, self.grid.h))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +130,33 @@ def integrate(values, h: float) -> float:
     if n % 2 == 0:
         total += 0.5 * h * (float(v[-2]) + float(v[-1]))
     return float(total)
+
+
+def cumulative_simpson_values(ys, h):
+    """Cumulative integral of samples spaced h apart, zero at the first.
+
+    Steps use the quadratic through three neighbouring samples; the first step
+    uses the forward variant. Exact for quadratics, O(h^3) cumulative error.
+    """
+    ys = np.asarray(ys, dtype=float)
+    n = ys.size
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    if n == 2:
+        out[1] = 0.5 * h * (ys[0] + ys[1])
+        return out
+    scale = h / 12.0
+    y0, y1, y2 = ys[:3].tolist()
+    steps = np.empty(n - 1)
+    steps[0] = scale * (5.0 * y0 + 8.0 * y1 - y2)
+    # in place, in the order of scale * (-y[i-1] + 8 y[i] + 5 y[i+1])
+    rest = np.multiply(ys[1:-1], 8.0, out=steps[1:])
+    rest -= ys[:-2]
+    rest += 5.0 * ys[2:]
+    rest *= scale
+    np.cumsum(steps, out=out[1:])
+    return out
 
 
 def inner_product(u, v, h: float) -> float:

@@ -742,56 +742,22 @@ def reduce_alternative(eq: ConstRiccati, y1) -> LinearFirstOrder:
     return LinearFirstOrder(a=2.0 * eq.a0 / v + eq.a1, b=eq.a0)
 
 
-# Simpson panels per point on the quadrature path of solve_linear_first_order
-_PANELS = 10_000
-
-
 def solve_linear_first_order(p: LinearFirstOrder, x0: float,
                              E: float = 0.0) -> Callable:
-    """Solution of v' = a(x) v + b(x) with v(x0) = E.
-
-    Constant coefficients short-circuit to the exact closed form; otherwise
-    the integrating-factor formula is evaluated with composite Simpson
-    quadrature on _PANELS panels per point.
-    """
+    """Solution of v' = a v + b with v(x0) = E, in closed form; only constant
+    coefficients are solved, and a callable one raises TypeError."""
     import numpy as np
-    from ._quad import cumulative_simpson_values
+    if not p.constant_coefficients:
+        raise TypeError("solve_linear_first_order solves only constant "
+                        "coefficients; a or b is callable")
     x0 = float(x0)
     E = float(E)
-    if p.constant_coefficients:
-        av, bv = float(p.a), float(p.b)
-        if av == 0.0:
-            def v_lin(x):
-                return _ret(E + bv * (_prep(x)[0] - x0))
-            return v_lin
+    av, bv = float(p.a), float(p.b)
+    if av == 0.0:
+        def v_lin(x):
+            return _ret(E + bv * (_prep(x)[0] - x0))
+        return v_lin
 
-        def v_exp(x):
-            return _ret((E + bv / av) * np.exp(av * (_prep(x)[0] - x0)) - bv / av)
-        return v_exp
-
-    def as_function(coeff):
-        if callable(coeff):
-            return coeff
-        value = float(coeff)
-        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    a_fun, b_fun = as_function(p.a), as_function(p.b)
-
-    def solve_one(xv):
-        if xv == x0:
-            return E
-        grid = np.linspace(x0, xv, 2 * _PANELS + 1)
-        step = grid[1] - grid[0]
-        cum_a = cumulative_simpson_values(a_fun(grid), step)
-        g = np.asarray(b_fun(grid), dtype=float) * np.exp(-cum_a)
-        inner = cumulative_simpson_values(g, step)[-1]
-        return (inner + E) * math.exp(cum_a[-1])
-
-    def v(x):
-        arr, scalar = _prep(x)
-        flat = np.atleast_1d(arr).ravel()
-        out = np.array([solve_one(float(xv)) for xv in flat])
-        if scalar:
-            return float(out[0])
-        return out.reshape(arr.shape)
-
-    return v
+    def v_exp(x):
+        return _ret((E + bv / av) * np.exp(av * (_prep(x)[0] - x0)) - bv / av)
+    return v_exp

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from shapeinv import spectra
-from shapeinv._quad import cumulative_simpson_values
+from shapeinv.numerics import cumulative_simpson_values
 from shapeinv.errors import (GridTooCoarseError, NormalizationError,
                              OrbitError, PoleError, VerificationError)
 from shapeinv.families import Family, FamilyKind

@@ -16,8 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from shapeinv import spectra
-from shapeinv._quad import cumulative_simpson_values
-from shapeinv.numerics import integrate
+from shapeinv.numerics import cumulative_simpson_values, integrate
 
 
 @dataclass(frozen=True)

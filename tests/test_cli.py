@@ -823,6 +823,10 @@ def _boundary_cases():
             cases.append((f"{flag[2:]}-file-{tag}", argv, {name: value}, 1,
                           "config"))
     cases.append(("tol-flag-edge-0", ["spectrum", "--tol", "0"], None, 0, None))
+    # a state whose samples peak near 1e155 still has a finite norm
+    cases.append(("wavefunction-norm-subnormal-step",
+                  ["wavefunction", "--grid=0,1e-310,100", "--k", "0"], None,
+                  0, None))
     return cases + EXTREME_CASES
 
 
@@ -895,6 +899,8 @@ NUMPY_ROWS = {
     "grid-step-underflow": "hamiltonian_matrix refusal",
     "grid-coupling-overflow": "hamiltonian_matrix refusal",
     "d-near-max": "hamiltonian_matrix refusal",
+    "wavefunction-norm-subnormal-step":
+        "wavefunction samples the state and takes its norm",
 }
 
 # main(argv) in a fresh interpreter, which reports on a last stderr line
@@ -977,7 +983,7 @@ def test_closed_form_commands_and_early_refusals_load_no_numpy(argv, code):
       "--mode", "both", "--grid=-8,8,2001"], 2),
     (["wavefunction", "--family", "TypeB_real:c=100,b=-70000,D=400", "--m",
       "2", "--grid=-8,8,2001", "--format", "json"], 2),
-    # the state's norm overflows on squaring its samples of about 1e155
+    # the state's samples of about 1e155 would overflow if squared unscaled
     (["wavefunction", "--grid=0,1e-310,100", "--format", "json"], 0),
 ], ids=["numeric", "both", "eval", "verify", "wavefunction", "both-overflow",
         "wavefunction-overflow", "wavefunction-norm-overflow"])

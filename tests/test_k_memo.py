@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapeinv import _quad, families, riccati, spectra
+from shapeinv import families, numerics, riccati, spectra
 from shapeinv.errors import OrbitError, PoleError, ShapeInvError
 from shapeinv.families import (Family, FamilyKind, FamilyParams, negative_a,
                                positive_a, preset_params, zero_a)
@@ -542,14 +542,14 @@ def test_chain_reads_each_parameter_once_per_grid(monkeypatch):
 
 def _count_quadratures(monkeypatch) -> list:
     calls = []
-    real = _quad.cumulative_simpson_values
+    real = numerics.cumulative_simpson_values
 
     def counted(values, h):
         calls.append(1)
         return real(values, h)
 
     # families reads the quadrature from its array module on each call
-    monkeypatch.setattr(_quad, "cumulative_simpson_values", counted)
+    monkeypatch.setattr(numerics, "cumulative_simpson_values", counted)
     return calls
 
 

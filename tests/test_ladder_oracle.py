@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ladder_oracle
 from shapeinv import spectra
-from shapeinv._quad import cumulative_simpson_values
+from shapeinv.numerics import cumulative_simpson_values
 from shapeinv.errors import GridTooCoarseError, ShapeInvError
 from shapeinv.families import PRESET_NAMES, preset_params
 from shapeinv.numerics import Grid

@@ -366,15 +366,12 @@ def test_linear_solver_constant_matches_rk4():
         assert abs(float(v(x_end)) - ref) < 1e-8
 
 
-def test_linear_solver_quadrature_matches_rk4():
-    # variable coefficients force the Simpson path
-    a = lambda x: np.sin(x)
-    b = lambda x: np.cos(2.0 * x)
-    v = solve_linear_first_order(LinearFirstOrder(a, b), 0.0, E=1.0)
-    for x_end in (0.5, 1.0, 1.7):
-        ref = _rk4(lambda x, u: math.sin(x) * u + math.cos(2.0 * x),
-                   0.0, 1.0, x_end)
-        assert abs(float(v(x_end)) - ref) < 1e-8
+def test_linear_solver_refuses_callable_coefficients():
+    # a varying y1 gives the reduced equation a callable coefficient, which
+    # the closed forms do not cover
+    p = reduce_standard(ConstRiccati(-1.0, 0.0, 1.0), np.tanh)
+    with pytest.raises(TypeError, match="only constant coefficients"):
+        solve_linear_first_order(p, 0.0, 1.0)
 
 
 def test_reduction_round_trip_standard():
