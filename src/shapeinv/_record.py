@@ -25,7 +25,6 @@ open.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from functools import cache
 
 
@@ -54,10 +53,14 @@ class Record:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"
 
+    # dataclasses is imported only to raise: at load it would pull inspect,
+    # ast, dis and tokenize into every process that never needs them
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):

@@ -14,6 +14,8 @@ version stamp is the `generated_by` field in wavefunction metadata.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -44,6 +46,13 @@ _MAX_N = 1_000_001
 # the analytic spectrum takes about 0.14 s and 17 MB above a kmax = 4 run at
 # this bound; kmax = 400,000 took 740 MB
 _MAX_KMAX = 10_000
+
+
+# At exit the interpreter's last collections would walk and free the ~22k
+# objects numpy's import leaves tracked; frozen, they are left to the OS.
+# No output waits on them: stdout and stderr are flushed after the atexit
+# handlers run, and every --out file is closed by its `with` block.
+atexit.register(gc.freeze)
 
 
 def _diag(slug: str, message: str, **extra) -> None:
@@ -627,25 +636,34 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
+    # the cyclic collector is off for the run, whose objects mostly live
+    # until exit (numpy's import alone set off about 25 passes), and back
+    # in the state it was found however main ends
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _resolve_config(args)
-        if args.dump_config:
-            sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
-            return EXIT_OK
-        return args.handler(args, cfg)
-    except Exception as exc:
-        for types, slug, code, attrs in _FAILURES:
-            if isinstance(exc, types):
-                _diag(slug, str(exc), **{a: getattr(exc, a) for a in attrs})
-                return code
-        raise
+        if argv is None:
+            argv = sys.argv[1:]
+        parser = build_parser(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            cfg = _resolve_config(args)
+            if args.dump_config:
+                sys.stdout.write(json.dumps(cfg.to_json(), indent=2) + "\n")
+                return EXIT_OK
+            return args.handler(args, cfg)
+        except Exception as exc:
+            for types, slug, code, attrs in _FAILURES:
+                if isinstance(exc, types):
+                    _diag(slug, str(exc), **{a: getattr(exc, a) for a in attrs})
+                    return code
+            raise
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

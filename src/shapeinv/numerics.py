@@ -205,17 +205,24 @@ class TridiagonalSym(Record):
         """Row data of the Sturm recurrence as Python floats; the leading 0.0
         coupling makes the first row (d_0 - sigma) - 0/q = d_0 - sigma. A
         matrix on which the recurrence cannot run raises ValueError: one
-        with non-finite entries, or one whose padded Gershgorin midpoints,
-        d_i - sigma there, or e_i^2 overflow."""
+        with non-finite entries, one whose padded Gershgorin midpoints,
+        d_i - sigma there, or e_i^2 overflow, or one with a coupling above
+        eps * big whose square underflows (a smaller one is negligible)."""
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
             raise ValueError(
                 "bisection cannot converge: matrix has non-finite entries")
         lo, hi = self.gershgorin()
         big = max(abs(lo), abs(hi))
-        e_max = float(np.abs(self.offdiag).max(initial=0.0))
+        e_abs = np.abs(self.offdiag)
+        e_max = float(e_abs.max(initial=0.0))
         if not math.isfinite(max(2.0 * (big + _pad(big)), e_max * e_max)):
             raise ValueError(f"matrix too large for bisection: Gershgorin "
                              f"bracket [{lo!r}, {hi!r}], max |e_i| {e_max!r}")
+        e_min = float(e_abs[e_abs > _EPS * big].min(initial=math.inf))
+        if e_min * e_min < _TINY:
+            raise ValueError(f"matrix too small for bisection: |e_i| = "
+                             f"{e_min!r} squares below the smallest normal "
+                             f"double at Gershgorin bracket [{lo!r}, {hi!r}]")
         return self.diag.tolist(), [0.0] + (self.offdiag * self.offdiag).tolist()
 
     def count_below(self, sigma: float) -> int:
@@ -328,8 +335,9 @@ class TridiagonalSym(Record):
 
 def _pad(big: float) -> float:
     """How far the root bracket reaches past a Gershgorin bracket whose
-    ends are at most big in magnitude."""
-    return 2.0 * _EPS * max(big, 1.0)
+    ends are at most big in magnitude: relative to big, so that a matrix of
+    tiny entries bisects down to its own scale within the split cap."""
+    return 2.0 * _EPS * big
 
 
 # the share of a twisted vector that must survive the projection on the

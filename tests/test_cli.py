@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, exit codes, config handling, and
 byte stability."""
 
+import gc
 import json
 import math
 import os
@@ -904,25 +905,31 @@ NUMPY_ROWS = {
 }
 
 # main(argv) in a fresh interpreter, which reports on a last stderr line
-# whether numpy was imported
+# which of numpy and dataclasses were imported
 _FRESH_MAIN = ("import sys; from shapeinv.cli import main; rc = main(sys.argv[1:]); "
-               "sys.stderr.write(f'numpy loaded: {\"numpy\" in sys.modules}\\n'); "
+               "sys.stderr.write('loaded: ' + ' '.join(sorted("
+               "{'numpy', 'dataclasses'} & set(sys.modules))) + '\\n'); "
                "sys.exit(rc)")
 
 
-def run_fresh(*argv):
-    """(exit code, stdout, stderr, numpy loaded) of main(argv) in a fresh
-    interpreter."""
+def _fresh_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, stderr, which of numpy and dataclasses were
+    loaded) of main(argv) in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *map(str, argv)],
-                          env=env, capture_output=True, text=True)
+                          env=_fresh_env(), capture_output=True, text=True)
     err, _, flag = proc.stderr.rstrip("\n").rpartition("\n")
-    assert flag.startswith("numpy loaded: "), proc.stderr
+    assert flag.startswith("loaded:"), proc.stderr
     return (proc.returncode, proc.stdout, err + "\n" if err else "",
-            flag == "numpy loaded: True")
+            set(flag.split()[1:]))
 
 
 @pytest.mark.parametrize("argv, doc, code, slug",
@@ -931,7 +938,8 @@ def run_fresh(*argv):
 def test_boundary_inputs_in_a_fresh_interpreter(request, tmp_path, argv, doc,
                                                code, slug):
     # the in-process rows above, as users meet them: one strict-JSON line on
-    # stderr and no traceback, and no numpy unless the row names its reason
+    # stderr and no traceback, and no numpy unless the row names its reason;
+    # a row without numpy loads no dataclasses either (inspect, ast, dis)
     argv = list(argv) + ["--format", "json"]
     if doc is not None:
         cfg = tmp_path / "case.json"
@@ -945,7 +953,8 @@ def test_boundary_inputs_in_a_fresh_interpreter(request, tmp_path, argv, doc,
         assert out == "" and len(err.splitlines()) == 1
         assert _strict_json(err)["error"] == slug
     row = request.node.callspec.id
-    assert loaded == (row in NUMPY_ROWS), row
+    assert ("numpy" in loaded) == (row in NUMPY_ROWS), row
+    assert row in NUMPY_ROWS or "dataclasses" not in loaded, row
 
 
 def test_numpy_rows_are_boundary_rows():
@@ -989,7 +998,7 @@ def test_closed_form_commands_and_early_refusals_load_no_numpy(argv, code):
         "wavefunction-overflow", "wavefunction-norm-overflow"])
 def test_array_commands_load_numpy_and_print_no_warning(argv, code):
     rc, out, err, loaded = run_fresh(*argv)
-    assert rc == code and loaded and "Warning" not in err
+    assert rc == code and "numpy" in loaded and "Warning" not in err
     if code:
         assert len(err.splitlines()) == 1 and _strict_json(err)["error"] == "pole"
     else:
@@ -1065,3 +1074,69 @@ def test_wavefunction_output_is_byte_stable(tmp_path):
     args = ("wavefunction", "--family", "TypeD:b=1", "--m", "1", "--k", "2",
             "--format", "json")
     assert run_cli(*args) == run_cli(*args)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: off while main runs, frozen at exit
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector enabled or disabled for the test, as the param says."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["families"], 0),
+    (["spectrum", "--no-such-flag"], 1),
+    (["spectrum", "--family", "TypeA", "--m", "2", "--mode", "both",
+      "--grid=-0.5,0.5,1001"], 2),
+], ids=["success", "usage", "pole"])
+def test_main_restores_the_collector_state(capsys, collector, argv, code):
+    assert cli.main(argv) == code
+    assert gc.isenabled() == collector
+
+
+def test_main_restores_the_collector_state_when_a_handler_raises(
+        monkeypatch, collector):
+    def fail():
+        assert not gc.isenabled()
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli.families, "preset_catalogue", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(["families"])
+    assert gc.isenabled() == collector
+
+
+# main(argv) in a fresh interpreter whose own atexit hook, registered before
+# the CLI's and so run after it, reports the collector's frozen count
+_FRESH_EXIT = ("import atexit, gc, sys; atexit.register(lambda: sys.stderr.write("
+               "f'frozen: {gc.get_freeze_count()}\\n')); "
+               "from shapeinv.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["spectrum", "--config", str(DATA / "trig.json"), "--mode", "both"],
+     ["out"]),
+    (["wavefunction", "--family", "TypeA", "--m", "2", "--k", "1"],
+     ["out", "out.json"]),
+], ids=["spectrum", "wavefunction-csv"])
+def test_out_files_are_whole_after_the_exit_freeze(tmp_path, capsys, argv,
+                                                  files):
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    proc = subprocess.run([sys.executable, "-c", _FRESH_EXIT, *argv, "--out",
+                           str(fresh / "out")],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == ""
+    frozen = proc.stderr.splitlines()
+    assert len(frozen) == 1 and frozen[0].startswith("frozen: ")
+    assert int(frozen[0].split()[1]) > 0
+    assert cli.main([*argv, "--out", str(here / "out")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert sorted(p.name for p in fresh.iterdir()) == files
+    for name in files:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()

@@ -392,7 +392,7 @@ def _reference_eigenvalues(mat, k: int) -> np.ndarray:
     """The solver before the tree walk: plain level-by-level bisection,
     one Sturm count per split."""
     lo, hi = mat.gershgorin()
-    pad = 2.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+    pad = 2.0 * _EPS * max(abs(lo), abs(hi))
     d, e2 = mat._sturm_rows()
     pivmin = mat._pivmin()
     los = [lo - pad] * k
@@ -425,7 +425,7 @@ def _assert_matches_reference(mat, k):
     Returns whether the comparison was made."""
     want = _reference_eigenvalues(mat, k)
     lo, hi = mat.gershgorin()
-    root = hi - lo + 4.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+    root = hi - lo + 4.0 * _EPS * max(abs(lo), abs(hi))
     if np.any(root / (2.0 * _EPS * np.abs(want) + mat._pivmin()) > 2.0 ** 200):
         return False
     got = mat.eigenvalues_lowest(k)
@@ -472,13 +472,49 @@ def test_tree_walk_matches_reference_on_random_tridiagonals(rows, scale):
 
 @pytest.mark.parametrize("n", [1, 5])
 def test_zero_matrix_levels(n):
-    # Every level of the zero matrix walks the same path for all 220 splits
-    # and returns the same node, -2**-271. Plain bisection capped each
-    # level's own splits at 220 after inheriting the lower level's bracket,
-    # and returned -2.6e-82, -1.6e-148, -9.3e-215, -5.5e-281, -5.0e-293 at
-    # n = 5.
+    # the pad is relative to the Gershgorin bracket, so the zero matrix's
+    # root node is [0, 0] and every level is exactly 0
     got = TridiagonalSym(diag=np.zeros(n), offdiag=np.zeros(n - 1)).eigenvalues_lowest(n)
-    assert got.tobytes() == np.full(n, -2.0 ** -271).tobytes()
+    assert got.tobytes() == np.zeros(n).tobytes()
+
+
+_SMALL_DIAG = np.array([1.0, 3.0, -2.0, 0.5])
+_SMALL_COUPLINGS = np.array([1.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("s", [1e-60, 1e-100, 1e-150])
+def test_small_matrices_bisect_to_their_own_scale(s):
+    # the root bracket is padded relative to the matrix's scale, so the
+    # walk reaches that scale well within the 220-split cap
+    want = s * np.linalg.eigvalsh(np.diag(_SMALL_DIAG)
+                                  + np.diag(_SMALL_COUPLINGS, 1)
+                                  + np.diag(_SMALL_COUPLINGS, -1))
+    mat = TridiagonalSym(diag=s * _SMALL_DIAG, offdiag=s * _SMALL_COUPLINGS)
+    got = mat.eigenvalues_lowest(4)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-290])
+def test_couplings_whose_squares_underflow_are_refused(s):
+    # e_i^2 below the smallest normal double loses the Sturm count its
+    # couplings (9.4e-6 relative error at 1e-160, 3.4 at 1e-290)
+    mat = TridiagonalSym(diag=s * _SMALL_DIAG, offdiag=s * _SMALL_COUPLINGS)
+    for call in (lambda: mat.eigenvalues_lowest(4),
+                 lambda: mat.count_below(0.0),
+                 lambda: mat.eigenvector(0.0)):
+        with pytest.raises(ValueError, match="too small for bisection"):
+            call()
+
+
+@pytest.mark.parametrize("n", [16, 1001])
+def test_negligible_couplings_may_underflow(n):
+    # a Dirichlet step near 1e150 has couplings -1/h^2 near -1e-300, far
+    # below eps times a unit potential on the diagonal
+    grid = Grid(0.0, 1e150 * (n - 1), n)
+    mat = hamiltonian_matrix(np.ones(n), grid)
+    assert 0.0 < np.abs(mat.offdiag).max() < 1e-299
+    assert mat.eigenvalues_lowest(mat.n) == pytest.approx(np.ones(mat.n),
+                                                          rel=2.0 * _EPS)
 
 
 def test_sturm_count_monotone_near_every_trig_level():
