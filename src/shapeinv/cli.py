@@ -278,31 +278,39 @@ def _rate(fam: families.Family) -> float:
     return fam.params.sign.c or 1.0
 
 
-def _auto_grid(cfg: RunConfig, fam: families.Family) -> Grid:
+def _auto_window(cfg: RunConfig, fam: families.Family):
+    """The auto grid's part that samples nothing: (anchor, lo, hi), the
+    default anchor and the poles within 1e15 that bound its cell (None on an
+    open side), refusing a pole_margin that rounds away at such a pole."""
     anchor = spectra._default_anchor(fam)
     big = 1e15
     lo, hi = fam.natural_domain(cfg.m, anchor, (anchor - big, anchor + big))
-    left_pole = lo > anchor - big + 1.0
-    right_pole = hi < anchor + big - 1.0
-    # probe and size the well, and keep off the poles, in units of 1/c
-    c = _rate(fam)
-    margin = cfg.pole_margin / c
-    # a margin below the spacing of doubles at a pole rounds away, and the
-    # grid's end would be the pole itself
-    for pole, end, there in ((lo, lo + margin, left_pole),
-                             (hi, hi - margin, right_pole)):
-        if there and end == pole:
+    lo = lo if lo > anchor - big + 1.0 else None
+    hi = hi if hi < anchor + big - 1.0 else None
+    margin = cfg.pole_margin / _rate(fam)
+    for pole, inward in ((lo, margin), (hi, -margin)):
+        if pole is not None and pole + inward == pole:
             raise ValueError(f"pole_margin = {cfg.pole_margin!r} puts the "
                              f"auto grid's end on the pole x = {pole!r}: the "
                              "margin is below the spacing of doubles there")
-    if left_pole and right_pole:
+    return anchor, lo, hi
+
+
+def _auto_grid(cfg: RunConfig, fam: families.Family, window=None) -> Grid:
+    """The grid on `_auto_window` (computed when not given), pole_margin
+    inside each pole; an open side reaches past the well, sized from V's
+    curvature. Lengths are in units of 1/c."""
+    anchor, lo, hi = window or _auto_window(cfg, fam)
+    c = _rate(fam)
+    margin = cfg.pole_margin / c
+    if lo is not None and hi is not None:
         return Grid(lo + margin, hi - margin, _DEFAULT_N)
     pp = partners.pair_from_family(fam, cfg.d)
-    center = anchor if (left_pole or right_pole) else fam.params.A
+    center = fam.params.A if lo is None and hi is None else anchor
     step = 1.0 / c
-    if left_pole:
+    if lo is not None:
         step = min(step, 0.5 * (anchor - lo))
-    if right_pole:
+    if hi is not None:
         step = min(step, 0.5 * (hi - anchor))
     with _quiet():
         v0 = float(pp.V(center, cfg.m))
@@ -311,15 +319,18 @@ def _auto_grid(cfg: RunConfig, fam: families.Family) -> Grid:
     extent = 8.0 / c
     if curv > 1e-8 * c ** 4:
         extent = max(extent, 6.0 / math.sqrt(curv))
-    x0 = lo + margin if left_pole else center - extent
-    x1 = hi - margin if right_pole else center + extent
+    x0 = lo + margin if lo is not None else center - extent
+    x1 = hi - margin if hi is not None else center + extent
     return Grid(x0, x1, _DEFAULT_N)
 
 
-def _resolve_grid(cfg: RunConfig, fam: families.Family) -> Grid:
-    if cfg.grid == "auto":
-        return _auto_grid(cfg, fam)
-    return Grid(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"])
+def _resolve_grid(cfg: RunConfig, fam: families.Family, window=None) -> Grid:
+    """The requested grid, or the auto grid on the window; one holding a pole
+    is refused."""
+    grid = (_auto_grid(cfg, fam, window) if cfg.grid == "auto" else
+            Grid(cfg.grid["xmin"], cfg.grid["xmax"], cfg.grid["n"]))
+    _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
+    return grid
 
 
 def _grid_meta(grid: Grid) -> dict:
@@ -443,7 +454,6 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
                   direction=direction.value)
             return EXIT_NORMALIZABILITY
         grid = _resolve_grid(cfg, fam)
-        _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
         pp = partners.pair_from_family(fam, cfg.d)
         from .numerics import spectrum_numeric
         with _quiet():
@@ -504,11 +514,16 @@ def cmd_wavefunction(args, cfg: RunConfig) -> int:
     direction = _resolve_direction_or_exit(cfg, fam)
     if direction is None:
         return EXIT_NORMALIZABILITY
-    grid = _resolve_grid(cfg, fam)
-    _require_pole_free(fam, cfg.m, (grid.x0, grid.x1))
+    window = _auto_window(cfg, fam) if cfg.grid == "auto" else None
+    grid = _resolve_grid(cfg, fam) if window is None else None
     try:
-        # the level walk and the seed's verdict refuse before any array work
-        spectra._state_step(fam, cfg.m, k, direction, grid, cfg.d)
+        # the level walk and the seed's verdict refuse before any array
+        # work, and before the auto grid samples V: that grid's middle lies
+        # in its anchor's pole-free cell, so the verdict is the grid's
+        anchor = grid.mid if window is None else window[0]
+        spectra._state_step(fam, cfg.m, k, direction, anchor, cfg.d)
+        if window is not None:
+            grid = _resolve_grid(cfg, fam, window)
         with _quiet():
             wf = spectra.excited_state(fam, cfg.m, k, direction, grid, cfg.d)
     except (OrbitError, NormalizationError) as exc:

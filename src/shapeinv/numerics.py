@@ -1,17 +1,17 @@
 """Independent finite-difference machinery for checking analytic results.
 
-Everything here works on plain sample arrays: a three-point Dirichlet
-discretization of -psi'' + V psi, a Sturm-sequence bisection eigensolver whose
-pivots also give the eigenvectors (a twisted factorization), five-point
-derivative stencils, and composite Simpson quadrature. None of it knows about
-superpotentials, so agreement with the closed-form machinery is a genuine
-cross-check.
+Everything here works on plain sample arrays or a callable potential V(x):
+a three-point Dirichlet discretization of -psi'' + V psi, a Sturm-sequence
+bisection eigensolver whose pivots also give the eigenvectors (a twisted
+factorization), five-point derivative stencils, and composite Simpson
+quadrature. None of it knows about superpotentials, so agreement with the
+closed-form machinery is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -530,42 +530,36 @@ class _ShiftRecord:
 # ---------------------------------------------------------------------------
 # Hamiltonian discretization
 
-def _dirichlet_matrix(V_interior, h: float) -> TridiagonalSym:
-    """Three-point -d2/dx2 + V over interior nodes with Dirichlet walls."""
-    V = np.asarray(V_interior, dtype=float)
-    inv_h2 = 1.0 / (h * h) if h * h > 0.0 else math.inf
-    if not math.isfinite(inv_h2):
-        raise ValueError(f"grid step h = {h!r} is too small: 1/h^2 is not "
-                         "finite")
-    diag = 2.0 * inv_h2 + V
-    off = np.full(max(V.size - 1, 0), -inv_h2)
-    return TridiagonalSym(diag=diag, offdiag=off)
-
-
-def _potential_samples(V, xs: np.ndarray) -> np.ndarray:
-    Vv = np.asarray(V(xs) if callable(V) else V, dtype=float)
+def _fd_matrix(V: Callable, xs: np.ndarray, h: float) -> TridiagonalSym:
+    """Three-point -d2/dx2 + V with Dirichlet walls over the interior of the
+    nodes xs, spaced h apart; V is sampled on every node. The walls never
+    enter the matrix, so a potential that blows up exactly there is fine;
+    one that is non-finite at an interior node is refused (PoleError), and
+    so is a step whose 1/h^2 is not finite (ValueError)."""
+    if not callable(V):
+        raise TypeError(f"V must be a callable, got {type(V).__name__}")
+    Vv = np.asarray(V(xs), dtype=float)
     if Vv.shape != xs.shape:
         raise ValueError("potential samples must match the grid")
-    return Vv
-
-
-def hamiltonian_matrix(V: Union[Callable, Sequence, np.ndarray],
-                       grid: Grid) -> TridiagonalSym:
-    """Dirichlet discretization of -d2/dx2 + V acting on the grid interior.
-
-    V may be a callable evaluated on the nodes or an array of samples over the
-    full grid (endpoints included). The endpoints themselves never enter the
-    matrix, so a potential that blows up exactly at the walls is fine; one
-    that is non-finite at an interior node is rejected.
-    """
-    xs = grid.x
-    Vv = _potential_samples(V, xs)
     interior = Vv[1:-1]
     bad = ~np.isfinite(interior)
     if np.any(bad):
         raise PoleError("potential is not finite at interior grid points",
                         locations=[float(v) for v in xs[1:-1][bad][:8]])
-    return _dirichlet_matrix(interior, grid.h)
+    inv_h2 = 1.0 / (h * h) if h * h > 0.0 else math.inf
+    if not math.isfinite(inv_h2):
+        raise ValueError(f"grid step h = {h!r} is too small: 1/h^2 is not "
+                         "finite")
+    diag = 2.0 * inv_h2 + interior
+    off = np.full(interior.size - 1, -inv_h2)
+    return TridiagonalSym(diag=diag, offdiag=off)
+
+
+def hamiltonian_matrix(V: Callable, grid: Grid) -> TridiagonalSym:
+    """Dirichlet discretization of -d2/dx2 + V acting on the grid interior,
+    refused as `_fd_matrix` refuses; V is a callable, and an array of
+    samples raises TypeError."""
+    return _fd_matrix(V, grid.x, grid.h)
 
 
 def eigen_lowest(mat: TridiagonalSym, kmax: int, h: float = 1.0):
@@ -696,45 +690,31 @@ class NumericSpectrum(Record):
             yield self[k]
 
 
-def spectrum_numeric(V: Union[Callable, Sequence, np.ndarray], grid: Grid,
-                     kmax: int, richardson: bool = True) -> NumericSpectrum:
+def spectrum_numeric(V: Callable, grid: Grid, kmax: int,
+                     richardson: bool = True) -> NumericSpectrum:
     """Lowest kmax Dirichlet eigenpairs of -d2/dx2 + V on the grid.
 
-    Wavefunctions carry the boundary zeros and are normalized so that
-    h * sum(psi^2) = 1; they are the vectors of eigen_lowest(T, kmax, h),
-    built on their first read. A half-resolution re-run provides a
-    Richardson error estimate per energy whenever the coarse potential is
-    recoverable (callable V, or sampled V on an odd node count).
+    V is a callable, as for hamiltonian_matrix. Wavefunctions carry the
+    boundary zeros and are normalized so that h * sum(psi^2) = 1; they are
+    the vectors of eigen_lowest(T, kmax, h), built on their first read. With
+    richardson, V is also sampled on the grid's n // 2 + 1 nodes and that
+    half-resolution matrix, refused as the fine one is, gives an error
+    estimate per energy (nan past its size).
     """
-    xs = grid.x
-    Vv = _potential_samples(V, xs)
     if not (1 <= kmax <= grid.n - 2):
         raise ValueError("kmax out of range for this grid")
-    T = hamiltonian_matrix(Vv, grid)
+    T = hamiltonian_matrix(V, grid)
     evals = T.eigenvalues_lowest(kmax)
 
     err = None
     if richardson:
-        coarse = _coarse_samples(V, Vv, grid)
-        if coarse is not None:
-            V2, n2 = coarse
-            h2 = (grid.x1 - grid.x0) / (n2 - 1)
-            kk = min(kmax, n2 - 2)
-            if kk >= 1:
-                e2 = _dirichlet_matrix(V2[1:-1], h2).eigenvalues_lowest(kk)
-                r = (grid.n - 1) / (n2 - 1)
-                err = np.full(kmax, np.nan)
-                err[:kk] = np.abs(evals[:kk] - e2) / (r * r - 1.0)
+        # Grid needs n >= 16, so the coarse matrix has at least 7 rows
+        n2 = grid.n // 2 + 1
+        coarse = _fd_matrix(V, np.linspace(grid.x0, grid.x1, n2),
+                            (grid.x1 - grid.x0) / (n2 - 1))
+        kk = min(kmax, n2 - 2)
+        e2 = coarse.eigenvalues_lowest(kk)
+        r = (grid.n - 1) / (n2 - 1)
+        err = np.full(kmax, np.nan)
+        err[:kk] = np.abs(evals[:kk] - e2) / (r * r - 1.0)
     return NumericSpectrum(grid, evals, T, err)
-
-
-def _coarse_samples(V, Vv, grid: Grid):
-    n2 = grid.n // 2 + 1
-    if n2 < 4:
-        return None
-    if callable(V):
-        x2 = np.linspace(grid.x0, grid.x1, n2)
-        return _potential_samples(V, x2), n2
-    if grid.n % 2 == 1:
-        return Vv[::2], n2
-    return None

@@ -441,14 +441,15 @@ def ladder_apply(family: Family, m, sign, wf: WaveFunction) -> WaveFunction:
     return WaveFunction(numerics.GridFunction(wf.grid, out), wf.k, wf.energy, False)
 
 
-def _state_step(family: Family, m, k: int, direction, grid, d=None) -> ChainStep:
+def _state_step(family: Family, m, k: int, direction, anchor, d=None) -> ChainStep:
     """Level k's chain, once excited_state's refusals that read no node pass:
-    the level walk, and the seed's verdict on the cell around the grid's middle."""
+    the level walk, and the seed's verdict on the cell around the anchor
+    (excited_state's is the grid's middle)."""
     m, k = float(m), int(k)
     if k < 0:
         raise ValueError("level index must be >= 0")
     step = _level(family, m, k, _coerce_direction(direction), _energy_shift(family, d))
-    _require_seed_normalizable(family, step.seed_parameter, step.seed_sign, grid.mid)
+    _require_seed_normalizable(family, step.seed_parameter, step.seed_sign, anchor)
     return step
 
 
@@ -469,7 +470,7 @@ def excited_state(family: Family, m, k: int, direction, grid,
     come before any node is read.
     """
     h = _require_grid(grid).h
-    step = _state_step(family, m, k, direction, grid, d)
+    step = _state_step(family, m, k, direction, grid.mid, d)
     import numpy as np
     from . import numerics
     integral, W_at = family._chain_table(grid.x, h)

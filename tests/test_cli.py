@@ -828,6 +828,16 @@ def _boundary_cases():
     cases.append(("wavefunction-norm-subnormal-step",
                   ["wavefunction", "--grid=0,1e-310,100", "--k", "0"], None,
                   0, None))
+    # a level past the tower is refused before the auto grid samples V to
+    # size the well; a pole_margin that rounds away at the pole x = 1 is
+    # still refused before the level
+    cases.append(("wavefunction-auto-grid-past-the-tower",
+                  ["wavefunction", "--family", "HyperbolicTanh", "--m", "3",
+                   "--k", "5"], None, 6, "truncated-chain"))
+    cases.append(("wavefunction-pole-margin-before-the-level",
+                  ["wavefunction", "--family", "HyperbolicCoth:A=1", "--m",
+                   "3", "--k", "50", "--pole-margin=1e-17"], None, 1,
+                  "config"))
     return cases + EXTREME_CASES
 
 

@@ -511,7 +511,7 @@ def test_negligible_couplings_may_underflow(n):
     # a Dirichlet step near 1e150 has couplings -1/h^2 near -1e-300, far
     # below eps times a unit potential on the diagonal
     grid = Grid(0.0, 1e150 * (n - 1), n)
-    mat = hamiltonian_matrix(np.ones(n), grid)
+    mat = hamiltonian_matrix(np.ones_like, grid)
     assert 0.0 < np.abs(mat.offdiag).max() < 1e-299
     assert mat.eigenvalues_lowest(mat.n) == pytest.approx(np.ones(mat.n),
                                                           rel=2.0 * _EPS)
@@ -643,13 +643,13 @@ def test_matrices_beyond_the_double_range_are_refused():
     # warnings are errors here, so each refusal is also silent. A Dirichlet
     # step whose 1/h^2 is not finite:
     with pytest.raises(ValueError, match="too small"):
-        hamiltonian_matrix(np.zeros(100), Grid(0.0, 1e-300, 100))
+        hamiltonian_matrix(np.zeros_like, Grid(0.0, 1e-300, 100))
     # a bracket whose midpoints and d_i - sigma overflow, and couplings
     # whose squares do, on their own or from a Dirichlet step (1/h^4)
     for mat in (TridiagonalSym(diag=np.array([1e308, 1.5e308, 1.2e308]),
                                offdiag=np.ones(2)),
                 TridiagonalSym(diag=np.zeros(3), offdiag=np.full(2, 1e200)),
-                hamiltonian_matrix(np.zeros(100), Grid(0.0, 1e-100, 100))):
+                hamiltonian_matrix(np.zeros_like, Grid(0.0, 1e-100, 100))):
         with pytest.raises(ValueError, match="too large for bisection"):
             mat.eigenvalues_lowest(2)
     # one scale below, the same matrix solves
@@ -728,7 +728,9 @@ def test_richardson_tracks_true_error():
     fam, m, V_trig, g_trig, k = _config_problem("trig")
     exact_trig = spectrum_analytic(fam, m, k - 1).energies
     assert list(exact_trig) == [5.0, 12.0, 21.0]
+    # an even node count has a coarse grid too: V is sampled on its nodes
     cases = [(lambda x: np.zeros_like(x), Grid(0.0, math.pi, 401), [1.0, 4.0, 9.0]),
+             (np.zeros_like, Grid(0.0, math.pi, 200), [1.0, 4.0, 9.0]),
              (V_trig, g_trig, exact_trig)]
     for V, g, exact in cases:
         sp = spectrum_numeric(V, g, 3)
@@ -736,15 +738,6 @@ def test_richardson_tracks_true_error():
         assert sp.error_estimate is not None
         for est, err in zip(sp.error_estimate, true_err):
             assert 0.5 * err < est < 2.0 * err
-
-
-def test_richardson_unavailable_for_even_sample_arrays():
-    g = Grid(0.0, math.pi, 200)
-    vals = np.zeros(200)
-    sp = spectrum_numeric(vals, g, 2)
-    assert sp.error_estimate is None
-    sp2 = spectrum_numeric(lambda x: np.zeros_like(x), g, 2)
-    assert sp2.error_estimate is not None  # callable can be resampled
 
 
 def test_spectrum_iteration_protocol():
@@ -838,21 +831,42 @@ def test_spectrum_kmax_range():
         spectrum_numeric(lambda x: np.zeros_like(x), g, 15)
 
 
+def _inf_at(*points):
+    """A potential that is 0 except inf at the given nodes, bit for bit."""
+    return lambda x: np.where(np.isin(x, points), np.inf, 0.0)
+
+
 def test_interior_pole_rejected():
     g = Grid(-1.0, 1.0, 21)
-    vals = np.zeros(21)
-    vals[10] = np.inf
     with pytest.raises(PoleError) as exc:
-        hamiltonian_matrix(vals, g)
+        hamiltonian_matrix(_inf_at(g.x[10]), g)
     assert exc.value.locations == [pytest.approx(0.0)]
 
 
 def test_wall_blowup_tolerated():
     g = Grid(0.0, math.pi, 101)
-    vals = np.zeros(101)
-    vals[0] = np.inf  # endpoints never enter the Dirichlet matrix
-    mat = hamiltonian_matrix(vals, g)
+    # endpoints never enter the Dirichlet matrix
+    mat = hamiltonian_matrix(_inf_at(g.x[0]), g)
     assert mat.n == 99
+
+
+def test_potential_must_be_callable():
+    g = Grid(0.0, math.pi, 101)
+    for call in (hamiltonian_matrix, lambda V, g: spectrum_numeric(V, g, 2)):
+        with pytest.raises(TypeError, match="callable"):
+            call(np.zeros(101), g)
+
+
+def test_a_pole_on_a_coarse_node_only_is_refused():
+    # the Richardson re-run samples V on the n // 2 + 1 coarse nodes, which
+    # an even n does not share with the fine grid: it is refused there as
+    # on the fine grid, naming the node
+    p = np.linspace(-1.0, 1.0, 11)[3]
+    g = Grid(-1.0, 1.0, 20)
+    assert p not in g.x
+    with pytest.raises(PoleError) as exc, np.errstate(divide="ignore"):
+        spectrum_numeric(lambda x: 1.0 / (x - p) ** 2, g, 2)
+    assert exc.value.locations == [p]
 
 
 def test_apply_hamiltonian_residual():
