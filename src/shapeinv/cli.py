@@ -14,10 +14,10 @@ version stamp is the `generated_by` field in wavefunction metadata.
 from __future__ import annotations
 
 import argparse
-import atexit
 import gc
 import json
 import math
+import os
 import sys
 
 from . import families, partners, riccati, spectra
@@ -47,12 +47,10 @@ _MAX_N = 1_000_001
 # this bound; kmax = 400,000 took 740 MB
 _MAX_KMAX = 10_000
 
-
-# At exit the interpreter's last collections would walk and free the ~22k
-# objects numpy's import leaves tracked; frozen, they are left to the OS.
-# No output waits on them: stdout and stderr are flushed after the atexit
-# handlers run, and every --out file is closed by its `with` block.
-atexit.register(gc.freeze)
+# the variables OpenBLAS takes its thread count from, any one of which a
+# user may set; see main
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
 
 
 def _diag(slug: str, message: str, **extra) -> None:
@@ -651,14 +649,22 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
+    # run as the process's own command line: numpy is not loaded yet (the
+    # handlers import it), and its OpenBLAS would start a worker per CPU
+    # that spins through numpy's import and then idles, for single-vector
+    # BLAS calls that gain nothing from threads. A thread count the user
+    # set is kept; an in-process caller's environment is left alone
+    console = argv is None
+    if console:
+        argv = sys.argv[1:]
+        if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
     # the cyclic collector is off for the run, whose objects mostly live
     # until exit (numpy's import alone set off about 25 passes), and back
     # in the state it was found however main ends
     enabled = gc.isenabled()
     gc.disable()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
         parser = build_parser(argv)
         try:
             args = parser.parse_args(argv)
@@ -677,6 +683,13 @@ def main(argv=None) -> int:
                     return code
             raise
     finally:
+        # a console run's heap is frozen first: the next allocation would
+        # otherwise start a young pass over numpy's ~21k objects, and the
+        # interpreter's last collections would walk them; they are left to
+        # the OS. No output waits on them: every --out file is closed by
+        # its `with` block, and stdout and stderr are flushed at exit
+        if console:
+            gc.freeze()
         if enabled:
             gc.enable()
 

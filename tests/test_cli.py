@@ -914,9 +914,10 @@ NUMPY_ROWS = {
         "wavefunction samples the state and takes its norm",
 }
 
-# main(argv) in a fresh interpreter, which reports on a last stderr line
-# which of numpy and dataclasses were imported
-_FRESH_MAIN = ("import sys; from shapeinv.cli import main; rc = main(sys.argv[1:]); "
+# main() in a fresh interpreter, in the console form that reads sys.argv,
+# which reports on a last stderr line which of numpy and dataclasses were
+# imported
+_FRESH_MAIN = ("import sys; from shapeinv.cli import main; rc = main(); "
                "sys.stderr.write('loaded: ' + ' '.join(sorted("
                "{'numpy', 'dataclasses'} & set(sys.modules))) + '\\n'); "
                "sys.exit(rc)")
@@ -933,7 +934,7 @@ def _fresh_env() -> dict:
 
 def run_fresh(*argv):
     """(exit code, stdout, stderr, which of numpy and dataclasses were
-    loaded) of main(argv) in a fresh interpreter."""
+    loaded) of the console form main() on argv in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *map(str, argv)],
                           env=_fresh_env(), capture_output=True, text=True)
     err, _, flag = proc.stderr.rstrip("\n").rpartition("\n")
@@ -1087,11 +1088,20 @@ def test_wavefunction_output_is_byte_stable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the cyclic collector: off while main runs, frozen at exit
+# the console run's policy: one OpenBLAS thread unless the user set a count,
+# the cyclic collector off while main runs and the heap frozen as it ends;
+# an in-process main(argv) changes neither the environment nor the collector
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
-def collector(request):
-    """The collector enabled or disabled for the test, as the param says."""
+def collector(request, monkeypatch):
+    """The collector enabled or disabled for the test, as the param says,
+    and no BLAS thread count set."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
     was = gc.isenabled()
     (gc.enable if request.param else gc.disable)()
     yield request.param
@@ -1105,8 +1115,10 @@ def collector(request):
       "--grid=-0.5,0.5,1001"], 2),
 ], ids=["success", "usage", "pole"])
 def test_main_restores_the_collector_state(capsys, collector, argv, code):
+    env, frozen = dict(os.environ), gc.get_freeze_count()
     assert cli.main(argv) == code
-    assert gc.isenabled() == collector
+    assert gc.isenabled() == collector and gc.get_freeze_count() == frozen
+    assert dict(os.environ) == env
 
 
 def test_main_restores_the_collector_state_when_a_handler_raises(
@@ -1115,16 +1127,18 @@ def test_main_restores_the_collector_state_when_a_handler_raises(
         assert not gc.isenabled()
         raise RuntimeError("boom")
     monkeypatch.setattr(cli.families, "preset_catalogue", fail)
+    env, frozen = dict(os.environ), gc.get_freeze_count()
     with pytest.raises(RuntimeError, match="boom"):
         cli.main(["families"])
-    assert gc.isenabled() == collector
+    assert gc.isenabled() == collector and gc.get_freeze_count() == frozen
+    assert dict(os.environ) == env
 
 
-# main(argv) in a fresh interpreter whose own atexit hook, registered before
-# the CLI's and so run after it, reports the collector's frozen count
+# the console form main() in a fresh interpreter whose atexit hook reports
+# the collector's frozen count
 _FRESH_EXIT = ("import atexit, gc, sys; atexit.register(lambda: sys.stderr.write("
                "f'frozen: {gc.get_freeze_count()}\\n')); "
-               "from shapeinv.cli import main; sys.exit(main(sys.argv[1:]))")
+               "from shapeinv.cli import main; sys.exit(main())")
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -1150,3 +1164,47 @@ def test_out_files_are_whole_after_the_exit_freeze(tmp_path, capsys, argv,
     assert sorted(p.name for p in fresh.iterdir()) == files
     for name in files:
         assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+
+# the console form main() in a fresh interpreter, with no *_NUM_THREADS
+# variable but those the test sets; a last stderr line reports the ones the
+# process ends with, whether it loaded numpy and how many threads it has
+# (None without /proc)
+_FRESH_THREADS = (
+    "import json, os, sys; from shapeinv.cli import main; rc = main(); "
+    "tasks = '/proc/self/task'; sys.stderr.write(json.dumps(["
+    "{k: v for k, v in os.environ.items() if k.endswith('_NUM_THREADS')}, "
+    "'numpy' in sys.modules, "
+    "len(os.listdir(tasks)) if os.path.isdir(tasks) else None]) + '\\n'); "
+    "sys.exit(rc)")
+
+TRIG_BOTH = ["spectrum", "--config", str(DATA / "trig.json"), "--mode", "both"]
+
+
+def run_fresh_threads(argv, **user):
+    """(exit code, stdout, the *_NUM_THREADS variables at the end, numpy
+    loaded, thread count) of the console form main() in a fresh
+    interpreter."""
+    env = {k: v for k, v in _fresh_env().items()
+           if not k.endswith("_NUM_THREADS")}
+    env.update(user)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_THREADS, *argv],
+                          env=env, capture_output=True, text=True)
+    threads, loaded, tasks = json.loads(proc.stderr.splitlines()[-1])
+    return proc.returncode, proc.stdout, threads, loaded, tasks
+
+
+def test_console_run_loads_openblas_with_one_thread():
+    rc, out, threads, loaded, tasks = run_fresh_threads(TRIG_BOTH)
+    assert rc == 0 and out == read_golden("spectrum_both_trig.json")
+    assert threads == {"OPENBLAS_NUM_THREADS": "1"} and loaded
+    if tasks is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert tasks == 1
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+def test_console_run_keeps_a_thread_count_the_user_set(name):
+    rc, out, threads, loaded, _ = run_fresh_threads(TRIG_BOTH, **{name: "2"})
+    assert rc == 0 and out == read_golden("spectrum_both_trig.json")
+    assert threads == {name: "2"} and loaded
