@@ -303,7 +303,7 @@ def _auto_grid(cfg: RunConfig, fam: families.Family, window=None) -> Grid:
     margin = cfg.pole_margin / c
     if lo is not None and hi is not None:
         return Grid(lo + margin, hi - margin, _DEFAULT_N)
-    pp = partners.pair_from_family(fam, cfg.d)
+    pp = partners.pair_from_family(fam, 0.0)   # d moves no curvature
     center = fam.params.A if lo is None and hi is None else anchor
     step = 1.0 / c
     if lo is not None:
@@ -452,24 +452,30 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
                   direction=direction.value)
             return EXIT_NORMALIZABILITY
         grid = _resolve_grid(cfg, fam)
-        pp = partners.pair_from_family(fam, cfg.d)
+        # the FD problem is solved at d = 0 and shifted after: d moves every
+        # level by itself, and a large d would only drown the levels' digits
+        pp = partners.pair_from_family(fam, 0.0)
         from .numerics import spectrum_numeric
         with _quiet():
             numeric = spectrum_numeric(lambda x: pp.V(x, cfg.m), grid,
                                        cfg.kmax + 1)
         err = numeric.error_estimate
-        levels = [{"k": k, "E": float(e),
+        unshifted = [float(e) for e in numeric.energies]
+        levels = [{"k": k, "E": e + cfg.d,
                    "richardson": (float(err[k]) if err is not None
                                   and math.isfinite(err[k]) else None)}
-                  for k, e in enumerate(numeric.energies)]
+                  for k, e in enumerate(unshifted)]
         report["numeric"] = {"levels": levels, "grid": _grid_meta(grid)}
     if mode == "both":
         tol = cfg.tol * _rate(fam) ** 2   # in units of c^2
+        # compared at d = 0, like the FD levels
+        base = spectra.spectrum_analytic(fam, cfg.m, cfg.kmax, direction, 0.0)
         rows = []
         worst = 0.0
-        # both lists count levels from k = 0 up
-        for (k, e_an), level in zip(analytic.levels, levels):
-            diff = abs(e_an - level["E"])
+        # the lists count levels from k = 0 up
+        for (k, e_an), (_, e0), e_fd, level in zip(
+                analytic.levels, base.levels, unshifted, levels):
+            diff = abs(e0 - e_fd)
             worst = max(worst, diff)
             rows.append({"k": k, "E_analytic": e_an, "E_numeric": level["E"],
                          "abs_diff": diff, "richardson": level["richardson"]})

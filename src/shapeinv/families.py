@@ -107,12 +107,10 @@ class FamilyParams(Record):
         self.__dict__.update(sign=sign, A=A, B=B, b=b, D=D, q=q, t=t, d=d)
 
 
-# A Family's two memos: _samples, the entry for the last sample array, holds
-# the (k0, k1) and (k0', k1') pairs, the grid's integrals of k0 and k1, and
-# read-only W per chain parameter, for at most this many parameters (a
-# level-k state reads k); _memo holds at most _MEMO_MAX scalar results of a
-# request, the oldest dropped first.
-_W_TABLE_MAX_PARAMETERS = 16
+# A Family's two memos: its closed-form row's array memo (basis()._memo),
+# whose entry for the last sample array also holds the family's (k0, k1) and
+# (k0', k1') pairs and the grid's integrals of k0 and k1; and _memo, at most
+# _MEMO_MAX scalar results of a request, the oldest dropped first.
 _MEMO_MAX = 64
 
 
@@ -139,12 +137,12 @@ class Family(Record):
         if kind is FamilyKind.INVERSE_POWER and params.q == 0.0:
             raise FamilyError("inverse-power ansatz requires q != 0")
         # built once: the Riccati solution y = k1 (whose row of the
-        # closed-form table is basis()), the companion z = k0, and the two
-        # memos; not fields, so they stay out of ==, hash and repr
+        # closed-form table is basis(), with the array memo), the companion
+        # z = k0, and the scalar memo; not fields, so they stay out of ==,
+        # hash and repr
         y = general_solution(params.sign.a, params.A, params.B)
         self.__dict__.update(params=params, kind=kind, _y=y,
-                             _z=solve_z(params.b, y, params.D),
-                             _samples={}, _memo={})
+                             _z=solve_z(params.b, y, params.D), _memo={})
 
     def _remember(self, key: tuple, value):
         """value, held under key in the scalar memo."""
@@ -210,12 +208,12 @@ class Family(Record):
 
     def k(self, x, m):
         m = self._require_m(m)
-        return self._k_from(_held(self._samples, "k", self._k_parts, x), m)
+        return self._k_from(_held(self.basis()._memo, "k", self._k_parts, x), m)
 
     def _chain_table(self, x, h: float):
         """The ladder chain's two readers on x, a uniform grid of step h:
         m -> int k(., m) for the seeds, and m -> (W, max|W|) for the ladder
-        steps, with W = k(x, m) read-only and finite on every sample, else
+        steps, with W = k(x, m) a fresh array, finite on every sample, else
         PoleError.
 
         int k(., m) is a fresh array, zero at the grid midpoint: I0 + m I1,
@@ -225,14 +223,13 @@ class Family(Record):
         ansatz), each anchored at the midpoint; a k0 or k1 sample that is
         not finite raises PoleError.
 
-        h is the step of the Grid whose nodes x are, so it follows from x,
-        and the array's sample entry keeps I0 and I1 alongside the W pairs
-        per m (and the sign of a zero m), all read from the entry's (k0, k1)
-        pair; readers fetched once serve a whole chain."""
+        h is the step of the Grid whose nodes x are, so it follows from x.
+        x's entry in the array memo holds its (k0, k1) pair, which every W
+        is one multiply-add from, and I0 and I1; readers fetched once serve
+        a whole chain."""
         import numpy as np
         arr = np.asarray(x, dtype=float)
-        entry = _entry(self._samples, arr)
-        by_m = entry.setdefault("W", {})
+        entry = _entry(self.basis()._memo, arr)
 
         def parts():
             if "k" not in entry:
@@ -257,22 +254,13 @@ class Family(Record):
             return out
 
         def read(m):
-            m = float(m)
-            # k(., 0.0) and k(., -0.0) may differ in the sign of a zero sample
-            m_key = (m, math.copysign(1.0, m))
-            pair = by_m.get(m_key)
-            if pair is None:
-                self._require_m(m)
-                W = np.asarray(self._k_from(parts(), m), dtype=float)
-                w_max = float(np.abs(W).max())
-                if not math.isfinite(w_max):   # nan or inf on some sample
-                    raise PoleError(
-                        "superpotential is not finite on the working grid")
-                W.flags.writeable = False
-                if len(by_m) >= _W_TABLE_MAX_PARAMETERS:
-                    del by_m[next(iter(by_m))]
-                pair = by_m[m_key] = (W, w_max)
-            return pair
+            m = self._require_m(m)
+            W = self._k_from(parts(), m)
+            w_max = float(np.abs(W).max())
+            if not math.isfinite(w_max):   # nan or inf on some sample
+                raise PoleError(
+                    "superpotential is not finite on the working grid")
+            return W, w_max
         return integral, read
 
     def _k_coefficients(self, m):
@@ -289,7 +277,7 @@ class Family(Record):
 
     def k_prime(self, x, m):
         m = self._require_m(m)
-        k0p, k1p = _held(self._samples, "k'", self._k_prime_parts, x)
+        k0p, k1p = _held(self.basis()._memo, "k'", self._k_prime_parts, x)
         if self.kind is FamilyKind.AFFINE:
             return k0p + m * k1p
         return m * k1p

@@ -68,9 +68,9 @@ def _ret(vals):
     return float(vals) if vals.ndim == 0 else vals
 
 
-# A memo keyed by a sample array (a row's, or a Family's _samples) holds
-# one entry, the dict of results for the last array it saw; 0-d arrays and
-# arrays above this many points get a dict that no memo keeps.
+# A row's memo is keyed by a sample array and holds one entry, the dict of
+# results for the last array it saw; 0-d arrays and arrays above this many
+# points get a dict that no memo keeps.
 _MEMO_MAX_POINTS = 1 << 16
 
 
@@ -137,7 +137,8 @@ def _read_only(*parts) -> tuple:
 # one memo (_held), read only, and f, h, f', h', z and z' read it. A pass
 # that raises PoleError is not held. The outputs are fresh arrays, computed
 # from the primitives by the same operations whether the pass was held or
-# not.
+# not. A Family built on the row keeps its own tags ("k", "k'", "int k") in
+# the same entry, so each array is keyed and copied once.
 
 _MAX_LOCATIONS = 8
 

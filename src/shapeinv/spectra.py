@@ -465,9 +465,9 @@ def excited_state(family: Family, m, k: int, direction, grid,
     Each state entering a ladder step has a peak of exactly 1: the seed is
     exp(s - max s), and every step divides by its own peak. The state
     fetches the grid's chain readers once (Family._chain_table): the seed
-    reads the grid's held integrals of k0 and k1, and the ladder reads
-    W(., p) once per ladder parameter and grid; the refusals of _state_step
-    come before any node is read.
+    reads the grid's held integrals of k0 and k1, and each ladder step
+    builds W(., p) from the grid's held (k0, k1) pair; the refusals of
+    _state_step come before any node is read.
     """
     h = _require_grid(grid).h
     step = _state_step(family, m, k, direction, grid.mid, d)

@@ -154,6 +154,41 @@ def test_spectrum_both_oscillator_config():
         assert row["richardson"] is not None
 
 
+def _shift_draws():
+    """The shifts d of the metamorphic test: the ends of the double range,
+    one of each sign, and seeded draws log-uniform in |d|."""
+    rng = np.random.default_rng(30)
+    draws = [float(sign * 10.0 ** rng.uniform(-3.0, 308.0))
+             for sign in (-1.0, 1.0, 1.0)]
+    return [1e6, -1e6, 1e12, 1e300, 1e307, -1e307, 1.7e308] + draws
+
+
+@pytest.mark.parametrize("name", ["oscillator", "trig", "hyperbolic"])
+def test_spectrum_both_is_d_invariant_up_to_the_shift(capsys, name):
+    # d shifts H by a constant: the FD oracle solves at d = 0 and adds d to
+    # each level, so the comparison is the d = 0 one bit for bit, and every
+    # level is fl(E0 + d), however large d is next to the levels
+    def run(d):
+        code = cli.main(["spectrum", "--config", str(DATA / f"{name}.json"),
+                         "--mode", "both", "--d", repr(d)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        return _strict_json(out)
+
+    base = run(0.0)
+    for d in _shift_draws():
+        doc = run(d)
+        assert doc["d"] == d and doc["comparison"] == {
+            **base["comparison"],
+            "levels": [{**row, "E_analytic": row["E_analytic"] + d,
+                        "E_numeric": row["E_numeric"] + d}
+                       for row in base["comparison"]["levels"]]}, d
+        for block in ("analytic", "numeric"):
+            assert [lv["E"] for lv in doc[block]["levels"]] == [
+                lv["E"] + d for lv in base[block]["levels"]], (block, d)
+        assert doc["numeric"]["grid"] == base["numeric"]["grid"]
+
+
 def test_spectrum_tolerance_exit_3():
     code, out, err = run_cli("spectrum", "--config",
                              str(DATA / "oscillator.json"), "--mode", "both",
@@ -843,8 +878,8 @@ def _boundary_cases():
 
 # inputs at the ends of the double range, as _boundary_cases rows: a grid
 # step whose 1/h^2, or the matrix's squared coupling 1/h^4, is not finite;
-# a span x1 - x0 that overflows; a shift d that leaves the matrix's
-# Gershgorin bracket no finite midpoints
+# a span x1 - x0 that overflows; and a shift d near the largest double,
+# which the FD oracle adds to its levels after solving at d = 0
 EXTREME_CASES = [
     ("grid-step-underflow",
      ["spectrum", "--grid=0,1e-300,100", "--mode", "numeric"], None, 1,
@@ -857,8 +892,8 @@ EXTREME_CASES = [
      "config"),
     ("eval-span-overflow", ["eval", "--grid=-1e308,1e308,5"], None, 1,
      "config"),
-    ("d-near-max", ["spectrum", "--d", "1e308", "--mode", "both"], None, 1,
-     "config"),
+    ("d-near-max", ["spectrum", "--d", "1e308", "--mode", "both"], None, 0,
+     None),
 ]
 BOUNDARY_CASES = _boundary_cases()
 
@@ -896,20 +931,24 @@ def test_boundary_inputs_exit_with_one_diagnostic(tmp_path, capsys, argv, doc,
                          [case[1:] for case in EXTREME_CASES],
                          ids=[case[0] for case in EXTREME_CASES])
 def test_extreme_inputs_print_no_traceback(argv, doc, code, slug):
-    # the console script as users run it: its stderr is the one diagnostic
+    # the console script as users run it: its stderr is the one diagnostic,
+    # or empty beside a strict-JSON report
     rc, out, err = run_cli(*argv, "--format", "json")
-    assert rc == code and out == "" and "Traceback" not in err
+    assert rc == code and "Traceback" not in err
+    if slug is None:
+        assert err == "" and _strict_json(out)
+        return
+    assert out == ""
     assert len(err.splitlines()) == 1 and _strict_json(err)["error"] == slug
 
 
 # The boundary rows that load numpy, each with its reason; every other row
 # is decided before any sampling, and its process never imports numpy
 NUMPY_ROWS = {
-    # hamiltonian_matrix refuses a step whose 1/h^2 or 1/h^4 overflows, and
-    # a shift d that leaves its Gershgorin bracket no finite midpoint
+    # hamiltonian_matrix refuses a step whose 1/h^2 or 1/h^4 overflows
     "grid-step-underflow": "hamiltonian_matrix refusal",
     "grid-coupling-overflow": "hamiltonian_matrix refusal",
-    "d-near-max": "hamiltonian_matrix refusal",
+    "d-near-max": "the FD solve at d = 0, shifted by d after",
     "wavefunction-norm-subnormal-step":
         "wavefunction samples the state and takes its norm",
 }

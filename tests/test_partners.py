@@ -189,3 +189,9 @@ def test_factorization_residuals_seeded_sweep():
         r1, r2 = factorization_residuals(fam, m, xs)
         assert np.max(np.abs(r1)) < 1e-9
         assert np.max(np.abs(r2)) < 1e-9
+        # Vtilde(., m) = V(., m - 1) + R(m - 1), to rounding of the terms
+        pp = pair_from_family(fam)
+        scale = np.maximum(1.0, np.maximum(np.abs(pp.V(xs, m - 1.0)),
+                                           np.abs(pp.Vtilde(xs, m))))
+        residual = shape_invariance_residual(pp, fam, m, xs)
+        assert np.all(np.abs(residual) <= 1e-8 * scale)
