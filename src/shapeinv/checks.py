@@ -218,7 +218,7 @@ def check_superposition():
 def check_block_identities() -> CheckResult:
     """Each row's f' and h' against the quadratic forms of its algebra(),
     and its invariant, which vanishes on the row, on the riccati suite's
-    kind of draws: every fourth takes the B = infinity row."""
+    kind of draws: every fourth takes B = infinity."""
     rng = np.random.default_rng(_BLOCK_SEED)
     worst = 0.0
     for i in range(_BLOCK_DRAWS):

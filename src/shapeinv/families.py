@@ -304,10 +304,10 @@ class Family(Record):
         `around`, at a cost independent of the window's width.
 
         The scan is clipped to that many of the row's periods on each side of
-        `around`: the negative-a rows have poles every pi/c, and a huge window
-        would otherwise enumerate astronomically many roots. Every other row
-        has at most one pole and an infinite period, so the whole window is
-        scanned.
+        `around`: the negative-a row has poles every pi/c, and a huge window
+        would otherwise enumerate astronomically many roots. The other two
+        rows have at most one pole and an infinite period, so the whole
+        window is scanned.
         """
         span = periods * self.basis().period
         return self.singularities(m, (max(float(window[0]), around - span),

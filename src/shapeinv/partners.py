@@ -65,9 +65,10 @@ _COEFF_KEYS = ("f2", "fh", "h2", "f", "const")
 class PotentialRecord(Record):
     """Coefficients of V - d and Vtilde - d in the basis {f^2, f h, h^2, f, 1}.
 
-    The bare-f entry is nonzero only for inverse-power families. basis says
-    whether (f, h) are the generic finite-B blocks or the B = infinity limit
-    forms.
+    The bare-f entry is nonzero only for inverse-power families. basis is
+    the row's basis_name: 'limit' when its B = (p : q) has q = 0, which is
+    B = infinity, where (f, h) are the limit forms (tanh and sech, 1/t and
+    t/2, tan and sec), else 'generic'.
     """
 
     _fields = ("basis", "V", "Vtilde", "R_at_m", "m", "family")

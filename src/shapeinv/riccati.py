@@ -110,10 +110,13 @@ def _read_only(*parts) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the closed-form table: one row per sign class and finite B or B = infinity.
-# Each row holds the pair (f, h) that every family is built from, their
-# derivatives, and the companion solution z with y z + z' = b, where
-# y = scale * f (RiccatiSolution.scale). z equals alpha f + beta h with
+# the closed-form table: one row per sign class. The general solution is a
+# linear-fractional function of B (Ince, 1926, ch. II), so B is a point
+# (p : q) of the projective line: a row reads finite B as (B : 1) and
+# B = infinity as (limit_p : 0), and its formulas are the finite ones with q
+# where 1 stood. Each row holds the pair (f, h) that every family is built
+# from, their derivatives, and the companion solution z with y z + z' = b,
+# where y = scale * f (RiccatiSolution.scale). z equals alpha f + beta h with
 # (alpha, beta) = companion(b, D), but is evaluated from its own closed
 # form. h carries a minus sign relative to the bare reciprocal so
 # that one D serves z and the potential records at every B, including B -> 0.
@@ -127,18 +130,18 @@ def _read_only(*parts) -> tuple:
 # and h ~ res h / (x - x0), since h' = -y h. Toward an infinite end sigma,
 # `end` gives (f_inf, f_tail, h_sign): f -> f_inf + f_tail / x, and h_sign is
 # the sign of h where h grows without bound (0 where h stays bounded). The
-# trigonometric rows have poles every pi/c and no infinite end. The rows list
+# trigonometric row has poles every pi/c and no infinite end. The rows list
 # their own poles and carry the constants of _Form, so no other module
-# branches on the sign class or the B form again.
+# branches on the sign class or on B again.
 #
-# A row computes its x-dependent primitives (a numerator and denominator,
-# or the tanh/sech and tan/cos pairs) in one pass per array, which also
-# refuses the poles: _parts holds the pass for the last array in the row's
-# one memo (_held), read only, and f, h, f', h', z and z' read it. A pass
-# that raises PoleError is not held. The outputs are fresh arrays, computed
-# from the primitives by the same operations whether the pass was held or
-# not. A Family built on the row keeps its own tags ("k", "k'", "int k") in
-# the same entry, so each array is keyed and copied once.
+# A row computes its x-dependent primitives (f and h on the hyperbolic row,
+# a numerator and a denominator on the others) in one pass per array, which
+# also refuses the poles: _parts holds the pass for the last array in the
+# row's one memo (_held), read only, and f, h, f', h', z and z' read it. A pass that raises PoleError is not held. The
+# outputs are fresh arrays, computed from the primitives by the same
+# operations whether the pass was held or not. A Family built on the row
+# keeps its own tags ("k", "k'", "int k") in the same entry, so each array
+# is keyed and copied once.
 
 _MAX_LOCATIONS = 8
 
@@ -176,21 +179,22 @@ def quadratic(coeffs, f, h):
 
 
 class _Form:
-    """A row's constants: c, A, and B (None for B = infinity), and
+    """A row's constants: c, A, and B = (p : q), which is (B : 1) for finite
+    B and (limit_p : 0) for B = None, infinity; and
 
-    - kappa: the row's constant in algebra() (1 on the limit rows), and
-      y = kappa f on the rows with a = 0;
+    - kappa: the row's constant in algebra(), and y = kappa f on the row
+      with a = 0;
     - period: the spacing of the poles, inf on rows with at most one pole;
-    - basis_name: 'limit' for the B = infinity rows, else 'generic'.
+    - basis_name: 'limit' when q = 0, else 'generic'.
     """
 
-    kappa = 1.0
     sign_a = 1.0
     period = math.inf
-    basis_name = "generic"
 
     def __init__(self, c: float, A: float, B):
-        self.c, self.A, self.B = c, A, B
+        self.c, self.A = c, A
+        self.p, self.q = (self.limit_p, 0.0) if B is None else (B, 1.0)
+        self.basis_name = "generic" if self.q else "limit"
         self._memo = {}
 
     def _theta(self, arr):
@@ -214,105 +218,45 @@ class _Form:
                 (0.0, -s * c, 0.0, 0.0, 0.0, 0.0),
                 (1.0, 0.0, s * k, 0.0, 0.0, -s))
 
-    def poles(self, lo, hi) -> list:
-        """Newton-polished poles, a superset of those in [lo, hi]."""
-        return []
 
-
-class _PosFinite(_Form):
-    """a = c^2: f = (B sinh - cosh)/(B cosh - sinh), h = -1/(B cosh - sinh).
+class _Pos(_Form):
+    """a = c^2: f = (p sinh - q cosh)/(p cosh - q sinh), h = -1/(p cosh -
+    q sinh); tanh and sech at B = infinity.
 
     The raw sinh/cosh ratios turn into inf/inf for |theta| beyond ~710, so
-    both fractions are rewritten in tanh and exp(-|theta|), which never do.
+    both fractions are rewritten in tanh and e = exp(-|theta|), which never
+    do: f = (p tanh - q)/(p - q tanh), and h = e/w with
+    w = ((s - p) - (p + s) e^2)/2, s = q sign(theta).
     """
+
+    limit_p = -1.0
 
     def __init__(self, c, A, B):
         super().__init__(c, A, B)
-        self.kappa = B * B - 1.0
+        self.kappa = self.p * self.p - self.q * self.q
 
     def _pass(self, arr):
+        # f and h themselves, refused where either denominator vanishes
         import numpy as np
-        B, th = self.B, self._theta(arr)
-        if B == 1.0:
-            return _checked(arr, -np.ones_like(th), np.ones_like(th))
-        if B == -1.0:
-            return _checked(arr, np.ones_like(th), np.ones_like(th))
+        p, q, th = self.p, self.q, self._theta(arr)
+        if p == q:
+            return _read_only(-np.ones_like(th), -np.exp(th))
+        if p == -q:
+            return _read_only(np.ones_like(th), np.exp(-th))
         t = np.tanh(th)
-        return _checked(arr, B * t - 1.0, B - t)
-
-    def _h_pass(self, arr):
-        import numpy as np
-        B, th = self.B, self._theta(arr)
-        if B == 1.0:
-            return _checked(arr, -np.exp(th), np.ones_like(th))
-        if B == -1.0:
-            return _checked(arr, np.exp(-th), np.ones_like(th))
         e = np.exp(-np.abs(th))
-        v = np.where(th >= 0.0, 0.5 * (B - 1.0) + 0.5 * (B + 1.0) * e * e,
-                     0.5 * (B + 1.0) + 0.5 * (B - 1.0) * e * e)
-        return _checked(arr, -e, v)
-
-    def _h_parts_at(self, x):
-        # h's denominator need not vanish where f's does: a pass of its own
-        return _held(self._memo, "h pass", self._h_pass, x)
-
-    def f(self, x):
-        u, v = self._parts(x)
-        return u / v
-
-    def h(self, x):
-        u, v = self._h_parts_at(x)
-        return u / v
-
-    def df(self, x):
-        if self.kappa == 0.0:   # B = +-1: f is constant
-            import numpy as np
-            return np.zeros_like(_prep(x)[0])
-        h = self.h(x)
-        return self.c * self.kappa * h * h
-
-    def dh(self, x):
-        return -self.c * self.f(x) * self.h(x)
-
-    def z(self, x, b, D):
-        return (b / self.c) * self.f(x) + D * self.h(x)
-
-    def dz(self, x, b, D):
-        f = self.f(x)
-        return b - self.c * f * ((b / self.c) * f + D * self.h(x))
-
-    def poles(self, lo, hi):
-        # the one pole, tanh(theta0) = B, exists for |B| < 1
-        if not abs(self.B) < 1.0:
-            return []
-        r = self.A + math.atanh(self.B) / self.c
-        th = self.c * (r - self.A)
-        return [_newton(r, self.B * math.cosh(th) - math.sinh(th),
-                        self.c * (self.B * math.sinh(th) - math.cosh(th)))]
-
-    def residues(self, x0):
-        # the one pole, tanh(theta0) = B with |B| < 1
-        return 1.0 / self.c, 1.0 / (self.c * math.sqrt(1.0 - self.B * self.B))
-
-    def end(self, sigma):
-        # f = -1, h = -e^theta at B = 1; f = 1, h = e^-theta at B = -1 (Morse)
-        if self.B == 1.0:
-            return -1.0, 0.0, (-1.0 if sigma > 0 else 0.0)
-        if self.B == -1.0:
-            return 1.0, 0.0, (1.0 if sigma < 0 else 0.0)
-        return float(sigma), 0.0, 0.0
-
-
-class _PosLimit(_Form):
-    """a = c^2, B = infinity: f = tanh, h = sech; no poles."""
-
-    basis_name = "limit"
-
-    def _pass(self, arr):
-        import numpy as np
-        th = self._theta(arr)
-        e = np.exp(-np.abs(th))   # sech = 2 e / (1 + e^2) never overflows
-        return _read_only(np.tanh(th), 2.0 * e / (1.0 + e * e))
+        half_s, half_p = np.copysign(0.5 * q, th), 0.5 * p
+        v, w = p - q * t, (half_s - half_p) + (-half_p - half_s) * e * e
+        # Both denominators vanish only where tanh(theta) = p/q, so the pole
+        # checks run for |p| < q alone. For |p| > q no double is a pole
+        # either: |q tanh| <= q < |p|, so v = p - q tanh is a difference of
+        # unequal doubles, never 0; and s - p and -(p + s) both have -p's
+        # sign, so w is a sum of two terms of one sign, the first nonzero.
+        # At p = +-q (above) f and h have no denominator.
+        if abs(p) < q:
+            _check_regular(arr, v)
+            _check_regular(arr, w)
+        return _read_only((p * t - q) / v, e / w)
 
     def f(self, x):
         return self._parts(x)[0].copy()
@@ -321,65 +265,98 @@ class _PosLimit(_Form):
         return self._parts(x)[1].copy()
 
     def df(self, x):
-        return self.c * self._parts(x)[1] ** 2
+        if self.kappa == 0.0:   # p = +-q: f is constant
+            import numpy as np
+            return np.zeros_like(_prep(x)[0])
+        h = self._parts(x)[1]
+        return self.c * self.kappa * h * h
 
     def dh(self, x):
-        tanh, sech = self._parts(x)
-        return -self.c * tanh * sech
+        f, h = self._parts(x)
+        return -self.c * f * h
 
     def z(self, x, b, D):
-        tanh, sech = self._parts(x)
-        return (b / self.c) * tanh + D * sech
+        f, h = self._parts(x)
+        return (b / self.c) * f + D * h
 
     def dz(self, x, b, D):
-        tanh, sech = self._parts(x)
-        return b * sech * sech - self.c * D * sech * tanh
+        f, h = self._parts(x)
+        return b - self.c * f * ((b / self.c) * f + D * h)
+
+    def poles(self, lo, hi):
+        # the one pole, tanh(theta0) = p/q, exists for |p| < q
+        p, q = self.p, self.q
+        if not abs(p) < q:
+            return []
+        r = self.A + math.atanh(p / q) / self.c
+        th = self.c * (r - self.A)
+        return [_newton(r, p * math.cosh(th) - q * math.sinh(th),
+                        self.c * (p * math.sinh(th) - q * math.cosh(th)))]
+
+    def residues(self, x0):
+        # the one pole, tanh(theta0) = p/q with |p| < q
+        p, q = self.p, self.q
+        return 1.0 / self.c, 1.0 / (self.c * math.sqrt(q * q - p * p))
 
     def end(self, sigma):
+        # f = -1, h = -e^theta at p = q; f = 1, h = e^-theta at p = -q (Morse)
+        if self.p == self.q:
+            return -1.0, 0.0, (-1.0 if sigma > 0 else 0.0)
+        if self.p == -self.q:
+            return 1.0, 0.0, (1.0 if sigma < 0 else 0.0)
         return float(sigma), 0.0, 0.0
 
 
-class _ZeroFinite(_Form):
-    """a = 0: f = 1/v, h = t (2 + B t)/(2 v), with t = x - A and v = 1 + B t."""
+class _Zero(_Form):
+    """a = 0: f = 1/v, h = t (2q + p t)/(2 v), with t = x - A and v = q + p t;
+    1/t and t/2 at B = infinity."""
+
+    limit_p = 1.0
 
     def __init__(self, c, A, B):
         super().__init__(c, A, B)
-        self.kappa = B
+        self.kappa = self.p
 
     def companion(self, b, D):
         return D, b
 
     def algebra(self):
-        # f' = -kappa f^2, h' = 1 - kappa f h, I = f^2 + 2 kappa f h - 1
+        # f' = -kappa f^2, h' = 1 - kappa f h, I = q f^2 + 2 kappa f h - 1
         k = self.kappa
         return ((-k, 0.0, 0.0, 0.0, 0.0, 0.0),
                 (0.0, -k, 0.0, 0.0, 0.0, 1.0),
-                (1.0, 2.0 * k, 0.0, 0.0, 0.0, -1.0))
+                (self.q, 2.0 * k, 0.0, 0.0, 0.0, -1.0))
 
     def _pass(self, arr):
         t = arr - self.A
-        return _checked(arr, t, 1.0 + self.B * t)
+        return _checked(arr, t, self.q + self.p * t)
 
     def _h(self, t, v):
-        return 0.5 * t * ((2.0 + self.B * t) / v)
+        return 0.5 * t * ((2.0 * self.q + self.p * t) / v)
 
     def _zu(self, t, b, D):
         # the numerator of z = _zu / v
-        return b * (0.5 * t * (2.0 + self.B * t)) + D
+        return b * (0.5 * t * (2.0 * self.q + self.p * t)) + D
 
     def f(self, x):
         return 1.0 / self._parts(x)[1]
 
     def h(self, x):
+        if self.q == 0.0:
+            # h = t/2 is regular at the pole, so it does not read the pass
+            return 0.5 * (_prep(x)[0] - self.A)
         return self._h(*self._parts(x))
 
     def df(self, x):
         v = self._parts(x)[1]
-        return -self.B / (v * v)
+        return -self.p / (v * v)
 
     def dh(self, x):
+        if self.q == 0.0:
+            import numpy as np
+            return np.full_like(np.asarray(x, dtype=float), 0.5)
         t, v = self._parts(x)
-        return 1.0 - self.B * self._h(t, v) / v
+        return 1.0 - self.p * self._h(t, v) / v
 
     def z(self, x, b, D):
         t, v = self._parts(x)
@@ -387,110 +364,49 @@ class _ZeroFinite(_Form):
 
     def dz(self, x, b, D):
         t, v = self._parts(x)
-        return b - self.B * self._zu(t, b, D) / (v * v)
+        return b - self.p * self._zu(t, b, D) / (v * v)
 
     def poles(self, lo, hi):
-        return [self.A - 1.0 / self.B] if self.B != 0.0 else []
+        return [self.A - self.q / self.p] if self.p != 0.0 else []
 
     def residues(self, x0):
-        # the one pole, t0 = -1/B
-        return 1.0 / self.B, -0.5 / self.B / self.B
+        # the one pole, t0 = -q/p; h is regular there when q = 0
+        p, q = self.p, self.q
+        return 1.0 / p, -0.5 * q * q / p / p
 
     def end(self, sigma):
-        # h = t at B = 0, else h ~ t/2; f = 1 at B = 0, else f ~ 1/(B t)
-        if self.B == 0.0:
+        # h = t at p = 0, else h ~ t/2; f = 1 at p = 0, else f ~ 1/(p t)
+        if self.p == 0.0:
             return 1.0, 0.0, float(sigma)
-        return 0.0, 1.0 / self.B, float(sigma)
+        return 0.0, 1.0 / self.p, float(sigma)
 
 
-class _ZeroLimit(_Form):
-    """a = 0, B = infinity: f = 1/t, h = t/2, with t = x - A."""
+class _Neg(_Form):
+    """a = -c^2: f = u/v, h = -1/v, with u = p sin + q cos and
+    v = p cos - q sin; tan and sec at B = infinity. The poles sit at
+    theta = base + j pi, every pi/c, where v vanishes."""
 
-    basis_name = "limit"
-
-    def companion(self, b, D):
-        return D, b
-
-    def algebra(self):
-        # f' and h' as on the finite row at kappa = 1, but I = f h - 1/2
-        return _ZeroFinite.algebra(self)[:2] + ((0.0, 1.0, 0.0, 0.0, 0.0, -0.5),)
-
-    def _pass(self, arr):
-        return _checked(arr, arr - self.A)
-
-    def f(self, x):
-        return 1.0 / self._parts(x)[0]
-
-    def h(self, x):
-        # h = t/2 is regular at the pole, so it does not read the pass
-        return 0.5 * (_prep(x)[0] - self.A)
-
-    def df(self, x):
-        t = self._parts(x)[0]
-        return -1.0 / (t * t)
-
-    def dh(self, x):
-        import numpy as np
-        return np.full_like(np.asarray(x, dtype=float), 0.5)
-
-    def z(self, x, b, D):
-        t = self._parts(x)[0]
-        return 0.5 * b * t + D / t
-
-    def dz(self, x, b, D):
-        t = self._parts(x)[0]
-        return 0.5 * b - D / (t * t)
-
-    def poles(self, lo, hi):
-        return [self.A]
-
-    def residues(self, x0):
-        # the one pole, t0 = 0; h = t/2 is regular there
-        return 1.0, 0.0
-
-    def end(self, sigma):
-        return 0.0, 1.0, float(sigma)
-
-
-class _Periodic(_Form):
-    """The a = -c^2 rows: poles at theta = base + j pi, every pi/c, where the
-    row's denominator _den(theta) vanishes."""
-
+    limit_p = -1.0
     sign_a = -1.0
 
     def __init__(self, c, A, B):
         super().__init__(c, A, B)
+        p, q = self.p, self.q
+        self.kappa = p * p + q * q
         self.period = math.pi / c
-
-    def poles(self, lo, hi):
-        c, A, base = self.c, self.A, self.base
-        # theta = base + j*pi, x = A + theta/c; pick all j landing in the window
-        j_lo = math.floor((c * (lo - A) - base) / math.pi) - 1
-        j_hi = math.ceil((c * (hi - A) - base) / math.pi) + 1
-        if j_hi - j_lo > 5_000_000:
-            raise ValueError(
-                f"window spans about {j_hi - j_lo:.2e} poles; narrow it")
-        roots = [A + (base + j * math.pi) / c for j in range(j_lo, j_hi + 1)]
-        return [_newton(r, *self._den(c * (r - A))) for r in roots]
-
-
-class _NegFinite(_Periodic):
-    """a = -c^2: f = u/v, h = -1/v, with u = B sin + cos and v = B cos - sin."""
-
-    def __init__(self, c, A, B):
-        super().__init__(c, A, B)
-        self.kappa = B * B + 1.0
-        self.base = math.atan(B)
+        self.base = math.atan(p / q) if q else math.pi / 2.0
 
     def _den(self, th):
-        return (self.B * math.cos(th) - math.sin(th),
-                -self.c * (self.B * math.sin(th) + math.cos(th)))
+        # v and its slope at theta
+        p, q = self.p, self.q
+        return (p * math.cos(th) - q * math.sin(th),
+                -self.c * (p * math.sin(th) + q * math.cos(th)))
 
     def _pass(self, arr):
         import numpy as np
         th = self._theta(arr)
         sn, cs = np.sin(th), np.cos(th)
-        return _checked(arr, self.B * sn + cs, self.B * cs - sn)
+        return _checked(arr, self.p * sn + self.q * cs, self.p * cs - self.q * sn)
 
     def f(self, x):
         u, v = self._parts(x)
@@ -519,62 +435,27 @@ class _NegFinite(_Periodic):
         u, v = self._parts(x)
         return b + self.c * u * self._zu(u, b, D) / (v * v)
 
-    def residues(self, x0):
-        # res h = 1/(c (B sin + cos)(theta0)), where B sin + cos = +-sqrt(1 + B^2):
-        # only its sign is read off the pole, so far poles keep an exact size
-        th = self.c * (x0 - self.A)
-        size = 1.0 / (self.c * math.hypot(1.0, self.B))
-        return -1.0 / self.c, math.copysign(size, self.B * math.sin(th) + math.cos(th))
-
-
-class _NegLimit(_Periodic):
-    """a = -c^2, B = infinity: f = tan, h = sec."""
-
-    basis_name = "limit"
-    base = math.pi / 2.0
-
-    def _den(self, th):
-        return math.cos(th), -self.c * math.sin(th)
-
-    def _pass(self, arr):
-        import numpy as np
-        th = self._theta(arr)
-        return _checked(arr, np.tan(th), np.cos(th))
-
-    def f(self, x):
-        return self._parts(x)[0].copy()
-
-    def h(self, x):
-        return 1.0 / self._parts(x)[1]
-
-    def df(self, x):
-        return self.c * self.h(x) ** 2
-
-    def dh(self, x):
-        tan, cs = self._parts(x)
-        return self.c * tan * (1.0 / cs)
-
-    def z(self, x, b, D):
-        tan, cs = self._parts(x)
-        return (b / self.c) * tan + D / cs
-
-    def dz(self, x, b, D):
-        tan, cs = self._parts(x)
-        sec = 1.0 / cs
-        return b * sec * sec + self.c * D * sec * tan
+    def poles(self, lo, hi):
+        c, A, base = self.c, self.A, self.base
+        # theta = base + j*pi, x = A + theta/c; pick all j landing in the window
+        j_lo = math.floor((c * (lo - A) - base) / math.pi) - 1
+        j_hi = math.ceil((c * (hi - A) - base) / math.pi) + 1
+        if j_hi - j_lo > 5_000_000:
+            raise ValueError(
+                f"window spans about {j_hi - j_lo:.2e} poles; narrow it")
+        roots = [A + (base + j * math.pi) / c for j in range(j_lo, j_hi + 1)]
+        return [_newton(r, *self._den(c * (r - A))) for r in roots]
 
     def residues(self, x0):
-        # res h = -1/(c sin(theta0)), with sin(theta0) = +-1
+        # res h = 1/(c u(theta0)), where u = +-hypot(p, q): only its sign is
+        # read off the pole, so far poles keep an exact size
+        p, q = self.p, self.q
         th = self.c * (x0 - self.A)
-        return -1.0 / self.c, math.copysign(1.0 / self.c, -math.sin(th))
+        size = 1.0 / (self.c * math.hypot(q, p))
+        return -1.0 / self.c, math.copysign(size, p * math.sin(th) + q * math.cos(th))
 
 
-# (sign class, B is infinite) -> row
-_FORMS = {
-    ("pos", False): _PosFinite, ("pos", True): _PosLimit,
-    ("zero", False): _ZeroFinite, ("zero", True): _ZeroLimit,
-    ("neg", False): _NegFinite, ("neg", True): _NegLimit,
-}
+_FORMS = {"pos": _Pos, "zero": _Zero, "neg": _Neg}
 
 
 def _require_finite(error=ValueError, **values) -> None:
@@ -619,9 +500,10 @@ class RiccatiSolution(Record):
     """General solution of y' = a - y^2 for one (a, A, B) choice.
 
     The three sign classes use hyperbolic, rational, and trigonometric forms
-    respectively; B = infinity selects the dedicated limiting form rather
-    than a large finite value. kind, c, scale and form (the row of the
-    closed-form table) are worked out once, on construction.
+    respectively, each one row of the closed-form table with B = (p : q) on
+    the projective line: B = infinity is the point (-1 : 0), or (1 : 0) when
+    a = 0, not a large finite value. kind, c, scale and form (the row) are worked out once, on
+    construction.
     """
 
     _fields = ("a", "A", "B")
@@ -629,11 +511,11 @@ class RiccatiSolution(Record):
     def __init__(self, a: float, A: float, B: ExtendedReal):
         _require_finite(a=a, A=A)
         a, A = float(a), float(A)
-        # y = scale * f: c, -c, or kappa when a = 0 (B, or 1 for the
-        # rational B = infinity form); none of the four is a field
+        # y = scale * f: c, -c, or kappa = p when a = 0 (B, or 1 at
+        # B = infinity); none of the four is a field
         kind = "pos" if a > 0 else "neg" if a < 0 else "zero"
         c = math.sqrt(abs(a))
-        form = _FORMS[kind, B.is_infinite](c, A, B.value)
+        form = _FORMS[kind](c, A, B.value)
         scale = form.kappa if kind == "zero" else math.copysign(c, a)
         self.__dict__.update(a=a, A=A, B=B, kind=kind, c=c, form=form,
                              scale=scale)

@@ -191,6 +191,48 @@ def test_limit_recovery_large_finite_B():
             assert np.max(np.abs(fin.evaluate(xs) - lim.evaluate(xs))) < 1e-4
 
 
+def _ulps(got, want):
+    """|got - want| in units in the last place of want."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+@pytest.mark.parametrize("a, p", [(1.44, -1.0), (0.0, 1.0), (-0.81, -1.0)])
+def test_infinite_B_is_the_point_q_0_and_gives_the_textbook_forms(a, p):
+    # one row per sign class: B = infinity is (p : 0) on it, and f and h come
+    # out as tanh and sech, 1/t and t/2, or tan and sec
+    A = 0.3
+    sol = general_solution(a, A, INFINITY)
+    form = sol.form
+    assert (form.p, form.q, form.basis_name) == (p, 0.0, "limit")
+    assert general_solution(a, A, 0.5).form.basis_name == "generic"
+    if a > 0:
+        # theta out to +-800, where the raw sinh/cosh ratios overflow
+        th = np.concatenate((np.linspace(-40.0, 40.0, 20001),
+                             np.linspace(-800.0, 800.0, 4001)))
+        x = A + th / sol.c
+        th = sol.c * (x - A)
+        e = np.exp(-np.abs(th))
+        assert form.f(x).tobytes() == np.tanh(th).tobytes()
+        assert form.h(x).tobytes() == (2.0 * e / (1.0 + e * e)).tobytes()
+    elif a == 0:
+        x = A + np.linspace(-5.0, 5.0, 20000)   # A itself is not a sample
+        t = x - A
+        assert form.f(x).tobytes() == (1.0 / t).tobytes()
+        assert form.h(x).tobytes() == (t / 2.0).tobytes()
+        # h = t/2 and h' = 1/2 are regular at the pole x = A
+        at_pole = np.append(x, A)
+        assert form.h(at_pole)[-1] == 0.0 and form.dh(at_pole)[-1] == 0.5
+        with pytest.raises(PoleError):
+            form.f(at_pole)
+    else:
+        # inside one period, clear of the poles at theta = +-pi/2
+        th = np.linspace(-1.5, 1.5, 40001)
+        x = A + th / sol.c
+        th = sol.c * (x - A)
+        assert np.max(_ulps(form.f(x), np.tan(th))) <= 4.0
+        assert np.max(_ulps(form.h(x), 1.0 / np.cos(th))) <= 4.0
+
+
 def test_kind_and_scale():
     assert general_solution(4.0, 0.0, ExtendedReal(2.0)).kind == "pos"
     assert general_solution(0.0, 0.0, ExtendedReal(2.0)).kind == "zero"

@@ -21,7 +21,8 @@ from shapeinv.riccati import INFINITY, ExtendedReal, general_solution
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   max_examples=40)
 
-# (sign class, B is infinite): the six rows
+# (sign class, B is infinite): the three rows, each at a finite B and at
+# B = infinity
 ROWS = (("pos", False), ("pos", True), ("zero", False), ("zero", True),
         ("neg", False), ("neg", True))
 METHODS = ("f", "h", "df", "dh", "z", "dz")
@@ -49,9 +50,8 @@ def _samples(sol, fractions):
 
 
 def _held_parts(form):
-    """Every primitive the row's memo holds: the pos finite row's entry
-    keeps f's pass and h's apart, since their denominators need not vanish
-    on the same doubles."""
+    """Every primitive the row's memo holds, under every tag of its
+    entry."""
     return [part for entry in form._memo.values() for parts in entry.values()
             for part in parts]
 
@@ -131,10 +131,10 @@ def test_held_primitives_are_read_only(row, consts, f):
     assert x.flags.writeable
 
 
-# Rows with a pole on a double: B = 0 puts the pos and neg finite rows' pole
-# at x = A, B = -1/2 puts the a = 0 finite row's at A + 2, and the a = 0
-# limit row's sits at A. cos never vanishes on a double, so the neg limit
-# row never refuses a sample.
+# Rows with a pole on a double: B = 0 puts the pos and neg rows' pole at
+# x = A, B = -1/2 puts the a = 0 row's at A + 2, and at B = infinity the
+# a = 0 row's sits at A. cos never vanishes on a double, so the neg row at
+# B = infinity never refuses a sample.
 POLES = ((0, 0.0, 0.0), (2, -0.5, 2.0), (3, 0.0, 0.0), (4, 0.0, 0.0))
 
 
