@@ -290,8 +290,13 @@ class Family(Record):
         return -self.a * m * m - (p.q * p.q) / (m * m) + p.t
 
     def R(self, m) -> float:
-        """Level spacing L(m) - L(m + 1)."""
-        return self.L(m) - self.L(float(m) + 1.0)
+        """Level spacing L(m) - L(m + 1), in closed form so that t cancels:
+        a(2m + 1) + 2b, or (2m + 1)(a - q^2/(m(m + 1))^2)."""
+        m = self._require_m(m)
+        if self.kind is FamilyKind.AFFINE:
+            return self.a * (2.0 * m + 1.0) + 2.0 * self.params.b
+        n = self._require_m(m + 1.0)
+        return (2.0 * m + 1.0) * (self.a - (self.params.q / (m * n)) ** 2)
 
     # -- geometry ------------------------------------------------------------
 

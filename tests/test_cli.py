@@ -189,6 +189,41 @@ def test_spectrum_both_is_d_invariant_up_to_the_shift(capsys, name):
         assert doc["numeric"]["grid"] == base["numeric"]["grid"]
 
 
+def _t_draws():
+    """The constants t of the metamorphic test: up to 1e300, where L(m)
+    itself keeps no digit of the levels, and seeded draws log-uniform in |t|
+    of either sign."""
+    rng = np.random.default_rng(31)
+    draws = [float(sign * 10.0 ** rng.uniform(0.0, 300.0))
+             for sign in (-1.0, 1.0, 1.0)]
+    return [1e4, 1e12, 1e15, 1e17, 1e300] + draws
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "TypeA:c=0.9,t={t}", "--m", "2.3", "--kmax", "2"],
+    ["--config", str(DATA / "hyperbolic.json"), "--family",
+     "HyperbolicTanh:t={t}"],
+    ["--config", str(DATA / "oscillator.json"), "--family", "TypeD:b=1,t={t}"],
+    ["--family", "TypeF:q=-4,t={t}", "--m", "1.5", "--kmax", "2",
+     "--grid=0.01,40,4001"],
+], ids=["TypeA", "hyperbolic", "oscillator", "TypeF"])
+def test_spectrum_both_does_not_depend_on_t(capsys, argv):
+    # t adds a constant to L(m), which cancels in every spacing
+    # R(m) = L(m) - L(m + 1): the FD oracle never sees it, and the closed
+    # form must not either. The whole output is the t = 0 one, byte for byte
+    def run(t):
+        code = cli.main(["spectrum", "--mode", "both"]
+                        + [arg.format(t=repr(t)) for arg in argv])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    base = run(0.0)
+    assert base[0] == 0 and base[2] == ""
+    assert _strict_json(base[1])["comparison"]["within_tol"] is True
+    for t in _t_draws():
+        assert run(t) == base, t
+
+
 def test_spectrum_tolerance_exit_3():
     code, out, err = run_cli("spectrum", "--config",
                              str(DATA / "oscillator.json"), "--mode", "both",

@@ -188,6 +188,10 @@ def test_R_closed_forms():
     invz = make(INV, zero_a(), ExtendedReal(1.5), q=1.0)
     for m in (1.0, 3.0):
         assert invz.R(m) == pytest.approx(1.0 / (m + 1.0) ** 2 - 1.0 / m ** 2)
+    # the inverse kind refuses R where L(m) or L(m + 1) is undefined
+    for m in (0.0, -1.0):
+        with pytest.raises(FamilyError, match="undefined at m = 0"):
+            invz.R(m)
 
 
 def test_R_independent_of_t():
