@@ -137,11 +137,11 @@ def _read_only(*parts) -> tuple:
 # A row computes its x-dependent primitives (f and h on the hyperbolic row,
 # a numerator and a denominator on the others) in one pass per array, which
 # also refuses the poles: _parts holds the pass for the last array in the
-# row's one memo (_held), read only, and f, h, f', h', z and z' read it. A pass that raises PoleError is not held. The
-# outputs are fresh arrays, computed from the primitives by the same
-# operations whether the pass was held or not. A Family built on the row
-# keeps its own tags ("k", "k'", "int k") in the same entry, so each array
-# is keyed and copied once.
+# row's one memo (_held), read only, and f, h, f', h', z and z' read it. A
+# pass that raises PoleError is not held. The outputs are fresh arrays,
+# computed from the primitives by the same operations whether the pass was
+# held or not. A Family built on the row keeps its own tags ("k", "k'",
+# "int k") in the same entry, so each array is keyed and copied once.
 
 _MAX_LOCATIONS = 8
 
